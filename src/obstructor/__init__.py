@@ -5,14 +5,12 @@ from .algebra import (
     AlgElement,
     DMatrix,
     StructureAlgebra,
-    apply_involution,
     dagger_transpose,
     element_to_dmatrix,
     hilbert_symbol,
     make_algebra,
     matrix_algebra,
     matrix_unit,
-    mul,
     quaternion_algebra,
     quaternion_for_prime,
     ramified_places,
@@ -23,7 +21,6 @@ from .closure import (
     generates_fully,
     stabilized_word_span,
     subrng_closure,
-    word_span_oracle,
 )
 from .divisor import (
     MultiHomogPoly,

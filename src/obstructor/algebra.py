@@ -31,6 +31,9 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Terms = tuple[tuple[int, Fraction], ...]
+# A bilinear product rule indexed by the left factor: rule[i] lists the
+# (j, k, c) such that basis i times basis j contributes c times basis k.
+Rule = tuple[tuple[tuple[int, int, Fraction], ...], ...]
 
 INF = "inf"
 Place = Union[int, str]
@@ -40,20 +43,42 @@ def _sparse(v: Vec) -> Terms:
     return tuple((k, c) for k, c in enumerate(v) if c)
 
 
+def rule_product(rule: Rule, u: Vec, v: Vec, out_len: int) -> Vec:
+    """The product of coefficient vectors ``u`` and ``v`` under ``rule``.
+
+    This is the one bilinear kernel: algebra multiplication and the
+    composition of hom-space coefficient vectors both run through it.
+    """
+    acc: dict[int, Fraction] = {}
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        for j, k, c in rule[i]:
+            b = v[j]
+            if b:
+                acc[k] = acc.get(k, _ZERO) + a * b * c
+    res = [_ZERO] * out_len
+    for k, c in acc.items():
+        if c:
+            res[k] = c
+    return tuple(res)
+
+
 class StructureAlgebra:
     """Associative Q-algebra with basis ``b_0 .. b_{n-1}`` and exact constants.
 
     ``struct_consts`` may be given densely (``consts[i][j]`` is the coefficient
     vector of ``b_i * b_j``) or sparsely as ``{(i, j): ((k, c), ...)}``. The
     optional involution is specified by its images: row ``j`` holds the
-    coordinates of the image of ``b_j``.
+    coordinates of the image of ``b_j``. ``rule`` is the same table in the
+    layout of :func:`rule_product`.
 
     Instances are immutable after construction and compare by identity, so
     they can key caches; elements carry a reference to their algebra.
     """
 
     __slots__ = (
-        "dim", "basis_labels", "unit", "involution", "_sc", "_inv_sparse",
+        "dim", "basis_labels", "unit", "involution", "_sc", "rule", "_inv_sparse",
         "quaternion_params", "matrix_base", "matrix_size", "_rule_cache",
         "descriptor",
     )
@@ -70,6 +95,10 @@ class StructureAlgebra:
             raise DimensionMismatchError("label count does not match dimension")
         self.basis_labels = basis_labels
         self._sc = self._canonical_consts(struct_consts)
+        rule: list[list] = [[] for _ in range(dim)]
+        for (i, j), terms in self._sc.items():
+            rule[i].extend((j, k, c) for k, c in terms)
+        self.rule = tuple(tuple(r) for r in rule)
         self.unit = None if unit is None else self._coeffs(unit)
         if involution is None:
             self.involution = None
@@ -126,26 +155,12 @@ class StructureAlgebra:
     # -- raw coefficient arithmetic -------------------------------------------
 
     def mul_coeffs(self, x: Vec, y: Vec) -> Vec:
-        sc = self._sc
-        sup_x = [(i, xi) for i, xi in enumerate(x) if xi]
-        sup_y = [(j, yj) for j, yj in enumerate(y) if yj]
-        acc: dict[int, Fraction] = {}
-        for i, xi in sup_x:
-            for j, yj in sup_y:
-                terms = sc.get((i, j))
-                if terms is None:
-                    continue
-                f = xi * yj
-                for k, c in terms:
-                    acc[k] = acc.get(k, _ZERO) + f * c
-        out = [_ZERO] * self.dim
-        for k, c in acc.items():
-            if c:
-                out[k] = c
-        return tuple(out)
+        return rule_product(self.rule, x, y, self.dim)
 
     def _mul_sparse(self, tx: Terms, ty: Terms) -> dict:
-        """Product of two sparse coefficient vectors as a normalized dict."""
+        """Product of two sparse coefficient vectors as a normalized dict;
+        used only by the construction-time checks, where inputs are basis
+        vectors and a sparse walk beats the dense kernel."""
         sc = self._sc
         acc: dict[int, Fraction] = {}
         for i, xi in tx:
@@ -337,14 +352,6 @@ def make_algebra(dim, struct_consts, unit=None, involution=None,
     """Validated algebra constructor; see :class:`StructureAlgebra`."""
     return StructureAlgebra(dim, struct_consts, unit=unit, involution=involution,
                             basis_labels=basis_labels)
-
-
-def mul(x: AlgElement, y: AlgElement) -> AlgElement:
-    return x * y
-
-
-def apply_involution(x: AlgElement) -> AlgElement:
-    return x.dagger()
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +560,22 @@ def matrix_index(base_dim: int, n: int, r: int, c: int, t: int = 0) -> int:
     return (r * n + c) * base_dim + t
 
 
+def matrix_rule(base: StructureAlgebra, ga: int, gc: int, gb: int) -> Rule:
+    """Product rule of (ga x gc) by (gc x gb) matrices over ``base`` in the
+    row-major flattening with base coefficients innermost, cached on
+    ``base``. ``matrix_rule(base, g, g, g)`` is the table of M_g(base)."""
+    key = (ga, gc, gb)
+    rule = base._rule_cache.get(key)
+    if rule is None:
+        d = base.dim
+        rule = tuple(
+            tuple(((s * gb + q) * d + t2, (p * gb + q) * d + k, c)
+                  for q in range(gb) for t2, k, c in base.rule[t1])
+            for p in range(ga) for s in range(gc) for t1 in range(d))
+        base._rule_cache[key] = rule
+    return rule
+
+
 def matrix_algebra(base: StructureAlgebra, g: int) -> StructureAlgebra:
     """M_g(base) with the involution (m_rc) -> (dagger of m_cr).
 
@@ -569,19 +592,10 @@ def matrix_algebra(base: StructureAlgebra, g: int) -> StructureAlgebra:
         return cached
     d = base.dim
     dim = g * g * d
-    sc: dict[tuple, Terms] = {}
-    for r in range(g):
-        for c in range(g):
-            for c2 in range(g):
-                for s in range(d):
-                    for t in range(d):
-                        terms = base._sc.get((s, t))
-                        if not terms:
-                            continue
-                        i = matrix_index(d, g, r, c, s)
-                        j = matrix_index(d, g, c, c2, t)
-                        sc[(i, j)] = tuple(
-                            (matrix_index(d, g, r, c2, k), cf) for k, cf in terms)
+    sc: dict[tuple, list] = {}
+    for i, bucket in enumerate(matrix_rule(base, g, g, g)):
+        for j, k, cf in bucket:
+            sc.setdefault((i, j), []).append((k, cf))
     unit = [_ZERO] * dim
     for r in range(g):
         for t, cf in enumerate(base.unit):

@@ -48,9 +48,9 @@ from .serialize import (
     subspace_basis_json,
 )
 from .witness import (
+    ChainReport,
     build_r3_graph,
     random_rosati_generator,
-    shift_witness,
     verify_identity_chain,
 )
 
@@ -98,8 +98,7 @@ def main():
 # -- verify -----------------------------------------------------------------
 
 
-def _chain_section(g: int) -> tuple[dict, bool, bool]:
-    rep = verify_identity_chain(g, check_generation=False)
+def _chain_section(rep: ChainReport) -> tuple[dict, bool, bool]:
     entries = []
     any_fail = False
     any_disc = False
@@ -117,16 +116,15 @@ def _chain_section(g: int) -> tuple[dict, bool, bool]:
         if ident.note:
             entry["note"] = ident.note
         entries.append(entry)
-    return {"g": g, "identities": entries}, any_fail, any_disc
+    return {"g": rep.g, "identities": entries}, any_fail, any_disc
 
 
-def _generation_section(g: int) -> tuple[dict, bool]:
-    model = split_model(g)
-    x = shift_witness(g)
-    closure = subrng_closure(model, [x, x.dagger()])
-    oracle, length = stabilized_word_span(model, [x, x.dagger()])
+def _generation_section(rep: ChainReport) -> tuple[dict, bool]:
+    g = rep.g
+    closure = rep.generation
+    oracle, length = stabilized_word_span(split_model(g), closure.generators)
     expected = (2 * g) ** 2
-    ok = closure.span.dim == expected and oracle == closure.span
+    ok = rep.generation_ok and oracle == closure.span
     return ({"g": g, "dim": closure.span.dim, "expected": expected,
              "rounds": closure.rounds, "oracle_dim": oracle.dim,
              "oracle_stable_len": length,
@@ -221,11 +219,12 @@ def verify(g, p, run_all, strict, seed, trials):
         chains = []
         gens = []
         for gg in (2, 3, 4, 5):
-            sec, fail, disc = _chain_section(gg)
+            rep = verify_identity_chain(gg)
+            sec, fail, disc = _chain_section(rep)
             chains.append(sec)
             any_fail |= fail
             any_disc |= disc
-            gsec, gfail = _generation_section(gg)
+            gsec, gfail = _generation_section(rep)
             gens.append(gsec)
             any_fail |= gfail
         report["chain"] = chains
@@ -254,11 +253,12 @@ def verify(g, p, run_all, strict, seed, trials):
         # Failure to generate is the expected (PASS) outcome here.
         any_fail |= fail
     else:
-        sec, fail, disc = _chain_section(g)
+        rep = verify_identity_chain(g)
+        sec, fail, disc = _chain_section(rep)
         report["chain"] = sec
         any_fail |= fail
         any_disc |= disc
-        gsec, gfail = _generation_section(g)
+        gsec, gfail = _generation_section(rep)
         report["generation"] = gsec
         any_fail |= gfail
         rsec, rfail = _ramification_section(p)
@@ -385,7 +385,10 @@ def corner(algebra_path, elements_path):
             raise click.UsageError(
                 f"elements[{t}] has {len(v)} coefficients, algebra dim is {alg.dim}")
     span = echelonize(vecs, ambient_dim=alg.dim)
-    report = corner_detect(span, alg)
+    try:
+        report = corner_detect(span, alg)
+    except ObstructorError as exc:
+        raise click.UsageError(str(exc))
     _emit({
         "dim": span.dim,
         "is_corner": report.is_corner,

@@ -1,43 +1,100 @@
-"""Q-subrng closure: the smallest subspace containing a generating set and
-closed under multiplication. The unit is never adjoined.
+"""The fixed-point engine, and Q-subrng closure as its one-vertex case.
 
-The primary algorithm is a fixed point on subspaces: each round adjoins the
-span of all products of current spanning vectors. Rounds are incremental --
-only products with at least one factor that is new since the last round are
-computed, which is span-equivalent because old-by-old products were already
-adjoined. Termination is guaranteed in at most dim(A) growth rounds.
+``fixed_point`` computes the least fixed point of "adjoin every product" on a
+table of cells (a, b). Each cell is an echelonized span, started from its
+seed vectors. For every triple (a, c, b) whose three cells exist, the engine
+adjoins to cell (a, b) the products of cell (a, c) with cell (c, b) under the
+triple's product rule, until a round adds nothing. Evaluation is semi-naive
+(Bancilhon & Ramakrishnan, SIGMOD 1986): a triple only multiplies pairs with
+at least one factor that is new since its last visit, which is
+span-equivalent because older pairs were already adjoined. Two rules fix the
+reported ``rounds`` (the rounds that grew some cell):
 
-``word_span_oracle`` is the independent cross-check: the span of all words in
-the generators up to a given length, built length by length. Every word of
-length L+1 is a generator times a word of length L, so the leveled
-construction enumerates exactly the word values up to span equivalence, and
-stabilization over one length step is genuinely permanent.
+* both factor-list lengths are frozen when a triple starts, so a vector
+  found during the triple waits for the triple's next visit;
+* a cell stops taking products as soon as it is full.
+
+The path-span table of :mod:`obstruction` is the engine over the vertices of
+a graph. Subrng closure is the one-vertex table: its only cell is the whole
+algebra, seeded with the generators, and its rule is the algebra's own
+multiplication table. The unit is never adjoined.
+
+``stabilized_word_span`` is the closure's independent cross-check: the span
+of all words in the generators, built length by length. Every word of length
+L+1 is a generator times a word of length L, so one length step that adds
+nothing means no longer word adds anything either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .algebra import AlgElement, StructureAlgebra
+from .algebra import AlgElement, Rule, StructureAlgebra, rule_product
 from .errors import AlgebraValidationError
 from .linalg import Echelon, Subspace, Vec
 
-__all__ = ["SubrngResult", "subrng_closure", "generates_fully", "word_span_oracle"]
+__all__ = ["SubrngResult", "fixed_point", "subrng_closure", "generates_fully",
+           "stabilized_word_span"]
+
+
+def fixed_point(cells: Mapping[tuple, int],
+                seeds: Mapping[tuple, Sequence[Vec]],
+                rule: Callable[..., Rule]) -> tuple[dict, int]:
+    """Close a table of spans under composition of its cells.
+
+    ``cells`` maps each cell (a, b) to its ambient dimension, ``seeds`` gives
+    the starting vectors of a cell, and ``rule(a, c, b)`` is the product rule
+    from cells (a, c) and (c, b) into (a, b). Triples are visited in the
+    order of ``cells``. Returns ``({cell: Echelon}, rounds)``.
+    """
+    ech: dict[tuple, Echelon] = {}
+    spanning: dict[tuple, list[Vec]] = {}
+    for cell, ambient in cells.items():
+        ech[cell] = target = Echelon(ambient)
+        spanning[cell] = [v for v in seeds.get(cell, ()) if target.add(v)]
+    triples = [(a, c, b) for (a, c) in cells for (c2, b) in cells
+               if c2 == c and (a, b) in cells]
+    marks: dict[tuple, tuple[int, int]] = {}
+    rounds = 0
+    changed = True
+    while changed:
+        changed = False
+        for a, c, b in triples:
+            us = spanning[(a, c)]
+            vs = spanning[(c, b)]
+            n1, n2 = len(us), len(vs)
+            m1, m2 = marks.get((a, c, b), (0, 0))
+            if n1 == m1 and n2 == m2:
+                continue
+            marks[(a, c, b)] = (n1, n2)
+            target = ech[(a, b)]
+            if target.is_full() or not n1 or not n2:
+                continue
+            r = rule(a, c, b)
+            bucket = spanning[(a, b)]
+            for x in range(n1):
+                u = us[x]
+                for y in range(m2 if x < m1 else 0, n2):
+                    prod = rule_product(r, u, vs[y], target.ambient)
+                    if target.add(prod):
+                        bucket.append(prod)
+                        changed = True
+                        if target.is_full():
+                            break
+                if target.is_full():
+                    break
+        rounds += changed
+    return ech, rounds
 
 
 @dataclass(frozen=True)
 class SubrngResult:
-    """Outcome of a subrng closure computation.
-
-    ``rounds`` counts the product passes that enlarged the span; ``closed``
-    certifies the fixed point was reached (always true on normal return, and
-    trivially true when the span saturated the whole algebra early).
-    """
+    """Outcome of a subrng closure: the span, the generators, and the number
+    of product rounds that enlarged the span."""
 
     span: Subspace
     generators: tuple[AlgElement, ...]
-    closed: bool
     rounds: int
 
 
@@ -49,48 +106,10 @@ def _check_gens(algebra: StructureAlgebra, gens) -> tuple[AlgElement, ...]:
     return out
 
 
-def _closure_span(algebra: StructureAlgebra, vecs: Sequence[Vec],
-                  stop_at_full: bool) -> tuple[Echelon, int]:
-    ech = Echelon(algebra.dim)
-    spanning: list[Vec] = []
-    for v in vecs:
-        if ech.add(v):
-            spanning.append(v)
-    mul = algebra.mul_coeffs
-    rounds = 0
-    watermark = 0
-    while True:
-        if stop_at_full and ech.is_full():
-            break
-        n = len(spanning)
-        if watermark == n:
-            break
-        fresh: list[Vec] = []
-        full = False
-        for a in range(n):
-            lo = watermark if a < watermark else 0
-            for b in range(lo, n):
-                prod = mul(spanning[a], spanning[b])
-                if ech.add(prod):
-                    fresh.append(prod)
-                    if stop_at_full and ech.is_full():
-                        full = True
-                        break
-            if full:
-                break
-        watermark = n
-        spanning.extend(fresh)
-        if fresh:
-            rounds += 1
-        if full or not fresh:
-            break
-    return ech, rounds
-
-
 def subrng_closure(algebra: StructureAlgebra, gens: Iterable[AlgElement],
                    allow_empty: bool = False) -> SubrngResult:
-    """Smallest Q-subspace of ``algebra`` containing ``gens`` and closed under
-    multiplication, as a canonical echelonized subspace.
+    """Smallest Q-subspace of ``algebra`` that contains ``gens`` and every
+    product of its elements, as a canonical echelonized subspace.
 
     An empty generator list is only legal with ``allow_empty=True`` and yields
     the zero subrng.
@@ -99,59 +118,32 @@ def subrng_closure(algebra: StructureAlgebra, gens: Iterable[AlgElement],
     if not gens and not allow_empty:
         raise AlgebraValidationError(
             "empty generator set (pass allow_empty=True for the zero subrng)")
-    ech, rounds = _closure_span(algebra, [g.coeffs for g in gens],
-                                stop_at_full=False)
-    return SubrngResult(span=ech.to_subspace(), generators=gens, closed=True,
+    cell = (0, 0)
+    ech, rounds = fixed_point({cell: algebra.dim},
+                              {cell: [g.coeffs for g in gens]},
+                              lambda a, c, b: algebra.rule)
+    return SubrngResult(span=ech[cell].to_subspace(), generators=gens,
                         rounds=rounds)
 
 
 def generates_fully(algebra: StructureAlgebra, gens: Iterable[AlgElement]) -> bool:
     """True when the subrng generated by ``gens`` is all of ``algebra``."""
-    gens = _check_gens(algebra, gens)
-    if not gens:
-        return False
-    ech, _ = _closure_span(algebra, [g.coeffs for g in gens], stop_at_full=True)
-    return ech.is_full()
+    return subrng_closure(algebra, gens, allow_empty=True).span.is_full()
 
 
-def word_span_oracle(algebra: StructureAlgebra, gens: Iterable[AlgElement],
-                     max_len: int) -> Subspace:
-    """Span of all products of 1 to ``max_len`` generators, in order.
+def stabilized_word_span(algebra: StructureAlgebra, gens: Iterable[AlgElement],
+                         max_len: Optional[int] = None) -> tuple[Subspace, int]:
+    """Span of all products of generators, in order, built length by length
+    until one length step adds nothing (which is permanent) or the words
+    reach ``max_len`` letters. Returns (span, last length built).
 
-    Independent of :func:`subrng_closure`: words are enumerated by length,
-    with each length's values spanned before extension (a basis of the
-    length-L values yields the same length-(L+1) span by bilinearity).
-    Monotone in ``max_len``.
+    Independent of :func:`subrng_closure`: each length's values are spanned
+    before extension, since a basis of the length-L values yields the same
+    length-(L+1) span by bilinearity. Monotone in ``max_len``.
     """
     gens = _check_gens(algebra, gens)
-    if max_len < 1:
+    if max_len is not None and max_len < 1:
         raise ValueError("max_len must be >= 1")
-    total = Echelon(algebra.dim)
-    level = Echelon(algebra.dim)
-    gen_vecs = [g.coeffs for g in gens]
-    for v in gen_vecs:
-        total.add(v)
-        level.add(v)
-    mul = algebra.mul_coeffs
-    for _ in range(max_len - 1):
-        prev = level.basis_vectors()
-        if not prev:
-            break
-        level = Echelon(algebra.dim)
-        for g in gen_vecs:
-            for w in prev:
-                val = mul(g, w)
-                level.add(val)
-                total.add(val)
-    return total.to_subspace()
-
-
-def stabilized_word_span(algebra: StructureAlgebra,
-                         gens: Iterable[AlgElement]) -> tuple[Subspace, int]:
-    """Word span run until one length step adds nothing, which is permanent:
-    every longer word is a generator times a shorter one, so a stable span
-    absorbs all further products. Returns (span, stabilization length)."""
-    gens = _check_gens(algebra, gens)
     total = Echelon(algebra.dim)
     level = Echelon(algebra.dim)
     for g in gens:
@@ -159,7 +151,8 @@ def stabilized_word_span(algebra: StructureAlgebra,
         level.add(g.coeffs)
     mul = algebra.mul_coeffs
     length = 1
-    while True:
+    grew = True
+    while grew and length != max_len:
         prev = level.basis_vectors()
         if not prev:
             break
@@ -169,9 +162,6 @@ def stabilized_word_span(algebra: StructureAlgebra,
             for w in prev:
                 val = mul(g.coeffs, w)
                 level.add(val)
-                if total.add(val):
-                    grew = True
+                grew |= total.add(val)
         length += 1
-        if not grew:
-            break
     return total.to_subspace(), length

@@ -15,11 +15,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
-RatVector = Vec
-RatMatrix = Mat
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -50,20 +47,6 @@ def matrix(rows: Iterable[Iterable]) -> Mat:
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionMismatchError("matrix rows have unequal lengths")
     return out
-
-
-def identity_matrix(n: int) -> Mat:
-    return tuple(
-        tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
-    )
-
-
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    if a and len(a[0]) != len(v):
-        raise DimensionMismatchError(
-            f"matrix width {len(a[0])} does not match vector length {len(v)}"
-        )
-    return tuple(sum((r * c for r, c in zip(row, v) if r and c), _ZERO) for row in a)
 
 
 class Echelon:

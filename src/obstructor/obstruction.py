@@ -7,10 +7,15 @@ traversal synthesizes the dagger-transpose on the fly, so the two directions
 can never disagree.
 
 ``compute_obstruction`` returns the span of all loop values based at a
-vertex (loops of at least two edges; the identity is never seeded). It is
-computed as the least fixed point of the path-span table: cell (a, b) holds
-the span of all path values from b to a, and grows by composing cells
-through every intermediate vertex until all dimensions stabilize.
+vertex (loops of at least two edges; the identity is never seeded). It reads
+the path-span table: cell (a, b) holds the span of all path values from b to
+a. The table is the least fixed point computed by the one engine,
+:func:`closure.fixed_point`, over the graph's vertices: off-diagonal cells
+are seeded with the edges, and triple (a, c, b) composes cell (a, c) with
+cell (c, b) under ``matrix_rule`` for the sizes (g_a, g_c, g_b). The same
+engine run on one vertex is the subrng closure; both follow the engine's two
+rules (factor lengths frozen per triple, and a full cell takes no more
+products), which fix the reported ``rounds``.
 
 ``loop_oracle`` is the independent cross-check: literal enumeration of loop
 sequences up to a bounded number of edges, composing actual matrices.
@@ -27,7 +32,9 @@ from .algebra import (
     DMatrix,
     StructureAlgebra,
     invert_element,
+    matrix_rule,
 )
+from .closure import fixed_point
 from .errors import (
     AlgebraValidationError,
     CoverValidationError,
@@ -38,7 +45,6 @@ from .errors import (
 from .linalg import Echelon, Subspace, Vec, echelonize, ratio, solve_linear
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ObstructionGraph:
@@ -130,111 +136,20 @@ class PathSpanTable:
     rounds: int
 
 
-# -- coefficient-level composition kernel ------------------------------------
-
-
-def _compose_rule(base: StructureAlgebra, ga: int, gc: int, gb: int):
-    key = (ga, gc, gb)
-    rule = base._rule_cache.get(key)
-    if rule is not None:
-        return rule
-    d = base.dim
-    out: list[list] = [[] for _ in range(ga * gc * d)]
-    for p in range(ga):
-        for s in range(gc):
-            for t1 in range(d):
-                c1 = (p * gc + s) * d + t1
-                bucket = out[c1]
-                for q in range(gb):
-                    for t2 in range(d):
-                        terms = base._sc.get((t1, t2))
-                        if not terms:
-                            continue
-                        c2 = (s * gb + q) * d + t2
-                        at = (p * gb + q) * d
-                        for k, cf in terms:
-                            bucket.append((c2, at + k, cf))
-    rule = tuple(tuple(b) for b in out)
-    base._rule_cache[key] = rule
-    return rule
-
-
-def _compose_vec(rule, u: Vec, v: Vec, out_len: int) -> Vec:
-    acc: dict[int, Fraction] = {}
-    for c1, a in enumerate(u):
-        if not a:
-            continue
-        for c2, out, cf in rule[c1]:
-            b = v[c2]
-            if b:
-                acc[out] = acc.get(out, _ZERO) + a * b * cf
-    res = [_ZERO] * out_len
-    for k, c in acc.items():
-        if c:
-            res[k] = c
-    return tuple(res)
-
-
 def path_span_table(graph: ObstructionGraph) -> PathSpanTable:
     """Compute (and cache on the graph) the full path-span fixed point."""
-    if graph._table is not None:
-        return graph._table
-    r = graph.r
-    base = graph.base
-    verts = range(1, r + 1)
-    ech: dict[tuple, Echelon] = {}
-    spanning: dict[tuple, list[Vec]] = {}
-    for a in verts:
-        for b in verts:
-            ech[(a, b)] = Echelon(graph.hom_ambient(a, b))
-            spanning[(a, b)] = []
-    for a in verts:
-        for b in verts:
-            if a == b:
-                continue
-            m = graph.hom_map(a, b)
-            if not m.is_zero():
-                v = m.flatten()
-                if ech[(a, b)].add(v):
-                    spanning[(a, b)].append(v)
-
-    marks: dict[tuple, tuple] = {}
-    triples = [(a, c, b) for a in verts for c in verts for b in verts]
-    rounds = 0
-    while True:
-        changed = False
-        for a, c, b in triples:
-            target = ech[(a, b)]
-            us = spanning[(a, c)]
-            vs = spanning[(c, b)]
-            n1, n2 = marks.get((a, c, b), (0, 0))
-            if len(us) == n1 and len(vs) == n2:
-                continue
-            marks[(a, c, b)] = (len(us), len(vs))
-            if target.is_full() or not us or not vs:
-                continue
-            rule = _compose_rule(base, graph.size(a), graph.size(c), graph.size(b))
-            out_len = graph.hom_ambient(a, b)
-            bucket = spanning[(a, b)]
-            for x in range(len(us)):
-                lo = n2 if x < n1 else 0
-                for y in range(lo, len(vs)):
-                    prod = _compose_vec(rule, us[x], vs[y], out_len)
-                    if target.add(prod):
-                        bucket.append(prod)
-                        changed = True
-                        if target.is_full():
-                            break
-                if target.is_full():
-                    break
-        if changed:
-            rounds += 1
-        else:
-            break
-    table = PathSpanTable(
-        spans={k: e.to_subspace() for k, e in ech.items()}, rounds=rounds)
-    graph._table = table
-    return table
+    if graph._table is None:
+        verts = range(1, graph.r + 1)
+        cells = {(a, b): graph.hom_ambient(a, b) for a in verts for b in verts}
+        seeds = {(a, b): [graph.hom_map(a, b).flatten()]
+                 for (a, b) in cells if a != b}
+        sizes = graph.sizes
+        ech, rounds = fixed_point(
+            cells, seeds, lambda a, c, b: matrix_rule(
+                graph.base, sizes[a - 1], sizes[c - 1], sizes[b - 1]))
+        graph._table = PathSpanTable(
+            spans={k: e.to_subspace() for k, e in ech.items()}, rounds=rounds)
+    return graph._table
 
 
 def compute_obstruction(graph: ObstructionGraph, vertex: int) -> Subspace:

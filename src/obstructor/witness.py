@@ -29,7 +29,7 @@ from .algebra import (
     quaternion_for_prime,
     split_model,
 )
-from .closure import generates_fully, subrng_closure
+from .closure import SubrngResult, generates_fully, subrng_closure
 from .errors import AlgebraValidationError
 from .obstruction import ObstructionGraph
 
@@ -75,9 +75,15 @@ class ChainIdentity:
 class ChainReport:
     g: int
     identities: tuple[ChainIdentity, ...]
-    generation_dim: int
-    generation_expected: int
-    generation_ok: bool
+    generation: SubrngResult  # closure of {x, dagger(x)} in the split model
+
+    @property
+    def generation_dim(self) -> int:
+        return self.generation.span.dim
+
+    @property
+    def generation_ok(self) -> bool:
+        return self.generation.span.is_full()
 
     @property
     def discrepancies(self) -> tuple[str, ...]:
@@ -88,7 +94,7 @@ def _fmt(x: AlgElement) -> str:
     return repr(x)
 
 
-def verify_identity_chain(g: int, check_generation: bool = True) -> ChainReport:
+def verify_identity_chain(g: int) -> ChainReport:
     """Exact checks of the documented identity chain for the split-model
     witness, plus an independent generation check.
 
@@ -155,16 +161,8 @@ def verify_identity_chain(g: int, check_generation: bool = True) -> ChainReport:
         computed=_fmt(alt), stated=_fmt(rho),
         note="rotation identity with the computed sign of bab"))
 
-    if check_generation:
-        closure = subrng_closure(model, [x, xd])
-        gen_dim = closure.span.dim
-    else:
-        gen_dim = -1
-    expected = (2 * g) ** 2
-    return ChainReport(
-        g=g, identities=tuple(identities), generation_dim=gen_dim,
-        generation_expected=expected,
-        generation_ok=(gen_dim == expected) if check_generation else False)
+    return ChainReport(g=g, identities=tuple(identities),
+                       generation=subrng_closure(model, [x, xd]))
 
 
 @dataclass(frozen=True)

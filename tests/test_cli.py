@@ -198,6 +198,19 @@ def test_corner_command(runner, tmp_path):
     assert report["idempotent"] == ["1", "0", "0", "0"]
 
 
+def test_corner_non_unital_algebra_is_usage_error(runner, tmp_path):
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"kind": "custom", "dim": 1, "consts": [[["0"]]]}),
+                   encoding="utf-8")
+    elems = tmp_path / "span.json"
+    elems.write_text(json.dumps([["1"]]), encoding="utf-8")
+    res = runner.invoke(main, ["corner", "--algebra", str(alg),
+                               "--elements", str(elems)])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "unital" in res.output
+
+
 def test_hilbert_table(runner):
     res = runner.invoke(main, ["hilbert", "--a", "-1", "--b", "-1"])
     assert res.exit_code == 0
