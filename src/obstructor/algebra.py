@@ -13,7 +13,7 @@ over a quaternion algebra (``DMatrix``) with the dagger-transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -694,50 +694,71 @@ class DMatrix:
     """Rectangular matrix over an involutive base algebra.
 
     Models a homomorphism space element: a shape (m, n) matrix sends the
-    n-factor object to the m-factor one. Flattening is row-major with the
-    base coefficients innermost, and is lossless by construction.
+    n-factor object to the m-factor one. ``coeffs`` is the row-major
+    flattening with the base coefficients innermost, the layout of
+    :func:`matrix_rule`, so composition is one :func:`rule_product` call.
     """
 
     base: StructureAlgebra
-    entries: tuple[tuple[AlgElement, ...], ...]
+    rows: int
+    cols: int
+    coeffs: Vec
 
     def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+        if self.rows < 1 or self.cols < 1:
             raise DimensionMismatchError("DMatrix needs at least one row and column")
-        w = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != w:
-                raise DimensionMismatchError("DMatrix rows have unequal lengths")
-            for e in row:
-                if e.algebra is not self.base:
-                    raise AlgebraValidationError("DMatrix entry outside the base algebra")
+        d = self.base.dim
+        if len(self.coeffs) != self.rows * self.cols * d:
+            raise DimensionMismatchError(
+                f"flat length {len(self.coeffs)} does not match "
+                f"({self.rows},{self.cols}) over dim-{d} base")
+
+    def _entry(self, r: int, c: int) -> Vec:
+        d = self.base.dim
+        at = (r * self.cols + c) * d
+        return self.coeffs[at:at + d]
 
     @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
+    def entries(self) -> tuple[tuple[AlgElement, ...], ...]:
+        """Read-only view: one :class:`AlgElement` per entry."""
+        return tuple(
+            tuple(AlgElement(self.base, self._entry(r, c)) for c in range(self.cols))
+            for r in range(self.rows))
 
     @classmethod
     def from_entries(cls, base: StructureAlgebra, rows) -> "DMatrix":
-        ents = tuple(
-            tuple(e if isinstance(e, AlgElement) else base.element(e) for e in row)
-            for row in rows)
-        return cls(base, ents)
+        rows = [list(row) for row in rows]
+        if not rows or not rows[0]:
+            raise DimensionMismatchError("DMatrix needs at least one row and column")
+        out: list = []
+        for row in rows:
+            if len(row) != len(rows[0]):
+                raise DimensionMismatchError("DMatrix rows have unequal lengths")
+            for e in row:
+                if not isinstance(e, AlgElement):
+                    e = base.element(e)
+                elif e.algebra is not base:
+                    raise AlgebraValidationError("DMatrix entry outside the base algebra")
+                out.extend(e.coeffs)
+        return cls(base, len(rows), len(rows[0]), tuple(out))
+
+    @classmethod
+    def from_flat(cls, base: StructureAlgebra, rows: int, cols: int, v) -> "DMatrix":
+        return cls(base, rows, cols, vector(v))
 
     @classmethod
     def zero(cls, base: StructureAlgebra, rows: int, cols: int) -> "DMatrix":
-        z = base.zero()
-        return cls(base, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return cls(base, rows, cols, zero_vector(rows * cols * base.dim))
+
+    @classmethod
+    def _diagonal(cls, base: StructureAlgebra, n: int, block: Vec) -> "DMatrix":
+        zero = zero_vector(base.dim)
+        return cls(base, n, n, tuple(
+            x for r in range(n) for c in range(n) for x in (block if r == c else zero)))
 
     @classmethod
     def identity(cls, base: StructureAlgebra, n: int) -> "DMatrix":
-        one = base.one()
-        z = base.zero()
-        return cls(base, tuple(
-            tuple(one if r == c else z for c in range(n)) for r in range(n)))
+        return cls._diagonal(base, n, base.one().coeffs)
 
     @classmethod
     def scalar(cls, base: StructureAlgebra, n: int, c) -> "DMatrix":
@@ -745,24 +766,22 @@ class DMatrix:
 
     def __add__(self, other: "DMatrix") -> "DMatrix":
         self._same_shape(other)
-        return DMatrix(self.base, tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)))
+        return replace(self, coeffs=tuple(
+            a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DMatrix") -> "DMatrix":
         self._same_shape(other)
-        return DMatrix(self.base, tuple(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)))
+        return replace(self, coeffs=tuple(
+            a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "DMatrix":
-        return DMatrix(self.base, tuple(tuple(-a for a in r) for r in self.entries))
+        return replace(self, coeffs=tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, DMatrix):
             return self.compose(other)
         c = ratio(other)
-        return DMatrix(self.base, tuple(tuple(a * c for a in r) for r in self.entries))
+        return replace(self, coeffs=tuple(a * c for a in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -783,65 +802,31 @@ class DMatrix:
             raise DimensionMismatchError(
                 f"cannot compose ({self.rows},{self.cols}) with "
                 f"({other.rows},{other.cols})")
-        out = []
-        for r in range(self.rows):
-            row = []
-            for c in range(other.cols):
-                acc = self.base.zero()
-                for k in range(self.cols):
-                    a = self.entries[r][k]
-                    b = other.entries[k][c]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return DMatrix(self.base, tuple(out))
+        base = self.base
+        rule = matrix_rule(base, self.rows, self.cols, other.cols)
+        return DMatrix(base, self.rows, other.cols, rule_product(
+            rule, self.coeffs, other.coeffs, self.rows * other.cols * base.dim))
 
     def dagger_transpose(self) -> "DMatrix":
-        return DMatrix(self.base, tuple(
-            tuple(self.entries[r][c].dagger() for r in range(self.rows))
-            for c in range(self.cols)))
+        inv = self.base.involution_coeffs
+        return DMatrix(self.base, self.cols, self.rows, tuple(
+            x for c in range(self.cols) for r in range(self.rows)
+            for x in inv(self._entry(r, c))))
 
     def flatten(self) -> Vec:
-        out = []
-        for row in self.entries:
-            for e in row:
-                out.extend(e.coeffs)
-        return tuple(out)
-
-    @classmethod
-    def from_flat(cls, base: StructureAlgebra, rows: int, cols: int, v) -> "DMatrix":
-        v = vector(v)
-        d = base.dim
-        if len(v) != rows * cols * d:
-            raise DimensionMismatchError(
-                f"flat length {len(v)} does not match ({rows},{cols}) over dim-{d} base")
-        ents = []
-        for r in range(rows):
-            row = []
-            for c in range(cols):
-                at = (r * cols + c) * d
-                row.append(AlgElement(base, v[at:at + d]))
-            ents.append(tuple(row))
-        return cls(base, tuple(ents))
+        return self.coeffs
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.coeffs)
 
     def scalar_value(self):
         """If the matrix is q * identity, return q as an element, else None."""
         if self.rows != self.cols:
             return None
-        diag = self.entries[0][0]
-        for r in range(self.rows):
-            for c in range(self.cols):
-                e = self.entries[r][c]
-                if r == c:
-                    if e != diag:
-                        return None
-                elif not e.is_zero():
-                    return None
-        return diag
+        diag = self._entry(0, 0)
+        if self != DMatrix._diagonal(self.base, self.rows, diag):
+            return None
+        return AlgElement(self.base, diag)
 
     def inverse(self) -> "DMatrix":
         """Inverse by Gauss-Jordan over the base; pivots need unit entries.
@@ -878,7 +863,7 @@ class DMatrix:
                     continue
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return DMatrix(self.base, tuple(tuple(row) for row in inv))
+        return DMatrix.from_entries(self.base, inv)
 
 
 def dagger_transpose(m: DMatrix) -> DMatrix:
@@ -893,11 +878,10 @@ def element_to_dmatrix(x: AlgElement) -> DMatrix:
     alg = x.algebra
     if alg.matrix_base is None:
         raise AlgebraValidationError("element's algebra has no matrix structure")
-    return DMatrix.from_flat(alg.matrix_base, alg.matrix_size, alg.matrix_size,
-                             x.coeffs)
+    return DMatrix(alg.matrix_base, alg.matrix_size, alg.matrix_size, x.coeffs)
 
 
 def dmatrix_to_element(alg: StructureAlgebra, m: DMatrix) -> AlgElement:
     if alg.matrix_base is not m.base or alg.matrix_size != m.rows or m.rows != m.cols:
         raise AlgebraValidationError("matrix does not match the algebra's structure")
-    return AlgElement(alg, m.flatten())
+    return AlgElement(alg, m.coeffs)

@@ -18,6 +18,7 @@ import click
 
 from .algebra import (
     INF,
+    element_to_dmatrix,
     hilbert_symbol,
     is_definite_rational_quaternion,
     matrix_algebra,
@@ -43,6 +44,7 @@ from .serialize import (
     algebra_from_json,
     coeffs_from_json,
     coeffs_to_json,
+    dmatrix_to_json,
     dump_json,
     graph_from_json,
     subspace_basis_json,
@@ -348,9 +350,6 @@ def find_generator(g, p, seed, tries, bound):
     out = {"g": g, "p": p, "seed": seed, "bound": bound,
            "found": search.found, "tries": search.tries}
     if search.found:
-        from .algebra import element_to_dmatrix
-        from .serialize import dmatrix_to_json
-
         out["element"] = coeffs_to_json(search.element.coeffs)
         out["matrix"] = dmatrix_to_json(element_to_dmatrix(search.element))
     _emit(out)

@@ -228,7 +228,8 @@ def parse_poly(text: str, r: int) -> MultiHomogPoly:
                     idx += 1
                     if idx < len(tokens) and tokens[idx][:2] == ("op", "^"):
                         if idx + 1 >= len(tokens) or tokens[idx + 1][0] != "num" \
-                                or "/" in tokens[idx + 1][1]:
+                                or "/" in tokens[idx + 1][1] \
+                                or not int(tokens[idx + 1][1]):
                             raise PolynomialSyntaxError(
                                 "exponent must be a positive integer",
                                 tokens[idx][2])

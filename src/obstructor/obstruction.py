@@ -53,7 +53,8 @@ class ObstructionGraph:
     Vertices are 1-based in the public API. ``edges`` maps (i, j) with i < j
     to the component from factor i to factor j, a (g_j, g_i) matrix over the
     base. Zero edges are dropped; a missing edge reads back as the zero
-    matrix. Instances are immutable.
+    matrix. Sizes and edges are fixed at construction; the path-span table
+    is computed once, on first use, and cached on the graph.
     """
 
     __slots__ = ("base", "sizes", "edges", "_table")
@@ -391,6 +392,17 @@ def transport_span(cov: Cover, span: Subspace, g: int) -> Subspace:
 # -- specialization -------------------------------------------------------------
 
 
+def _linear_image(rows: tuple, v: Vec) -> Vec:
+    """Image of ``v`` under the linear map whose row j is the image of b_j."""
+    out = [_ZERO] * len(rows)
+    for j, c in enumerate(v):
+        if c:
+            for k, rc in enumerate(rows[j]):
+                if rc:
+                    out[k] += c * rc
+    return tuple(out)
+
+
 class SpecializationMap:
     """Injective multiplicative map applied componentwise to a graph.
 
@@ -420,29 +432,20 @@ class SpecializationMap:
         rank = echelonize(rows, ambient_dim=base.dim).dim
         if rank != base.dim:
             raise MapValidationError("map is not injective")
-
-        def h(v: Vec) -> Vec:
-            out = [_ZERO] * base.dim
-            for j, c in enumerate(v):
-                if c:
-                    for k, rc in enumerate(rows[j]):
-                        if rc:
-                            out[k] += c * rc
-            return tuple(out)
-
-        if base.unit is not None and h(base.unit) != base.unit:
+        if base.unit is not None and _linear_image(rows, base.unit) != base.unit:
             raise MapValidationError("map does not fix the unit")
         for i in range(base.dim):
             for j in range(base.dim):
-                lhs = h(base.mul_coeffs(base.basis_vector(i), base.basis_vector(j)))
-                rhs = base.mul_coeffs(h(base.basis_vector(i)), h(base.basis_vector(j)))
+                lhs = _linear_image(rows, base.mul_coeffs(base.basis_vector(i),
+                                                          base.basis_vector(j)))
+                rhs = base.mul_coeffs(rows[i], rows[j])
                 if lhs != rhs:
                     raise MapValidationError(
                         f"map is not multiplicative on basis pair ({i},{j})")
         if base.involution is not None:
             for j in range(base.dim):
-                lhs = h(base.involution_coeffs(base.basis_vector(j)))
-                rhs = base.involution_coeffs(h(base.basis_vector(j)))
+                lhs = _linear_image(rows, base.involution_coeffs(base.basis_vector(j)))
+                rhs = base.involution_coeffs(rows[j])
                 if lhs != rhs:
                     raise MapValidationError(
                         f"map does not commute with the involution on basis {j}")
@@ -492,22 +495,14 @@ class SpecializationMap:
 
     # -- application --
 
-    def apply_element(self, x: AlgElement) -> AlgElement:
-        if self.kind != "base":
-            raise MapValidationError("not an entrywise base map")
-        out = [_ZERO] * self.base.dim
-        for j, c in enumerate(x.coeffs):
-            if c:
-                for k, rc in enumerate(self.base_rows[j]):
-                    if rc:
-                        out[k] += c * rc
-        return AlgElement(self.base, tuple(out))
-
     def apply_hom(self, a: int, b: int, m: DMatrix) -> DMatrix:
         """Image of a component from factor b to factor a (1-based vertices)."""
         if self.kind == "base":
-            return DMatrix(self.base, tuple(
-                tuple(self.apply_element(e) for e in row) for row in m.entries))
+            d = self.base.dim
+            v = m.coeffs
+            return DMatrix(self.base, m.rows, m.cols, tuple(
+                x for at in range(0, len(v), d)
+                for x in _linear_image(self.base_rows, v[at:at + d])))
         ua = self.units[a - 1]
         ub_inv = self.inverses[b - 1]
         return ua @ m @ ub_inv

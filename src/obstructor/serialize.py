@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from .algebra import (
-    AlgElement,
     DMatrix,
     StructureAlgebra,
     make_algebra,
@@ -21,6 +20,7 @@ from .algebra import (
     quaternion_for_prime,
     split_model,
 )
+from .arith import is_prime
 from .errors import ObstructorError
 from .linalg import Subspace, ratio
 from .obstruction import ObstructionGraph
@@ -39,6 +39,11 @@ def parse_rational(s, where: str = "value") -> Fraction:
         return ratio(s)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SchemaError(f"{where}: not a rational string: {s!r}") from exc
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def coeffs_to_json(coeffs) -> list:
@@ -79,22 +84,22 @@ def algebra_from_json(obj, where: str = "algebra") -> StructureAlgebra:
                                   parse_rational(obj.get("b"), f"{where}.b"))
     if kind == "quaternion_for_prime":
         p = obj.get("p")
-        if not isinstance(p, int):
+        if not _is_int(p) or not is_prime(p):
             raise SchemaError(f"{where}.p: expected an integer prime")
         return quaternion_for_prime(p)
     if kind == "matrix":
         g = obj.get("g")
-        if not isinstance(g, int) or g < 1:
+        if not _is_int(g) or g < 1:
             raise SchemaError(f"{where}.g: expected a positive integer")
         return matrix_algebra(algebra_from_json(obj.get("base"), f"{where}.base"), g)
     if kind == "split":
         g = obj.get("g")
-        if not isinstance(g, int) or g < 1:
+        if not _is_int(g) or g < 1:
             raise SchemaError(f"{where}.g: expected a positive integer")
         return split_model(g)
     if kind == "custom":
         dim = obj.get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if not _is_int(dim) or dim < 1:
             raise SchemaError(f"{where}.dim: expected a positive integer")
         consts = obj.get("consts")
         if not isinstance(consts, list) or len(consts) != dim:
@@ -129,19 +134,17 @@ def dmatrix_from_json(base: StructureAlgebra, obj, rows: int, cols: int,
                       where: str = "matrix") -> DMatrix:
     if not isinstance(obj, list) or len(obj) != rows:
         raise SchemaError(f"{where}: expected {rows} rows")
-    ents = []
+    flat: list = []
     for r, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{where}[{r}]: expected {cols} entries")
-        out_row = []
         for c, cv in enumerate(row):
             coeffs = coeffs_from_json(cv, f"{where}[{r}][{c}]")
             if len(coeffs) != base.dim:
                 raise SchemaError(
                     f"{where}[{r}][{c}]: expected {base.dim} coefficients")
-            out_row.append(AlgElement(base, coeffs))
-        ents.append(tuple(out_row))
-    return DMatrix(base, tuple(ents))
+            flat.extend(coeffs)
+    return DMatrix(base, rows, cols, tuple(flat))
 
 
 # -- graphs ---------------------------------------------------------------------
@@ -165,7 +168,7 @@ def graph_from_json(obj) -> ObstructionGraph:
         raise SchemaError("graph: expected an object")
     base = algebra_from_json(obj.get("base"), "graph.base")
     sizes = obj.get("sizes")
-    if not isinstance(sizes, list) or not all(isinstance(g, int) for g in sizes):
+    if not isinstance(sizes, list) or not all(_is_int(g) for g in sizes):
         raise SchemaError("graph.sizes: expected a list of integers")
     r = obj.get("r", len(sizes))
     if r != len(sizes):
@@ -178,7 +181,7 @@ def graph_from_json(obj) -> ObstructionGraph:
         if not isinstance(e, Mapping):
             raise SchemaError(f"graph.edges[{t}]: expected an object")
         i, j = e.get("i"), e.get("j")
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= len(sizes)):
+        if not (_is_int(i) and _is_int(j) and 1 <= i < j <= len(sizes)):
             raise SchemaError(
                 f"graph.edges[{t}]: need integer vertices 1 <= i < j <= {len(sizes)}")
         if (i, j) in edges:

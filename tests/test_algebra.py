@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -264,3 +265,25 @@ def test_element_dmatrix_reshape_consistency():
     assert dmatrix_to_element(M2, element_to_dmatrix(x)) == x
     # the matrix-algebra involution is the dagger-transpose
     assert x.dagger().coeffs == element_to_dmatrix(x).dagger_transpose().flatten()
+
+
+def test_rectangular_compose_matches_entrywise_product():
+    # DMatrix.compose and the fixed-point engine share matrix_rule, so check
+    # every rectangular shape against products taken entry by entry.
+    D = quaternion_for_prime(3)
+    d = D.dim
+    rng = random.Random(11)
+    for a, c, b in itertools.product((1, 2, 3), repeat=3):
+        m = DMatrix.from_flat(D, a, c, [rng.randint(-3, 3) for _ in range(a * c * d)])
+        n = DMatrix.from_flat(D, c, b, [rng.randint(-3, 3) for _ in range(c * b * d)])
+        mv, nv = m.flatten(), n.flatten()
+        want = []
+        for r in range(a):
+            for col in range(b):
+                acc = [F(0)] * d
+                for k in range(c):
+                    at, bt = (r * c + k) * d, (k * b + col) * d
+                    prod = D.mul_coeffs(mv[at:at + d], nv[bt:bt + d])
+                    acc = [x + y for x, y in zip(acc, prod)]
+                want.extend(acc)
+        assert (m @ n).flatten() == tuple(want), (a, c, b)

@@ -147,6 +147,27 @@ def test_obstruction_schema_violation(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def _assert_graph_usage_error(runner, tmp_path, payload):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    res = runner.invoke(main, ["obstruction", "--graph", str(path), "--vertex", "1"])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.stderr
+
+
+def test_obstruction_bool_size_is_usage_error(runner, tmp_path):
+    _assert_graph_usage_error(runner, tmp_path, {
+        "base": {"kind": "quaternion_for_prime", "p": 2},
+        "r": 2, "sizes": [True, 1], "edges": []})
+
+
+def test_obstruction_non_prime_p_is_usage_error(runner, tmp_path):
+    _assert_graph_usage_error(runner, tmp_path, {
+        "base": {"kind": "quaternion_for_prime", "p": 4},
+        "r": 2, "sizes": [1, 1], "edges": []})
+
+
 def test_obstruction_vertex_out_of_range(runner, zero_graph_file):
     res = runner.invoke(main, ["obstruction", "--graph", zero_graph_file,
                                "--vertex", "5"])

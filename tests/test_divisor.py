@@ -55,6 +55,11 @@ def test_parse_variable_out_of_range():
         parse_poly("x4", 3)
 
 
+def test_parse_rejects_zero_exponent():
+    with pytest.raises(PolynomialSyntaxError, match="positive integer"):
+        parse_poly("x1^0*y1", 1)
+
+
 def test_parse_coefficients_and_powers():
     f = parse_poly("3/2*x1^2 - 2*x1*y1 + y1^2", 1)
     assert f.degrees == (2,)
