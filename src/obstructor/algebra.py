@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 from .arith import factorint, is_prime, legendre, unit_part_mod, valuation
@@ -32,7 +33,8 @@ _ONE = Fraction(1)
 
 Terms = tuple[tuple[int, Fraction], ...]
 # A bilinear product rule indexed by the left factor: rule[i] lists the
-# (j, k, c) such that basis i times basis j contributes c times basis k.
+# (j, k, c) such that basis i times basis j contributes c times basis k. The
+# constants c are Fractions, or ints in an integral_rule.
 Rule = tuple[tuple[tuple[int, int, Fraction], ...], ...]
 
 INF = "inf"
@@ -43,21 +45,23 @@ def _sparse(v: Vec) -> Terms:
     return tuple((k, c) for k, c in enumerate(v) if c)
 
 
-def rule_product(rule: Rule, u: Vec, v: Vec, out_len: int) -> Vec:
+def rule_product(rule: Rule, u: Vec, v: Vec, out_len: int, zero=_ZERO) -> Vec:
     """The product of coefficient vectors ``u`` and ``v`` under ``rule``.
 
-    This is the one bilinear kernel: algebra multiplication and the
-    composition of hom-space coefficient vectors both run through it.
+    This is the one bilinear kernel: algebra multiplication, the composition
+    of hom-space coefficient vectors and the fixed-point engine all run
+    through it. ``zero`` fills the empty entries; with int vectors, an
+    :func:`integral_rule` and ``zero=0`` every entry is an int.
     """
-    acc: dict[int, Fraction] = {}
+    acc: dict = {}
     for i, a in enumerate(u):
         if not a:
             continue
         for j, k, c in rule[i]:
             b = v[j]
             if b:
-                acc[k] = acc.get(k, _ZERO) + a * b * c
-    res = [_ZERO] * out_len
+                acc[k] = acc.get(k, zero) + a * b * c
+    res = [zero] * out_len
     for k, c in acc.items():
         if c:
             res[k] = c
@@ -573,6 +577,24 @@ def matrix_rule(base: StructureAlgebra, ga: int, gc: int, gb: int) -> Rule:
                   for q in range(gb) for t2, k, c in base.rule[t1])
             for p in range(ga) for s in range(gc) for t1 in range(d))
         base._rule_cache[key] = rule
+    return rule
+
+
+def integral_rule(algebra: StructureAlgebra,
+                  shape: Optional[tuple[int, int, int]] = None) -> Rule:
+    """``algebra.rule`` (``shape`` None) or ``matrix_rule(algebra, *shape)``
+    scaled by the common denominator of its constants, so that every
+    constant is an int. A product under it is that fixed positive multiple
+    of the true product. Built on first use and cached in ``_rule_cache``
+    next to the rational form."""
+    key = ("int", shape)
+    rule = algebra._rule_cache.get(key)
+    if rule is None:
+        src = algebra.rule if shape is None else matrix_rule(algebra, *shape)
+        den = lcm(*(c.denominator for bucket in src for _, _, c in bucket))
+        rule = tuple(tuple((j, k, c.numerator * (den // c.denominator))
+                           for j, k, c in bucket) for bucket in src)
+        algebra._rule_cache[key] = rule
     return rule
 
 

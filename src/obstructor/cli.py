@@ -88,7 +88,7 @@ def _load_json(path: str, what: str):
             return json.load(fh)
     except FileNotFoundError:
         raise click.UsageError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
         raise click.UsageError(f"{what} file {path}: invalid JSON: {exc}")
 
 
@@ -442,15 +442,15 @@ def hilbert(a_str, b_str, place):
 def _parse_fiber_spec(spec: str):
     import re
 
-    m = re.fullmatch(r"\s*(\d+)\s*:\s*\[([^:\]]+):([^:\]]+)\]\s*", spec)
+    m = re.fullmatch(r"\s*([0-9]{1,9})\s*:\s*\[([^:\]]+):([^:\]]+)\]\s*", spec)
     if not m:
         raise click.UsageError(
-            f"fiber spec {spec!r} must look like 1:[0:1]")
+            f"fiber spec {spec[:40]!r} must look like 1:[0:1]")
     idx = int(m.group(1))
     try:
         pt = (ratio(m.group(2).strip()), ratio(m.group(3).strip()))
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise click.UsageError(f"fiber spec {spec!r}: coordinates must be rational")
+    except (ValueError, ZeroDivisionError):
+        raise click.UsageError(f"fiber spec {spec[:40]!r}: coordinates must be rational")
     return idx, pt
 
 

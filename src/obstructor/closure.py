@@ -14,6 +14,13 @@ reported ``rounds`` (the rounds that grew some cell):
   found during the triple waits for the triple's next visit;
 * a cell stops taking products as soon as it is full.
 
+The engine runs on primitive integer vectors: seeds are scaled to integers
+and every rule is an :func:`~obstructor.algebra.integral_rule`, whose
+products are fixed positive multiples of the true ones. Every decision is a
+span-membership test, which scaling a vector by a nonzero rational leaves
+unchanged, and products are bilinear; so the trajectory, the ``rounds`` and
+the spans are those of the same iteration over Q.
+
 The path-span table of :mod:`obstruction` is the engine over the vertices of
 a graph. Subrng closure is the one-vertex table: its only cell is the whole
 algebra, seeded with the generators, and its rule is the algebra's own
@@ -30,9 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .algebra import AlgElement, Rule, StructureAlgebra, rule_product
+from .algebra import AlgElement, Rule, StructureAlgebra, integral_rule, rule_product
 from .errors import AlgebraValidationError
-from .linalg import Echelon, Subspace, Vec
+from .linalg import Echelon, Subspace, Vec, primitive
 
 __all__ = ["SubrngResult", "fixed_point", "subrng_closure", "generates_fully",
            "stabilized_word_span"]
@@ -44,15 +51,16 @@ def fixed_point(cells: Mapping[tuple, int],
     """Close a table of spans under composition of its cells.
 
     ``cells`` maps each cell (a, b) to its ambient dimension, ``seeds`` gives
-    the starting vectors of a cell, and ``rule(a, c, b)`` is the product rule
-    from cells (a, c) and (c, b) into (a, b). Triples are visited in the
-    order of ``cells``. Returns ``({cell: Echelon}, rounds)``.
+    the starting vectors of a cell, and ``rule(a, c, b)`` is the integral
+    product rule from cells (a, c) and (c, b) into (a, b). Triples are
+    visited in the order of ``cells``. Returns ``({cell: Echelon}, rounds)``.
     """
     ech: dict[tuple, Echelon] = {}
-    spanning: dict[tuple, list[Vec]] = {}
+    spanning: dict[tuple, list[tuple[int, ...]]] = {}
     for cell, ambient in cells.items():
         ech[cell] = target = Echelon(ambient)
-        spanning[cell] = [v for v in seeds.get(cell, ()) if target.add(v)]
+        spanning[cell] = [primitive(v) for v in seeds.get(cell, ())
+                          if target.add(v)]
     triples = [(a, c, b) for (a, c) in cells for (c2, b) in cells
                if c2 == c and (a, b) in cells]
     marks: dict[tuple, tuple[int, int]] = {}
@@ -76,9 +84,9 @@ def fixed_point(cells: Mapping[tuple, int],
             for x in range(n1):
                 u = us[x]
                 for y in range(m2 if x < m1 else 0, n2):
-                    prod = rule_product(r, u, vs[y], target.ambient)
+                    prod = rule_product(r, u, vs[y], target.ambient, 0)
                     if target.add(prod):
-                        bucket.append(prod)
+                        bucket.append(primitive(prod))
                         changed = True
                         if target.is_full():
                             break
@@ -121,7 +129,7 @@ def subrng_closure(algebra: StructureAlgebra, gens: Iterable[AlgElement],
     cell = (0, 0)
     ech, rounds = fixed_point({cell: algebra.dim},
                               {cell: [g.coeffs for g in gens]},
-                              lambda a, c, b: algebra.rule)
+                              lambda a, c, b: integral_rule(algebra))
     return SubrngResult(span=ech[cell].to_subspace(), generators=gens,
                         rounds=rounds)
 

@@ -156,7 +156,7 @@ def _monomial_str(expo: Expo) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[xy]\d+)"
+_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>[xy][0-9]+)"
                     r"|(?P<op>[-+*^()])|(?P<bad>\S))")
 
 
@@ -181,6 +181,14 @@ def _tokenize(text: str):
             out.append(("op", op, m.start("op")))
         pos = m.end()
     return out
+
+
+def _number(val: str, pos: int) -> Fraction:
+    """A number token, under the digit cap of :func:`linalg.ratio`."""
+    try:
+        return ratio(val)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise PolynomialSyntaxError(str(exc), pos) from None
 
 
 def parse_poly(text: str, r: int) -> MultiHomogPoly:
@@ -217,23 +225,24 @@ def parse_poly(text: str, r: int) -> MultiHomogPoly:
                 break
             if expect_factor:
                 if kind == "num":
-                    coeff *= Fraction(val)
+                    coeff *= _number(val, pos)
                     idx += 1
                 elif kind == "var":
-                    letter, num = val[0], int(val[1:])
+                    letter, num = val[0], int(_number(val[1:], pos))
                     if not (1 <= num <= r):
                         raise PolynomialSyntaxError(
                             f"variable {val} outside 1..{r}", pos)
                     power = 1
                     idx += 1
                     if idx < len(tokens) and tokens[idx][:2] == ("op", "^"):
-                        if idx + 1 >= len(tokens) or tokens[idx + 1][0] != "num" \
-                                or "/" in tokens[idx + 1][1] \
-                                or not int(tokens[idx + 1][1]):
+                        nxt = tokens[idx + 1] if idx + 1 < len(tokens) else None
+                        power = 0
+                        if nxt and nxt[0] == "num" and "/" not in nxt[1]:
+                            power = int(_number(nxt[1], nxt[2]))
+                        if not power:
                             raise PolynomialSyntaxError(
                                 "exponent must be a positive integer",
                                 tokens[idx][2])
-                        power = int(tokens[idx + 1][1])
                         idx += 2
                     expo[num - 1][0 if letter == "x" else 1] += power
                 else:

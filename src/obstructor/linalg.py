@@ -5,12 +5,19 @@ vectors. Subspaces are stored in reduced row-echelon form, which makes the
 representation canonical: two subspaces are equal exactly when their basis
 tuples are identical. There is no floating point anywhere in this module and
 no tolerance in any comparison.
+
+Spans are accumulated in :class:`Echelon` over the integers: a line of Q^n
+is spanned by one primitive integer vector, so rows are integer and
+elimination is fraction-free. The canonical ``Fraction`` basis is built
+only when it is read.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError
@@ -21,15 +28,34 @@ Mat = tuple[Vec, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Digits allowed in the numerator and in the denominator of a rational
+# string, well below the interpreter's 4300-digit int/str conversion limit.
+MAX_DIGITS = 1000
+_RATIONAL = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+
 
 def ratio(value: Union[int, str, Fraction]) -> Fraction:
     """Coerce an int, a string like ``"-3/4"``, or a Fraction to a Fraction.
 
-    Floats are rejected on purpose; every quantity in this package is exact.
+    Strings must match ``-?[0-9]+(/[0-9]+)?`` with at most :data:`MAX_DIGITS`
+    digits in each part; anything else is a ``ValueError``, and a zero
+    denominator a ``ZeroDivisionError``. Floats and bools are a
+    ``TypeError``: every quantity in this package is an exact rational.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, bool):
+        raise TypeError(f"expected an exact rational, got {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        m = _RATIONAL.fullmatch(value)
+        if m is None:
+            raise ValueError(f"not a rational like -3 or 3/4: {value[:40]!r}")
+        if any(part is not None and len(part) > MAX_DIGITS for part in m.groups()):
+            raise ValueError(f"rational with more than {MAX_DIGITS} digits in a part")
+        if m.group(2) is not None and not m.group(2).lstrip("0"):
+            raise ZeroDivisionError("zero denominator")
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {value!r}")
 
@@ -49,23 +75,43 @@ def matrix(rows: Iterable[Iterable]) -> Mat:
     return out
 
 
-class Echelon:
-    """Mutable reduced-row-echelon accumulator over Q.
+def primitive(v) -> tuple[int, ...]:
+    """The primitive integer vector on the line of ``v``.
 
-    Rows are sparse dicts (column -> nonzero coefficient) kept fully reduced:
-    each row's pivot is 1, pivot columns are cleared in all other rows, and
-    pivot columns strictly increase down the row list. The span-level result
-    is canonical regardless of insertion order.
+    Entries may be ints or Fractions. Denominators are cleared and the
+    content is divided out, keeping the sign; the zero vector stays zero.
+    """
+    den = lcm(*(c.denominator for c in v))
+    w = [c.numerator * (den // c.denominator) for c in v]
+    g = gcd(*w)
+    return tuple(x // g for x in w) if g > 1 else tuple(w)
+
+
+class Echelon:
+    """Mutable row-echelon accumulator of a Q-span, kept over the integers.
+
+    ``rows`` are primitive integer rows, each a tuple of its nonzero
+    ``(column, value)`` pairs with a positive first value, the pivot; they
+    are sorted by pivot column, which ``piv_cols`` lists. A new row's pivot
+    column is not cleared from the other rows. ``add`` and ``contains``
+    reduce fraction-free (Bareiss, Math. Comp. 1968): the residual is scaled
+    by the pivot instead of divided by it, and its content is divided out
+    after every scaling, so entries stay as small as the span allows.
+
+    The canonical reduced row-echelon basis over Q (``basis_vectors``,
+    ``to_subspace``) is built lazily by back-substitution and cached until
+    the span grows; a full-rank span returns the identity directly.
     """
 
-    __slots__ = ("ambient", "rows", "piv_cols")
+    __slots__ = ("ambient", "rows", "piv_cols", "_rref")
 
     def __init__(self, ambient: int):
         if ambient < 0:
             raise DimensionMismatchError("ambient dimension must be >= 0")
         self.ambient = ambient
-        self.rows: list[dict[int, Fraction]] = []
+        self.rows: list[tuple[tuple[int, int], ...]] = []
         self.piv_cols: list[int] = []
+        self._rref: Optional[Mat] = None
 
     @property
     def dim(self) -> int:
@@ -74,59 +120,96 @@ class Echelon:
     def is_full(self) -> bool:
         return len(self.rows) == self.ambient
 
-    def _residual(self, v) -> dict[int, Fraction]:
-        """Reduce ``v`` against the current rows; return the sparse remainder."""
+    def _residual(self, v) -> list[int]:
+        """Reduce the integer form of ``v`` against the rows; return it dense."""
         if len(v) != self.ambient:
             raise DimensionMismatchError(
                 f"vector length {len(v)} does not match ambient {self.ambient}"
             )
-        w = {i: c for i, c in enumerate(v) if c}
+        w = list(primitive(v))
         for pc, row in zip(self.piv_cols, self.rows):
-            c = w.get(pc)
+            c = w[pc]
             if c:
-                for k, rk in row.items():
-                    nk = w.get(k, _ZERO) - c * rk
-                    if nk:
-                        w[k] = nk
-                    else:
-                        w.pop(k, None)
+                w = _eliminate(w, c, row)
         return w
 
     def contains(self, v) -> bool:
-        return not self._residual(v)
+        return not any(self._residual(v))
 
     def add(self, v) -> bool:
-        """Insert ``v`` into the span. Returns True when the dimension grew."""
+        """Insert ``v`` (ints or Fractions) into the span. Returns True when
+        the dimension grew."""
         w = self._residual(v)
-        if not w:
+        row = tuple((k, x) for k, x in enumerate(w) if x)
+        if not row:
             return False
-        piv = min(w)
-        inv = _ONE / w[piv]
-        new_row = {k: c * inv for k, c in w.items()}
-        # Clear the new pivot column from the existing rows.
-        for row in self.rows:
-            c = row.get(piv)
-            if c:
-                for k, nk in new_row.items():
-                    rk = row.get(k, _ZERO) - c * nk
-                    if rk:
-                        row[k] = rk
-                    else:
-                        row.pop(k, None)
-        at = bisect_left(self.piv_cols, piv)
-        self.piv_cols.insert(at, piv)
-        self.rows.insert(at, new_row)
+        g = gcd(*w)
+        if row[0][1] < 0:
+            g = -g
+        if g != 1:
+            row = tuple((k, x // g) for k, x in row)
+        at = bisect_left(self.piv_cols, row[0][0])
+        self.piv_cols.insert(at, row[0][0])
+        self.rows.insert(at, row)
+        self._rref = None
         return True
 
     def basis_vectors(self) -> Mat:
-        return tuple(
-            tuple(row.get(k, _ZERO) for k in range(self.ambient))
-            for row in self.rows
-        )
+        """The canonical reduced row-echelon basis, as Fraction rows."""
+        if self._rref is None:
+            self._rref = self._back_substitute()
+        return self._rref
+
+    def _back_substitute(self) -> Mat:
+        n = self.ambient
+        if len(self.rows) == n:
+            return tuple(tuple(_ONE if k == i else _ZERO for k in range(n))
+                         for i in range(n))
+        # Reduce from the last row up: a reduced row is zero in every other
+        # pivot column, so clearing one column touches no other pivot.
+        reduced: list[tuple] = []
+        for pc, row in zip(reversed(self.piv_cols), reversed(self.rows)):
+            w = [0] * n
+            for k, x in row:
+                w[k] = x
+            for lower in reduced:
+                c = w[lower[0][0]]
+                if c:
+                    w = _eliminate(w, c, lower)
+            reduced.append(tuple((k, x) for k, x in enumerate(w) if x))
+        out = []
+        for row in reversed(reduced):
+            p = row[0][1]
+            dense = [_ZERO] * n
+            for k, x in row:
+                dense[k] = Fraction(x, p)
+            out.append(tuple(dense))
+        return tuple(out)
 
     def to_subspace(self) -> "Subspace":
         return Subspace._from_echelon(self.ambient, self.basis_vectors(),
                                       tuple(self.piv_cols))
+
+
+def _eliminate(w: list[int], c: int, row: tuple) -> list[int]:
+    """Clear the entry ``c`` of ``w`` in the pivot column of ``row``
+    fraction-free: ``p*w - c*row`` with ``p`` the pivot, both divided by
+    gcd(p, c) first, then the content of the result divided out. The pivot
+    is positive, so the result is a positive multiple of w - (c/p)*row."""
+    p = row[0][1]
+    if p != 1:
+        g = gcd(p, c)
+        p //= g
+        c //= g
+        if p != 1:
+            w = [p * x for x in w]
+    for k, x in row:
+        w[k] -= c * x
+    if p != 1:
+        g = gcd(*w)
+        if g > 1:
+            w = [x // g for x in w]
+    return w
 
 
 class Subspace:
@@ -254,6 +337,6 @@ def solve_linear(a: Mat, b: Vec) -> Optional[Vec]:
     if n in ech.piv_cols:
         return None
     x = [_ZERO] * n
-    for pc, row in zip(ech.piv_cols, ech.rows):
-        x[pc] = row.get(n, _ZERO)
+    for pc, row in zip(ech.piv_cols, ech.basis_vectors()):
+        x[pc] = row[n]
     return tuple(x)

@@ -12,10 +12,10 @@ the path-span table: cell (a, b) holds the span of all path values from b to
 a. The table is the least fixed point computed by the one engine,
 :func:`closure.fixed_point`, over the graph's vertices: off-diagonal cells
 are seeded with the edges, and triple (a, c, b) composes cell (a, c) with
-cell (c, b) under ``matrix_rule`` for the sizes (g_a, g_c, g_b). The same
-engine run on one vertex is the subrng closure; both follow the engine's two
-rules (factor lengths frozen per triple, and a full cell takes no more
-products), which fix the reported ``rounds``.
+cell (c, b) under the integral form of ``matrix_rule`` for the sizes
+(g_a, g_c, g_b). The same engine run on one vertex is the subrng closure;
+both follow the engine's two rules (factor lengths frozen per triple, and a
+full cell takes no more products), which fix the reported ``rounds``.
 
 ``loop_oracle`` is the independent cross-check: literal enumeration of loop
 sequences up to a bounded number of edges, composing actual matrices.
@@ -31,8 +31,8 @@ from .algebra import (
     AlgElement,
     DMatrix,
     StructureAlgebra,
+    integral_rule,
     invert_element,
-    matrix_rule,
 )
 from .closure import fixed_point
 from .errors import (
@@ -146,8 +146,8 @@ def path_span_table(graph: ObstructionGraph) -> PathSpanTable:
                  for (a, b) in cells if a != b}
         sizes = graph.sizes
         ech, rounds = fixed_point(
-            cells, seeds, lambda a, c, b: matrix_rule(
-                graph.base, sizes[a - 1], sizes[c - 1], sizes[b - 1]))
+            cells, seeds, lambda a, c, b: integral_rule(
+                graph.base, (sizes[a - 1], sizes[c - 1], sizes[b - 1])))
         graph._table = PathSpanTable(
             spans={k: e.to_subspace() for k, e in ech.items()}, rounds=rounds)
     return graph._table

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from obstructor.cli import main
+from obstructor.linalg import MAX_DIGITS
 from obstructor.serialize import dump_json, graph_to_json
 from obstructor.witness import build_r3_graph
 
@@ -286,3 +287,66 @@ def test_divisor_single_fiber_is_usage_error(runner):
 def test_byte_identical_reports(runner, r3_graph_file):
     args = ["obstruction", "--graph", r3_graph_file, "--vertex", "1"]
     assert runner.invoke(main, args).output == runner.invoke(main, args).output
+
+
+# -- strict rationals: -?digits(/digits)?, at most MAX_DIGITS digits a part ----
+
+_BIG = "1" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--a", "1e5000", "--b", "-1"],
+    ["hilbert", "--a", "1.5", "--b", "-1"],
+    ["hilbert", "--a", "1/0", "--b", "-1"],
+    ["hilbert", "--a", "+3", "--b", "-1"],
+    ["hilbert", "--a", "-1", "--b", "1" * (MAX_DIGITS + 1)],
+    ["divisor", "--poly", f"x1^{_BIG}", "--r", "1"],
+    ["divisor", "--poly", f"{_BIG}*x1", "--r", "1"],
+    ["divisor", "--poly", f"x{_BIG}", "--r", "1"],
+    ["divisor", "--poly", "1/0*x1", "--r", "1"],
+    ["divisor", "--poly", "x1*x2", "--r", "2",
+     "--fiber", f"{_BIG}:[0:1]", "--fiber", "2:[1:0]"],
+    ["divisor", "--poly", "x1*x2", "--r", "2",
+     "--fiber", "1:[1.5:1]", "--fiber", "2:[1:0]"],
+], ids=["hilbert-exponent", "hilbert-decimal", "hilbert-zero-denominator",
+        "hilbert-plus-sign", "hilbert-over-cap", "poly-long-exponent",
+        "poly-long-coefficient", "poly-long-variable", "poly-zero-denominator",
+        "fiber-long-index", "fiber-decimal"])
+def test_bad_rational_input_is_usage_error(runner, argv):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Error:" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_rational_at_the_digit_cap_is_accepted(runner):
+    res = runner.invoke(main, ["divisor", "--poly", f"{'7' * MAX_DIGITS}/3*x1",
+                               "--r", "1"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["poly"] == f"{'7' * MAX_DIGITS}/3*x1"
+
+
+@pytest.mark.parametrize("entry", ["1.5", "1e5000", "1/0", " 1", True, 0.5,
+                                   "1" * (MAX_DIGITS + 1)],
+                         ids=["decimal", "exponent", "zero-denominator", "space",
+                              "bool", "float", "over-cap"])
+def test_bad_rational_in_graph_json_is_usage_error(runner, tmp_path, entry):
+    _assert_graph_usage_error(runner, tmp_path, {
+        "base": {"kind": "quaternion_for_prime", "p": 2},
+        "r": 2, "sizes": [1, 1],
+        "edges": [{"i": 1, "j": 2, "matrix": [[[entry, "0", "0", "0"]]]}]})
+
+
+def test_bad_rational_quaternion_base_is_usage_error(runner, tmp_path):
+    _assert_graph_usage_error(runner, tmp_path, {
+        "base": {"kind": "quaternion", "a": "1.5", "b": "-1"},
+        "r": 2, "sizes": [1, 1], "edges": []})
+
+
+def test_json_int_over_the_digit_limit_is_usage_error(runner, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text('{"r": 2, "sizes": [1, %s], "edges": []}' % _BIG,
+                    encoding="utf-8")
+    res = runner.invoke(main, ["obstruction", "--graph", str(path), "--vertex", "1"])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.stderr

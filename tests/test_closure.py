@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obstructor.algebra import (
+    DMatrix,
+    integral_rule,
+    make_algebra,
     matrix_algebra,
     matrix_unit,
     quaternion_algebra,
@@ -20,6 +23,7 @@ from obstructor.closure import (
 )
 from obstructor.errors import AlgebraValidationError
 from obstructor.linalg import echelonize
+from obstructor.obstruction import ObstructionGraph, loop_oracle, path_span_table
 from obstructor.witness import shift_witness
 
 
@@ -192,3 +196,65 @@ def test_closure_contains_generators_and_products(gen_coeffs):
         assert span.contains(g.coeffs)
         for h in gens:
             assert span.contains((g * h).coeffs)
+
+
+# -- the engine over an algebra whose structure constants have denominators ---
+
+
+def _rescaled(alg, scales):
+    """A custom copy of ``alg`` on the basis s_t * b_t: the constant of
+    b_i b_j at b_k becomes c * s_i * s_j / s_k, so it has denominators."""
+    n = alg.dim
+    consts = [[tuple(c * scales[i] * scales[j] / scales[k]
+                     for k, c in enumerate(alg.mul_coeffs(alg.basis_vector(i),
+                                                          alg.basis_vector(j))))
+               for j in range(n)] for i in range(n)]
+    unit = tuple(c / s for c, s in zip(alg.unit, scales))
+    inv = tuple(tuple(scales[j] * c / scales[k] for k, c in enumerate(row))
+                for j, row in enumerate(alg.involution))
+    return make_algebra(n, consts, unit=unit, involution=inv)
+
+
+def _rational_element(alg, rng, density=1.0):
+    return alg.element(tuple(
+        F(rng.randint(-3, 3), rng.choice((1, 2, 3))) if rng.random() < density else 0
+        for _ in range(alg.dim)))
+
+
+def test_closure_on_non_integral_algebra_matches_word_span():
+    A = _rescaled(matrix_algebra(rationals(), 3),
+                  [F(1, 2), 3, F(2, 5), F(7, 3), F(-1, 6), 1, F(5, 4), F(3, 7), 2])
+    assert any(c.denominator > 1 for bucket in A.rule for _, _, c in bucket)
+    assert all(isinstance(c, int) for bucket in integral_rule(A) for _, _, c in bucket)
+    rng = random.Random(5)
+    seen = []
+    for t in range(6):
+        gens = [_rational_element(A, rng) for _ in range(1 + t % 2)]
+        if t % 3 == 2:
+            gens = [A.element(tuple(c if k in (0, 1, 2, 4) else 0
+                                    for k, c in enumerate(g.coeffs))) for g in gens]
+        res = subrng_closure(A, gens)
+        assert res.span == stabilized_word_span(A, gens)[0], t
+        seen.append((res.span.dim, res.rounds))
+    # Dimensions and rounds of the same iteration run over Fraction vectors.
+    assert seen == [(3, 2), (9, 2), (2, 1), (9, 2), (3, 2), (4, 1)]
+
+
+def test_path_table_on_non_integral_base_matches_loop_oracle():
+    H = _rescaled(quaternion_algebra(1, 1), [F(1, 2), F(3, 5), 2, F(-7, 3)])
+    rng = random.Random(0)
+
+    def entry():
+        return _rational_element(H, rng, density=0.5)
+
+    g = ObstructionGraph(H, (1, 2, 1), {
+        (1, 2): DMatrix.from_entries(H, [[entry()], [entry()]]),
+        (2, 3): DMatrix.from_entries(H, [[entry(), entry()]]),
+        (1, 3): DMatrix.from_entries(H, [[entry()]]),
+    })
+    table = path_span_table(g)
+    assert table.rounds == 2
+    assert [table.spans[(a, b)].dim for a in (1, 2, 3) for b in (1, 2, 3)] == \
+        [2, 4, 2, 4, 8, 4, 2, 4, 2]
+    for v in (1, 2, 3):
+        assert loop_oracle(g, v, 8) == table.spans[(v, v)], v

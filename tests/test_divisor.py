@@ -60,6 +60,18 @@ def test_parse_rejects_zero_exponent():
         parse_poly("x1^0*y1", 1)
 
 
+@pytest.mark.parametrize("text, pos", [
+    ("x1^" + "1" * 5000, 3),
+    ("1" * 5000 + "*x1", 0),
+    ("y1 + x" + "1" * 5000, 5),
+    ("2/0*x1", 0),
+], ids=["long-exponent", "long-coefficient", "long-variable", "zero-denominator"])
+def test_parse_rejects_oversized_or_zero_denominator_numbers(text, pos):
+    with pytest.raises(PolynomialSyntaxError) as exc:
+        parse_poly(text, 1)
+    assert exc.value.position == pos
+
+
 def test_parse_coefficients_and_powers():
     f = parse_poly("3/2*x1^2 - 2*x1*y1 + y1^2", 1)
     assert f.degrees == (2,)

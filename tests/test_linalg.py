@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from obstructor.errors import DimensionMismatchError
 from obstructor.linalg import (
+    MAX_DIGITS,
+    Echelon,
     Subspace,
     echelonize,
     matrix,
@@ -148,3 +151,161 @@ def test_ratio_rejects_floats():
         ratio(0.5)
     assert ratio("3/4") == F(3, 4)
     assert ratio(-2) == F(-2)
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e5000", "+3", " 3", "3 ", "3/-4", "",
+                                  "1/", "0x10", "\u0663", "1" * (MAX_DIGITS + 1),
+                                  "1/" + "1" * (MAX_DIGITS + 1)],
+                         ids=["decimal", "exponent", "plus", "leading-space",
+                              "trailing-space", "negative-denominator", "empty",
+                              "no-denominator", "hex", "arabic-indic-digit",
+                              "long-numerator", "long-denominator"])
+def test_ratio_rejects_strings_outside_the_grammar(text):
+    with pytest.raises(ValueError):
+        ratio(text)
+
+
+def test_ratio_grammar_edges():
+    with pytest.raises(ZeroDivisionError):
+        ratio("7/00")
+    with pytest.raises(TypeError):
+        ratio(True)
+    assert ratio("-007/010") == F(-7, 10)
+    assert ratio("9" * MAX_DIGITS) == 10 ** MAX_DIGITS - 1
+
+
+# -- differential test of Echelon against plain Gauss-Jordan -------------------
+
+
+class _GaussJordan:
+    """Reference span: dense Fraction rows in reduced row-echelon form, each
+    new pivot column cleared from every other row at once."""
+
+    def __init__(self, n):
+        self.n = n
+        self.rows = []
+
+    @staticmethod
+    def _pivot(row):
+        return next(k for k, x in enumerate(row) if x)
+
+    def _reduce(self, v):
+        w = [F(x) for x in v]
+        for row in self.rows:
+            c = w[self._pivot(row)]
+            if c:
+                w = [a - c * b for a, b in zip(w, row)]
+        return w
+
+    def contains(self, v):
+        return not any(self._reduce(v))
+
+    def add(self, v):
+        w = self._reduce(v)
+        if not any(w):
+            return False
+        p = self._pivot(w)
+        w = [x / w[p] for x in w]
+        self.rows = [[a - r[p] * b for a, b in zip(r, w)] for r in self.rows]
+        self.rows.append(w)
+        self.rows.sort(key=self._pivot)
+        return True
+
+    def pivots(self):
+        return tuple(self._pivot(r) for r in self.rows)
+
+    def basis(self):
+        return tuple(tuple(r) for r in self.rows)
+
+
+def _reference_solve(a, b):
+    n = len(a[0])
+    ref = _GaussJordan(n + 1)
+    for row, rhs in zip(a, b):
+        ref.add(tuple(row) + (rhs,))
+    if n in ref.pivots():
+        return None
+    x = [F(0)] * n
+    for p, row in zip(ref.pivots(), ref.rows):
+        x[p] = row[n]
+    return tuple(x)
+
+
+def _random_entry(rng, big):
+    num = rng.randint(-10 ** 6, 10 ** 6) if big else rng.randint(-4, 4)
+    return F(num, rng.choice((1, 1, 1, 2, 3, 7)))
+
+
+def _random_vectors(rng, n):
+    """A full or rank-deficient list, with denominators, zero vectors and
+    repeated (rescaled) vectors mixed in."""
+    rank = rng.randint(0, n)
+    big = rng.random() < 0.3
+    gens = [[_random_entry(rng, big) for _ in range(n)] for _ in range(rank)]
+    out = []
+    for _ in range(rng.randint(0, n + 3)):
+        coeffs = [_random_entry(rng, False) for _ in gens]
+        out.append(tuple(sum((c * g[k] for c, g in zip(coeffs, gens)), F(0))
+                         for k in range(n)))
+    out.extend(tuple(g) for g in gens)
+    out.append((F(0),) * n)
+    if out:
+        out.append(tuple(x * rng.choice((-3, F(1, 2), 5)) for x in rng.choice(out)))
+    rng.shuffle(out)
+    return out
+
+
+def test_echelon_matches_gauss_jordan_seeded():
+    rng = random.Random(2024)
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        vecs = _random_vectors(rng, n)
+        probes = _random_vectors(rng, n) + vecs[:2]
+        bases = set()
+        for order in range(3):
+            if order:
+                rng.shuffle(vecs)
+            ech, ref = Echelon(n), _GaussJordan(n)
+            for v in vecs:
+                as_int = order == 2 and all(x.denominator == 1 for x in v)
+                grew = ech.add(tuple(int(x) for x in v) if as_int else v)
+                assert grew == ref.add(v), trial
+                assert ech.dim == len(ref.rows)
+                assert ech.basis_vectors() == ref.basis(), trial
+            for p in probes:
+                assert ech.contains(p) == ref.contains(p), trial
+            assert tuple(ech.piv_cols) == ref.pivots()
+            sub = ech.to_subspace()
+            assert sub.basis == ref.basis() and sub.pivots == ref.pivots()
+            bases.add(sub.basis)
+        assert len(bases) == 1, trial
+
+
+def test_solve_linear_matches_gauss_jordan_seeded():
+    rng = random.Random(77)
+    for trial in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _random_vectors(rng, n)[:m] or [(F(0),) * n]
+        if rng.random() < 0.5:
+            x = [_random_entry(rng, False) for _ in range(n)]
+            b = tuple(sum((r * c for r, c in zip(row, x)), F(0)) for row in rows)
+        else:
+            b = tuple(_random_entry(rng, False) for _ in rows)
+        assert solve_linear(tuple(rows), b) == _reference_solve(rows, b), trial
+
+
+def test_echelon_full_rank_basis_is_identity():
+    ech = Echelon(3)
+    for v in [(2, 7, 1), (F(1, 3), 0, 5), (0, 4, F(-9, 2))]:
+        assert ech.add(v)
+    assert ech.is_full() and not ech.add((5, 5, 5))
+    assert ech.basis_vectors() == tuple(
+        tuple(F(int(i == k)) for k in range(3)) for i in range(3))
+
+
+def test_echelon_rows_are_primitive_integers():
+    ech = Echelon(3)
+    ech.add((F(2, 3), F(4, 9), 0))
+    ech.add((0, F(-6, 5), F(9, 5)))
+    assert ech.rows == [((0, 3), (1, 2)), ((1, 2), (2, -3))]
+    assert ech.basis_vectors() == ((F(1), F(0), F(1)), (F(0), F(1), F(-3, 2)))
