@@ -2,13 +2,21 @@
 
 Deterministic Miller-Rabin is exact for every input below 3.3 * 10^24,
 far beyond anything this package handles; Pollard rho covers composite
-splitting for the occasional large user-supplied rational.
+splitting for the occasional large user-supplied rational, within a fixed
+step budget.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+from .errors import FactoringError
+
+# Pollard rho steps one factorint call may spend. Prime factors up to about
+# 10^7 split well inside it (about 1.25 * sqrt(p) steps each), and a 49-digit
+# semiprime gives up in a twentieth of a second instead of running for hours.
+RHO_STEPS = 1 << 14
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -37,24 +45,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
+def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
+    """A proper divisor of the composite ``n`` and the steps of ``budget`` left
+    after finding it."""
     if n % 2 == 0:
-        return 2
+        return 2, budget
     for c in range(1, 50):
         x = y = 2
         d = 1
         while d == 1:
+            if not budget:
+                raise FactoringError(f"no factor of a {len(str(n))}-digit integer "
+                                     f"within {RHO_STEPS} Pollard rho steps")
+            budget -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = gcd(abs(x - y), n)
         if d != n:
-            return d
-    raise ArithmeticError(f"failed to split {n}")  # astronomically unlikely
+            return d, budget
+    # Astronomically unlikely: every c in 1..49 cycled without a proper divisor.
+    raise FactoringError(f"failed to split a {len(str(n))}-digit integer")
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of ``|n|`` as ``{prime: exponent}``; 0 and units -> {}."""
+    """Prime factorization of ``|n|`` as ``{prime: exponent}``; 0 and units -> {}.
+
+    Raises :class:`FactoringError` when the splits need more than
+    ``RHO_STEPS`` Pollard rho steps in all.
+    """
     n = abs(n)
     out: dict[int, int] = {}
     if n <= 1:
@@ -64,6 +83,7 @@ def factorint(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     stack = [n] if n > 1 else []
+    budget = RHO_STEPS
     while stack:
         m = stack.pop()
         if m == 1:
@@ -71,7 +91,7 @@ def factorint(n: int) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        d, budget = _pollard_rho(m, budget)
         stack.append(d)
         stack.append(m // d)
     return out

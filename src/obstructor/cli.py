@@ -3,14 +3,18 @@
 Subcommands: verify, obstruction, find-generator, corner, hilbert, divisor.
 All output is JSON on stdout with rationals as strings; identical invocations
 produce byte-identical output. Exit codes: 0 success, 1 verification failure,
-2 usage or parse error. The environment variable OBSTRUCTOR_SEED overrides
-the default seed wherever a seed applies.
+2 usage, parse or input error (every library ``ObstructorError``), 3 internal
+error. An error ends with one ``Error:`` line on stderr, never a traceback. The
+environment variable OBSTRUCTOR_SEED overrides the default seed wherever a
+seed applies.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import random
+import re
 import sys
 from fractions import Fraction
 
@@ -40,7 +44,6 @@ from .obstruction import (
     path_span_table,
 )
 from .serialize import (
-    SchemaError,
     algebra_from_json,
     coeffs_from_json,
     coeffs_to_json,
@@ -86,13 +89,40 @@ def _load_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise click.UsageError(f"{what} file not found: {path}")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise click.UsageError(f"{what} file {path}: {exc.strerror or exc}")
     except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
         raise click.UsageError(f"{what} file {path}: invalid JSON: {exc}")
+    except RecursionError:
+        raise click.UsageError(f"{what} file {path}: JSON nested too deeply")
 
 
-@click.group()
+class _InternalError(click.ClickException):
+    """An exception the library does not declare: a fault, not bad input."""
+
+    exit_code = 3
+
+
+class _ErrorBoundary(click.Group):
+    """The one place library errors become exit codes: an ``ObstructorError``
+    is a usage error (exit 2), anything else unexpected is exit 3. Click's own
+    exceptions (``Abort`` and ``Exit`` are ``RuntimeError``s) and ``SystemExit``
+    pass through."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ObstructorError as exc:
+            raise click.UsageError(str(exc)) from exc
+        except (click.ClickException, click.Abort, click.exceptions.Exit):
+            raise
+        except Exception as exc:
+            message = " ".join(str(exc).split())  # one line
+            raise _InternalError(
+                f"internal error ({type(exc).__name__}): {message}") from exc
+
+
+@click.group(cls=_ErrorBoundary)
 def main():
     """Exact-arithmetic engine for loop-span lifting obstructions."""
 
@@ -100,52 +130,46 @@ def main():
 # -- verify -----------------------------------------------------------------
 
 
-def _chain_section(rep: ChainReport) -> tuple[dict, bool, bool]:
+def _chain_section(rep: ChainReport) -> dict:
     entries = []
-    any_fail = False
-    any_disc = False
     for ident in rep.identities:
         if ident.holds:
             status = "PASS"
         elif ident.name in _DOCUMENTED_DISCREPANCIES:
             status = "PAPER-DISCREPANCY"
-            any_disc = True
         else:
             status = "FAIL"
-            any_fail = True
         entry = {"name": ident.name, "status": status,
                  "computed": ident.computed, "stated": ident.stated}
         if ident.note:
             entry["note"] = ident.note
         entries.append(entry)
-    return {"g": rep.g, "identities": entries}, any_fail, any_disc
+    return {"g": rep.g, "identities": entries}
 
 
-def _generation_section(rep: ChainReport) -> tuple[dict, bool]:
+def _generation_section(rep: ChainReport) -> dict:
     g = rep.g
     closure = rep.generation
     oracle, length = stabilized_word_span(split_model(g), closure.generators)
     expected = (2 * g) ** 2
     ok = rep.generation_ok and oracle == closure.span
-    return ({"g": g, "dim": closure.span.dim, "expected": expected,
-             "rounds": closure.rounds, "oracle_dim": oracle.dim,
-             "oracle_stable_len": length,
-             "oracle_equal": oracle == closure.span, "ok": ok}, not ok)
+    return {"g": g, "dim": closure.span.dim, "expected": expected,
+            "rounds": closure.rounds, "oracle_dim": oracle.dim,
+            "oracle_stable_len": length,
+            "oracle_equal": oracle == closure.span, "ok": ok}
 
-def _ramification_section(p: int) -> tuple[dict, bool]:
+
+def _ramification_section(p: int) -> dict:
     alg = quaternion_for_prime(p)
     a, b = alg.quaternion_params
     ram = ramified_places(a, b)
     want = [p, INF]
-    ok = ram == want
-    return ({"p": p, "a": str(a), "b": str(b),
-             "ramified": [str(v) for v in ram],
-             "expected": [str(v) for v in want], "ok": ok}, not ok)
+    return {"p": p, "a": str(a), "b": str(b),
+            "ramified": [str(v) for v in ram],
+            "expected": [str(v) for v in want], "ok": ram == want}
 
 
-def _impossibility_section(g: int, p: int, seed: int, trials: int) -> tuple[dict, bool]:
-    import random
-
+def _impossibility_section(p: int, seed: int, trials: int) -> dict:
     base = quaternion_for_prime(p)
     rng = random.Random(seed)
     non_generating = 0
@@ -164,12 +188,12 @@ def _impossibility_section(g: int, p: int, seed: int, trials: int) -> tuple[dict
                 if base.mul_coeffs(u, v) != base.mul_coeffs(v, u):
                     all_comm = False
     ok = non_generating == trials and max_dim <= 3 and all_comm
-    return ({"g": 1, "p": p, "seed": seed, "trials": trials,
-             "non_generating": non_generating, "max_closure_dim": max_dim,
-             "all_commutative": all_comm, "ok": ok}, not ok)
+    return {"g": 1, "p": p, "seed": seed, "trials": trials,
+            "non_generating": non_generating, "max_closure_dim": max_dim,
+            "all_commutative": all_comm, "ok": ok}
 
 
-def _construction_section(g: int, p: int, seed: int) -> tuple[dict, bool]:
+def _construction_section(g: int, p: int, seed: int) -> dict:
     graph = build_r3_graph(g, p, seed=seed)
     end_alg = matrix_algebra(graph.base, g)
     span = compute_obstruction(graph, 1)
@@ -181,21 +205,32 @@ def _construction_section(g: int, p: int, seed: int) -> tuple[dict, bool]:
     expected = 4 * g * g
     ok = (span.dim == expected and report.is_full
           and verdict.verdict == "OBSTRUCTED" and closure.span == span)
-    return ({"g": g, "p": p, "seed": seed, "e_dim": span.dim,
-             "expected": expected, "is_full": report.is_full,
-             "verdict": verdict.verdict,
-             "matches_generator_closure": closure.span == span, "ok": ok}, not ok)
+    return {"g": g, "p": p, "seed": seed, "e_dim": span.dim,
+            "expected": expected, "is_full": report.is_full,
+            "verdict": verdict.verdict,
+            "matches_generator_closure": closure.span == span, "ok": ok}
 
 
-def _divisor_section() -> tuple[dict, bool]:
+def _divisor_section() -> dict:
     f = parse_poly("x1*x2*x3 - y1*y2*y3", 3)
     hit = contains_double_fiber(f, 1, ("0", "1"), 2, ("1", "0"))
     lifted = substitute_powers(f, (2, 2, 2))
     plus = parse_poly("x1*x2*x3 + y1*y2*y3", 3)
     split = verify_factorization(lifted, [f, plus])
-    ok = hit and split
-    return ({"poly": f.to_string(), "double_fiber": hit,
-             "splitting_verified": split, "ok": ok}, not ok)
+    return {"poly": f.to_string(), "double_fiber": hit,
+            "splitting_verified": split, "ok": hit and split}
+
+
+def _verify_failed(report, strict: bool) -> bool:
+    """A finished verify report fails on any ``"ok": false``, any identity
+    with status FAIL and, only under ``strict``, any PAPER-DISCREPANCY."""
+    if isinstance(report, list):
+        return any(_verify_failed(sec, strict) for sec in report)
+    if not isinstance(report, dict):
+        return False
+    fatal = ("FAIL", "PAPER-DISCREPANCY") if strict else ("FAIL",)
+    return (report.get("ok") is False or report.get("status") in fatal
+            or any(_verify_failed(v, strict) for v in report.values()))
 
 
 @main.command()
@@ -214,62 +249,27 @@ def verify(g, p, run_all, strict, seed, trials):
     if not is_prime(p):
         raise click.UsageError("--p must be prime")
     seed = _default_seed() if seed is None else seed
-    any_fail = False
-    any_disc = False
     report: dict = {"seed": seed}
     if run_all:
-        chains = []
-        gens = []
-        for gg in (2, 3, 4, 5):
-            rep = verify_identity_chain(gg)
-            sec, fail, disc = _chain_section(rep)
-            chains.append(sec)
-            any_fail |= fail
-            any_disc |= disc
-            gsec, gfail = _generation_section(rep)
-            gens.append(gsec)
-            any_fail |= gfail
-        report["chain"] = chains
-        report["generation"] = gens
-        rams = []
-        for pp in (2, 3, 5, 7, 11, 13):
-            sec, fail = _ramification_section(pp)
-            rams.append(sec)
-            any_fail |= fail
-        report["ramification"] = rams
-        imps = []
-        for pp in (2, 3, 5):
-            sec, fail = _impossibility_section(1, pp, seed, trials)
-            imps.append(sec)
-            any_fail |= fail
-        report["impossibility"] = imps
-        sec, fail = _construction_section(2, p, seed)
-        report["construction"] = [sec]
-        any_fail |= fail
-        sec, fail = _divisor_section()
-        report["divisor"] = sec
-        any_fail |= fail
+        reps = [verify_identity_chain(gg) for gg in (2, 3, 4, 5)]
+        report["chain"] = [_chain_section(rep) for rep in reps]
+        report["generation"] = [_generation_section(rep) for rep in reps]
+        report["ramification"] = [_ramification_section(pp)
+                                  for pp in (2, 3, 5, 7, 11, 13)]
+        report["impossibility"] = [_impossibility_section(pp, seed, trials)
+                                   for pp in (2, 3, 5)]
+        report["construction"] = [_construction_section(2, p, seed)]
+        report["divisor"] = _divisor_section()
     elif g == 1:
-        sec, fail = _impossibility_section(1, p, seed, trials)
-        report["impossibility"] = sec
         # Failure to generate is the expected (PASS) outcome here.
-        any_fail |= fail
+        report["impossibility"] = _impossibility_section(p, seed, trials)
     else:
         rep = verify_identity_chain(g)
-        sec, fail, disc = _chain_section(rep)
-        report["chain"] = sec
-        any_fail |= fail
-        any_disc |= disc
-        gsec, gfail = _generation_section(rep)
-        report["generation"] = gsec
-        any_fail |= gfail
-        rsec, rfail = _ramification_section(p)
-        report["ramification"] = rsec
-        any_fail |= rfail
-        csec, cfail = _construction_section(g, p, seed)
-        report["construction"] = csec
-        any_fail |= cfail
-    failed = any_fail or (strict and any_disc)
+        report["chain"] = _chain_section(rep)
+        report["generation"] = _generation_section(rep)
+        report["ramification"] = _ramification_section(p)
+        report["construction"] = _construction_section(g, p, seed)
+    failed = _verify_failed(report, strict)
     report["status"] = "FAIL" if failed else "PASS"
     _emit(report)
     sys.exit(1 if failed else 0)
@@ -286,13 +286,7 @@ def verify(g, p, run_all, strict, seed, trials):
               help="Also run the literal loop oracle up to this many edges.")
 def obstruction(graph_path, vertex, oracle_len):
     """Loop span, corner report, and verdict for one vertex of a graph."""
-    payload = _load_json(graph_path, "graph")
-    try:
-        graph = graph_from_json(payload)
-    except (SchemaError, ObstructorError) as exc:
-        raise click.UsageError(str(exc))
-    if not (1 <= vertex <= graph.r):
-        raise click.UsageError(f"--vertex must be in 1..{graph.r}")
+    graph = graph_from_json(_load_json(graph_path, "graph"))
     span = compute_obstruction(graph, vertex)
     table = path_span_table(graph)
     end_alg = matrix_algebra(graph.base, graph.size(vertex))
@@ -337,8 +331,6 @@ def obstruction(graph_path, vertex, oracle_len):
               help="Coefficients are sampled in [-bound, bound].")
 def find_generator(g, p, seed, tries, bound):
     """Search for x with {x, dagger(x)} generating the matrix quaternion algebra."""
-    if g < 1:
-        raise click.UsageError("--g must be >= 1")
     if not is_prime(p):
         raise click.UsageError("--p must be prime")
     if tries < 1 or bound < 1:
@@ -366,28 +358,13 @@ def find_generator(g, p, seed, tries, bound):
               help="JSON file: list of coefficient vectors spanning the subspace.")
 def corner(algebra_path, elements_path):
     """Corner/idempotent detection for a spanned subspace of an algebra."""
-    alg_payload = _load_json(algebra_path, "algebra")
-    try:
-        alg = algebra_from_json(alg_payload)
-    except (SchemaError, ObstructorError) as exc:
-        raise click.UsageError(str(exc))
+    alg = algebra_from_json(_load_json(algebra_path, "algebra"))
     span_payload = _load_json(elements_path, "elements")
     if not isinstance(span_payload, list):
         raise click.UsageError("elements file must be a JSON list of coefficient vectors")
-    try:
-        vecs = [coeffs_from_json(v, f"elements[{t}]")
-                for t, v in enumerate(span_payload)]
-    except SchemaError as exc:
-        raise click.UsageError(str(exc))
-    for t, v in enumerate(vecs):
-        if len(v) != alg.dim:
-            raise click.UsageError(
-                f"elements[{t}] has {len(v)} coefficients, algebra dim is {alg.dim}")
+    vecs = [coeffs_from_json(v, f"elements[{t}]") for t, v in enumerate(span_payload)]
     span = echelonize(vecs, ambient_dim=alg.dim)
-    try:
-        report = corner_detect(span, alg)
-    except ObstructorError as exc:
-        raise click.UsageError(str(exc))
+    report = corner_detect(span, alg)
     _emit({
         "dim": span.dim,
         "is_corner": report.is_corner,
@@ -440,8 +417,6 @@ def hilbert(a_str, b_str, place):
 
 
 def _parse_fiber_spec(spec: str):
-    import re
-
     m = re.fullmatch(r"\s*([0-9]{1,9})\s*:\s*\[([^:\]]+):([^:\]]+)\]\s*", spec)
     if not m:
         raise click.UsageError(
@@ -465,22 +440,14 @@ def _parse_fiber_spec(spec: str):
               help="Exact factorization of the (substituted) polynomial.")
 def divisor(poly_text, r, subst, fibers, factor_texts):
     """Multihomogeneous polynomial checks on a product of projective lines."""
-    if r < 1:
-        raise click.UsageError("--r must be >= 1")
-    try:
-        f = parse_poly(poly_text, r)
-    except ObstructorError as exc:
-        raise click.UsageError(f"--poly: {exc}")
+    f = parse_poly(poly_text, r)
     out = {"poly": f.to_string(), "r": r, "multidegree": list(f.degrees)}
     if fibers:
         if len(fibers) != 2:
             raise click.UsageError("--fiber must be given exactly twice")
         (i, pt_i) = _parse_fiber_spec(fibers[0])
         (j, pt_j) = _parse_fiber_spec(fibers[1])
-        try:
-            hit = contains_double_fiber(f, i, pt_i, j, pt_j)
-        except ObstructorError as exc:
-            raise click.UsageError(str(exc))
+        hit = contains_double_fiber(f, i, pt_i, j, pt_j)
         out["double_fiber_hits"] = [{
             "i": i, "point_i": f"[{pt_i[0]}:{pt_i[1]}]",
             "j": j, "point_j": f"[{pt_j[0]}:{pt_j[1]}]",
@@ -492,19 +459,12 @@ def divisor(poly_text, r, subst, fibers, factor_texts):
             exps = [int(e) for e in subst.split(",")]
         except ValueError:
             raise click.UsageError("--subst must be comma-separated integers")
-        try:
-            target = substitute_powers(f, exps)
-        except ObstructorError as exc:
-            raise click.UsageError(str(exc))
+        target = substitute_powers(f, exps)
         out["substituted"] = {"exponents": exps, "poly": target.to_string(),
                               "multidegree": list(target.degrees)}
     if factor_texts:
-        try:
-            factors = [parse_poly(t, r) for t in factor_texts]
-            ok = verify_factorization(target, factors)
-        except ObstructorError as exc:
-            raise click.UsageError(str(exc))
-        out["splitting_verified"] = ok
+        factors = [parse_poly(t, r) for t in factor_texts]
+        out["splitting_verified"] = verify_factorization(target, factors)
     _emit(out)
 
 

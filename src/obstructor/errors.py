@@ -79,3 +79,7 @@ class InhomogeneousTermError(PolynomialError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+
+class FactoringError(ObstructorError, ArithmeticError):
+    """An integer could not be factored within the Pollard rho step budget."""

@@ -23,9 +23,11 @@ from obstructor.algebra import (
     reduced_trace,
     split_model,
 )
+from obstructor.arith import factorint
 from obstructor.errors import (
     AlgebraValidationError,
     AssociativityError,
+    FactoringError,
     InvolutionError,
     UnitError,
 )
@@ -149,6 +151,14 @@ def test_hilbert_product_formula_seeded():
         for v in places:
             prod *= hilbert_symbol(a, b, v)
         assert prod == 1, (a, b)
+
+
+def test_factorint_within_the_pollard_rho_budget():
+    assert factorint(-8 * 9999991 * 9999973 * 10000019) == {
+        2: 3, 9999991: 1, 9999973: 1, 10000019: 1}
+    # (10^24 + 7)(3 * 10^24 + 7): each factor needs about 10^12 rho steps.
+    with pytest.raises(FactoringError):
+        factorint(3000000000000000000000028000000000000000000000049)
 
 
 @pytest.mark.parametrize("p,params", [

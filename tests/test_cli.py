@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -350,3 +351,66 @@ def test_json_int_over_the_digit_limit_is_usage_error(runner, tmp_path):
     res = runner.invoke(main, ["obstruction", "--graph", str(path), "--vertex", "1"])
     assert res.exit_code == 2
     assert "Traceback" not in res.stderr
+
+
+# -- exit codes: one row per route ---------------------------------------------
+
+_SEMIPRIME = "3000000000000000000000028000000000000000000000049"
+
+
+def _two_vertex_graph(base) -> str:
+    return json.dumps({"base": base, "r": 2, "sizes": [1, 1], "edges": []})
+
+
+_QFP2_GRAPH = _two_vertex_graph({"kind": "quaternion_for_prime", "p": 2})
+
+
+@pytest.mark.parametrize("argv, files, code", [
+    (["verify", "--g", "2", "--p", "2", "--strict"], {}, 1),
+    (["find-generator", "--g", "1", "--p", "2", "--tries", "5"], {}, 1),
+    (["corner", "--algebra", "{algebra}", "--elements", "{elements}"],
+     {"algebra": json.dumps({"kind": "custom", "dim": 1, "consts": [[["0"]]]}),
+      "elements": '[["1"]]'}, 2),
+    (["obstruction", "--graph", "{graph}", "--vertex", "5"],
+     {"graph": _QFP2_GRAPH}, 2),
+    (["find-generator", "--g", "0", "--p", "2"], {}, 2),
+    (["divisor", "--poly", "x1", "--r", "0"], {}, 2),
+    (["hilbert", "--a", _SEMIPRIME, "--b", "-1"], {}, 2),
+    (["obstruction", "--graph", "{graph}", "--vertex", "1"],
+     {"graph": _two_vertex_graph({"kind": "quaternion", "a": f"-{_SEMIPRIME}",
+                                  "b": "-1"})}, 2),
+    (["obstruction", "--graph", "{tmp}", "--vertex", "1"], {}, 2),
+    (["obstruction", "--graph", "{graph}", "--vertex", "1"],
+     {"graph": "[" * 200_000 + "]" * 200_000}, 2),
+    (["obstruction", "--graph", "{graph}", "--vertex", "1"],
+     {"graph": _QFP2_GRAPH}, 3),
+], ids=["verify-strict", "find-generator-g1", "corner-non-unital",
+        "vertex-out-of-range", "find-generator-g0", "divisor-r0",
+        "hilbert-semiprime", "graph-semiprime-base", "graph-is-directory",
+        "graph-deep-array", "internal-error"])
+def test_exit_code_routes(runner, tmp_path, monkeypatch, argv, files, code):
+    """0 success, 1 verification failure, 2 usage or library error, 3 internal
+    error; every route ends promptly and none prints a traceback. Exit 3 has no
+    honest trigger, so that row injects a fault into the obstruction engine."""
+    paths = {"tmp": str(tmp_path)}
+    for key, text in files.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(text, encoding="utf-8")
+        paths[key] = str(path)
+    if code == 3:
+        def boom(graph, vertex):
+            raise RuntimeError("injected\nfault")
+        monkeypatch.setattr("obstructor.cli.compute_obstruction", boom)
+    start = time.perf_counter()
+    res = runner.invoke(main, [a.format(**paths) for a in argv])
+    assert time.perf_counter() - start < 3
+    assert res.exit_code == code, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.stderr
+    if code == 1:
+        assert json.loads(res.stdout)
+    else:
+        assert res.stdout == ""
+        assert res.stderr.startswith("Error:") or "\nError:" in res.stderr
+    if code == 3:
+        assert res.stderr == "Error: internal error (RuntimeError): injected fault\n"

@@ -107,6 +107,21 @@ CASES = {
                       "7533ca6303fb69eaa7cea7b6ee04c363"
                       "deb95e8a0d4bbafc9e98b222981c1421")},
         "fddd258b0d0ba1714d2f4cbc67fd1b46d9d231767726b1c5dfe82ab0b1b7d012"),
+    "verify-all-g2-p2": (
+        ["verify", "--g", "2", "--p", "2", "--all"], {},
+        "a0135a0ed92a2fdfc8a8654bdf098f4322dd2e9d08e45d32d9ac04319fb1c43b"),
+    "hilbert-definite": (
+        ["hilbert", "--a", "-1", "--b", "-1"], {},
+        "d094faf8ad3b67b2afed98000e529621a2551964d942d339c07d5c91a13b30f1"),
+    "hilbert-6-m15": (
+        ["hilbert", "--a", "6", "--b", "-15"], {},
+        "341ba1c3905b9907d999651073d3ac7e03385431c6a7cb2d53b89681f6ccc996"),
+    "divisor-readme": (
+        ["divisor", "--poly", "x1*x2*x3 - y1*y2*y3", "--r", "3",
+         "--fiber", "1:[0:1]", "--fiber", "2:[1:0]", "--subst", "2,2,2",
+         "--factors", "x1*x2*x3 - y1*y2*y3",
+         "--factors", "x1*x2*x3 + y1*y2*y3"], {},
+        "c3429b3a22bd44b362d1d43ef3e0d7a3cb5c7c8ede5ed6991cd2e77b0d4a447e"),
 }
 
 
