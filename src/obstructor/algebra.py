@@ -580,18 +580,27 @@ def matrix_rule(base: StructureAlgebra, ga: int, gc: int, gb: int) -> Rule:
     return rule
 
 
+def integral_scale(algebra: StructureAlgebra,
+                   shape: Optional[tuple[int, int, int]] = None) -> int:
+    """The common denominator of the constants of ``algebra.rule`` (``shape``
+    None) or ``matrix_rule(algebra, *shape)``: the positive integer by which
+    a product under :func:`integral_rule` exceeds the true product."""
+    src = algebra.rule if shape is None else matrix_rule(algebra, *shape)
+    return lcm(*(c.denominator for bucket in src for _, _, c in bucket))
+
+
 def integral_rule(algebra: StructureAlgebra,
                   shape: Optional[tuple[int, int, int]] = None) -> Rule:
     """``algebra.rule`` (``shape`` None) or ``matrix_rule(algebra, *shape)``
-    scaled by the common denominator of its constants, so that every
-    constant is an int. A product under it is that fixed positive multiple
-    of the true product. Built on first use and cached in ``_rule_cache``
-    next to the rational form."""
+    scaled by :func:`integral_scale`, so that every constant is an int. A
+    product under it is that fixed positive multiple of the true product.
+    Built on first use and cached in ``_rule_cache`` next to the rational
+    form."""
     key = ("int", shape)
     rule = algebra._rule_cache.get(key)
     if rule is None:
         src = algebra.rule if shape is None else matrix_rule(algebra, *shape)
-        den = lcm(*(c.denominator for bucket in src for _, _, c in bucket))
+        den = integral_scale(algebra, shape)
         rule = tuple(tuple((j, k, c.numerator * (den // c.denominator))
                            for j, k, c in bucket) for bucket in src)
         algebra._rule_cache[key] = rule

@@ -1,7 +1,8 @@
 """Integer arithmetic helpers: primality, factoring, residue symbols.
 
-Deterministic Miller-Rabin is exact for every input below 3.3 * 10^24,
-far beyond anything this package handles; Pollard rho covers composite
+Miller-Rabin to the prime bases 2..41 is exact for every input below
+:data:`MR_EXACT_BELOW`, about 3.3 * 10^24 (Sorenson & Webster 2015), far
+beyond anything this package handles; Pollard rho covers composite
 splitting for the occasional large user-supplied rational, within a fixed
 step budget.
 """
@@ -18,13 +19,20 @@ from .errors import FactoringError
 # semiprime gives up in a twentieth of a second instead of running for hours.
 RHO_STEPS = 1 << 14
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The least strong pseudoprime to all of _MR_BASES (Sorenson & Webster
+# 2015): below it is_prime is exact. 318665857834031151167461, the least
+# one to the bases 2..37, is below it.
+MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases ``_MR_BASES``: exact for ``n`` below
+    :data:`MR_EXACT_BELOW`; above it a False is still a proof."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -72,7 +80,8 @@ def factorint(n: int) -> dict[int, int]:
     """Prime factorization of ``|n|`` as ``{prime: exponent}``; 0 and units -> {}.
 
     Raises :class:`FactoringError` when the splits need more than
-    ``RHO_STEPS`` Pollard rho steps in all.
+    ``RHO_STEPS`` Pollard rho steps in all, or when a cofactor at or above
+    :data:`MR_EXACT_BELOW` passes Miller-Rabin and so is not proven prime.
     """
     n = abs(n)
     out: dict[int, int] = {}
@@ -89,6 +98,10 @@ def factorint(n: int) -> dict[int, int]:
         if m == 1:
             continue
         if is_prime(m):
+            if m >= MR_EXACT_BELOW:
+                raise FactoringError(f"cannot prove a {len(str(m))}-digit cofactor "
+                                     f"prime: Miller-Rabin is exact only below "
+                                     f"{MR_EXACT_BELOW}")
             out[m] = out.get(m, 0) + 1
             continue
         d, budget = _pollard_rho(m, budget)

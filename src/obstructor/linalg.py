@@ -6,10 +6,10 @@ representation canonical: two subspaces are equal exactly when their basis
 tuples are identical. There is no floating point anywhere in this module and
 no tolerance in any comparison.
 
-Spans are accumulated in :class:`Echelon` over the integers: a line of Q^n
-is spanned by one primitive integer vector, so rows are integer and
-elimination is fraction-free. The canonical ``Fraction`` basis is built
-only when it is read.
+Spans are accumulated in :class:`Echelon` over the integers, in
+fraction-free Gauss-Jordan form: integer rows over one shared denominator,
+which divided by it are the canonical reduced row-echelon basis. The
+``Fraction`` basis is built only when it is read.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -88,30 +89,43 @@ def primitive(v) -> tuple[int, ...]:
 
 
 class Echelon:
-    """Mutable row-echelon accumulator of a Q-span, kept over the integers.
+    """Mutable reduced row-echelon accumulator of a Q-span, kept over the
+    integers in fraction-free Gauss-Jordan form.
 
-    ``rows`` are primitive integer rows, each a tuple of its nonzero
-    ``(column, value)`` pairs with a positive first value, the pivot; they
-    are sorted by pivot column, which ``piv_cols`` lists. A new row's pivot
-    column is not cleared from the other rows. ``add`` and ``contains``
-    reduce fraction-free (Bareiss, Math. Comp. 1968): the residual is scaled
-    by the pivot instead of divided by it, and its content is divided out
-    after every scaling, so entries stay as small as the span allows.
+    The rows share one positive integer denominator ``den``: row ``i`` is
+    ``den`` in its pivot column ``piv_cols[i]`` and 0 in the other pivot
+    columns and left of its pivot, so rows / ``den`` is the canonical
+    reduced row-echelon basis. Only the non-pivot columns ``free`` are
+    stored: ``rows[i][j]`` is row ``i`` in column ``free[j]``.
 
-    The canonical reduced row-echelon basis over Q (``basis_vectors``,
-    ``to_subspace``) is built lazily by back-substitution and cached until
-    the span grows; a full-rank span returns the identity directly.
+    ``add`` and ``contains`` form the residual ``den*w - sum(w[pc]*row)`` of
+    the integer vector ``w`` on the input's line in one pass, with no gcd;
+    it is zero exactly when ``w`` is in the span. Its first nonzero entry
+    ``a``, made positive, lies in the new pivot column ``q``.
+
+    While ``sylvester`` holds, ``den`` is the absolute determinant of the
+    primitive vectors that grew the span on the pivot columns, ``a`` is the
+    next one, and each row becomes ``(a*row - row[q]*residual) // den``,
+    exact by Sylvester's identity (Bareiss, Math. Comp. 1968). When the span
+    has a much simpler basis than the vectors that grew it, that determinant
+    outgrows the basis: once ``den`` and the rows share a factor above
+    sqrt(``den``), it is divided out and ``sylvester`` turns False for good.
+    Each later growth forms ``a*row - row[q]*residual`` and the new row
+    ``den*residual`` over ``den*a`` and divides out their gcd, so ``den``
+    stays the least common denominator of the basis.
     """
 
-    __slots__ = ("ambient", "rows", "piv_cols", "_rref")
+    __slots__ = ("ambient", "den", "piv_cols", "free", "rows", "sylvester")
 
     def __init__(self, ambient: int):
         if ambient < 0:
             raise DimensionMismatchError("ambient dimension must be >= 0")
         self.ambient = ambient
-        self.rows: list[tuple[tuple[int, int], ...]] = []
+        self.den = 1
         self.piv_cols: list[int] = []
-        self._rref: Optional[Mat] = None
+        self.free: list[int] = list(range(ambient))
+        self.rows: list[list[int]] = []
+        self.sylvester = True
 
     @property
     def dim(self) -> int:
@@ -120,96 +134,88 @@ class Echelon:
     def is_full(self) -> bool:
         return len(self.rows) == self.ambient
 
-    def _residual(self, v) -> list[int]:
-        """Reduce the integer form of ``v`` against the rows; return it dense."""
+    def _residual(self, v) -> tuple[list[int], list[int]]:
+        """The integer form ``w`` of ``v`` (denominators cleared) and its
+        residual against the rows, in the ``free`` columns."""
         if len(v) != self.ambient:
             raise DimensionMismatchError(
                 f"vector length {len(v)} does not match ambient {self.ambient}"
             )
-        w = list(primitive(v))
+        scale = lcm(*(c.denominator for c in v))
+        w = ([c.numerator * (scale // c.denominator) for c in v] if scale > 1
+             else [c.numerator for c in v])
+        den, free = self.den, self.free
+        res = [den * w[k] for k in free] if den > 1 else [w[k] for k in free]
         for pc, row in zip(self.piv_cols, self.rows):
             c = w[pc]
             if c:
-                w = _eliminate(w, c, row)
-        return w
+                res = [x - c * y for x, y in zip(res, row)]
+        return w, res
 
     def contains(self, v) -> bool:
-        return not any(self._residual(v))
+        return not any(self._residual(v)[1])
 
     def add(self, v) -> bool:
         """Insert ``v`` (ints or Fractions) into the span. Returns True when
         the dimension grew."""
-        w = self._residual(v)
-        row = tuple((k, x) for k, x in enumerate(w) if x)
-        if not row:
+        w, res = self._residual(v)
+        j = next((j for j, x in enumerate(res) if x), None)
+        if j is None:
             return False
-        g = gcd(*w)
-        if row[0][1] < 0:
-            g = -g
-        if g != 1:
-            row = tuple((k, x // g) for k, x in row)
-        at = bisect_left(self.piv_cols, row[0][0])
-        self.piv_cols.insert(at, row[0][0])
-        self.rows.insert(at, row)
-        self._rref = None
+        # In Sylvester form the span grows by the primitive vector on the
+        # line of w, whose residual is that of w over its content.
+        c = gcd(*w) if self.sylvester else 1
+        if res[j] < 0:
+            c = -c
+        if c != 1:
+            res = [x // c for x in res]
+        a, den = res[j], self.den
+        if self.sylvester:
+            rows = [[(a * x - row[j] * y) // den for x, y in zip(row, res)]
+                    for row in self.rows]
+            rows.append(res)
+            den = a
+            g = gcd(den, *res)
+            if g * g > den:
+                g = gcd(g, *chain.from_iterable(rows))
+            if g * g <= den:
+                g = 1
+        else:
+            rows = [[a * x - row[j] * y for x, y in zip(row, res)]
+                    for row in self.rows]
+            rows.append([den * y for y in res])
+            den *= a
+            g = gcd(den, *chain.from_iterable(rows))
+        if g > 1:
+            self.sylvester = False
+            den //= g
+            rows = [[x // g for x in row] for row in rows]
+        q = self.free.pop(j)
+        for row in rows:
+            del row[j]
+        at = bisect_left(self.piv_cols, q)
+        self.piv_cols.insert(at, q)
+        rows.insert(at, rows.pop())
+        self.rows = rows
+        self.den = den
         return True
 
     def basis_vectors(self) -> Mat:
-        """The canonical reduced row-echelon basis, as Fraction rows."""
-        if self._rref is None:
-            self._rref = self._back_substitute()
-        return self._rref
-
-    def _back_substitute(self) -> Mat:
-        n = self.ambient
-        if len(self.rows) == n:
-            return tuple(tuple(_ONE if k == i else _ZERO for k in range(n))
-                         for i in range(n))
-        # Reduce from the last row up: a reduced row is zero in every other
-        # pivot column, so clearing one column touches no other pivot.
-        reduced: list[tuple] = []
-        for pc, row in zip(reversed(self.piv_cols), reversed(self.rows)):
-            w = [0] * n
-            for k, x in row:
-                w[k] = x
-            for lower in reduced:
-                c = w[lower[0][0]]
-                if c:
-                    w = _eliminate(w, c, lower)
-            reduced.append(tuple((k, x) for k, x in enumerate(w) if x))
+        """The canonical reduced row-echelon basis: the rows over ``den``."""
+        n, den = self.ambient, self.den
         out = []
-        for row in reversed(reduced):
-            p = row[0][1]
+        for pc, row in zip(self.piv_cols, self.rows):
             dense = [_ZERO] * n
-            for k, x in row:
-                dense[k] = Fraction(x, p)
+            dense[pc] = _ONE
+            for k, x in zip(self.free, row):
+                if x:
+                    dense[k] = Fraction(x, den)
             out.append(tuple(dense))
         return tuple(out)
 
     def to_subspace(self) -> "Subspace":
         return Subspace._from_echelon(self.ambient, self.basis_vectors(),
                                       tuple(self.piv_cols))
-
-
-def _eliminate(w: list[int], c: int, row: tuple) -> list[int]:
-    """Clear the entry ``c`` of ``w`` in the pivot column of ``row``
-    fraction-free: ``p*w - c*row`` with ``p`` the pivot, both divided by
-    gcd(p, c) first, then the content of the result divided out. The pivot
-    is positive, so the result is a positive multiple of w - (c/p)*row."""
-    p = row[0][1]
-    if p != 1:
-        g = gcd(p, c)
-        p //= g
-        c //= g
-        if p != 1:
-            w = [p * x for x in w]
-    for k, x in row:
-        w[k] -= c * x
-    if p != 1:
-        g = gcd(*w)
-        if g > 1:
-            w = [x // g for x in w]
-    return w
 
 
 class Subspace:

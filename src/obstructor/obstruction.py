@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (
@@ -32,7 +33,9 @@ from .algebra import (
     DMatrix,
     StructureAlgebra,
     integral_rule,
+    integral_scale,
     invert_element,
+    rule_product,
 )
 from .closure import fixed_point
 from .errors import (
@@ -42,7 +45,15 @@ from .errors import (
     GraphValidationError,
     MapValidationError,
 )
-from .linalg import Echelon, Subspace, Vec, echelonize, ratio, solve_linear
+from .linalg import (
+    Echelon,
+    Subspace,
+    Vec,
+    echelonize,
+    primitive,
+    ratio,
+    solve_linear,
+)
 
 _ZERO = Fraction(0)
 
@@ -228,10 +239,19 @@ def corner_detect(e_span: Subspace, algebra: StructureAlgebra) -> CornerReport:
     """Decide whether ``e_span`` equals p * algebra * p for an idempotent p.
 
     Algorithm: the zero span is the corner of p = 0. Otherwise solve the
-    linear system for a two-sided unit e of the span; without one the span is
-    not a corner. With one, verify e is idempotent and compare the span
-    against span{e * b_k * e} over the algebra basis; equality is required,
-    not containment.
+    linear system for a left unit e of the span; without one the span is not
+    a corner. Such an e lies in the span, so it is idempotent. A corner's
+    unit is two-sided, so e must also be a right unit. Finally compare the
+    span against span{e * b_k * e} over the algebra basis; equality is
+    required, not containment.
+
+    All products run on the integer kernel. ``a * b`` denotes the
+    :func:`integral_rule` product, ``D`` times the true one. The span basis
+    vectors u_t are taken as their primitive integer rows p_t, so that
+    u_t = l_t p_t with l_t > 0. For e = sum_s y_s p_s the left-unit system
+    reads ``sum_s y_s (p_s * p_t) = D p_t``. Writing e = z / m with z
+    integer, the right-unit check reads ``p_t * z = D m p_t``, and the
+    corner is spanned by the integer vectors ``z * (b_k * z)``.
     """
     n = algebra.dim
     if e_span.ambient_dim != n:
@@ -245,42 +265,48 @@ def corner_detect(e_span: Subspace, algebra: StructureAlgebra) -> CornerReport:
     if e_span.is_full():
         return CornerReport(is_corner=True, idempotent=algebra.one(),
                             factor_dim=n, is_full=True, is_zero=False)
-    basis = e_span.basis
+    not_corner = CornerReport(is_corner=False, idempotent=None, factor_dim=None,
+                              is_full=False, is_zero=False)
+    rule = integral_rule(algebra)
+    scale = integral_scale(algebra)
+    basis = [primitive(v) for v in e_span.basis]
     d = len(basis)
-    mulc = algebra.mul_coeffs
-    # Solve the left-unit system e * u_t = u_t only. When a two-sided unit u
-    # exists, any left unit e satisfies e = e*u = u, so verifying the right
-    # side on the solution loses nothing and halves the system.
+    # Solve the left-unit system only. When a two-sided unit u exists, any
+    # left unit e satisfies e = e*u = u, so verifying the right side on the
+    # solution loses nothing and halves the system.
     rows = []
     rhs = []
     for v in basis:
-        left = [mulc(u, v) for u in basis]
+        left = [rule_product(rule, u, v, n, 0) for u in basis]
         for c in range(n):
             rows.append(tuple(left[t][c] for t in range(d)))
-            rhs.append(v[c])
+            rhs.append(scale * v[c])
     sol = solve_linear(tuple(rows), tuple(rhs))
     if sol is None:
-        return CornerReport(is_corner=False, idempotent=None, factor_dim=None,
-                            is_full=False, is_zero=False)
+        return not_corner
     e = [_ZERO] * n
-    for t, x in enumerate(sol):
-        if x:
+    for t, y in enumerate(sol):
+        if y:
             for c, bc in enumerate(basis[t]):
-                e[c] += x * bc
-    e = tuple(e)
-    if any(mulc(v, e) != v for v in basis) or mulc(e, e) != e:
-        return CornerReport(is_corner=False, idempotent=None, factor_dim=None,
-                            is_full=False, is_zero=False)
-    corner_vecs = []
+                if bc:
+                    e[c] += y * bc
+    m = lcm(*(c.denominator for c in e))
+    z = tuple(c.numerator * (m // c.denominator) for c in e)
+    dm = scale * m
+    if any(rule_product(rule, v, z, n, 0) != tuple(dm * x for x in v)
+           for v in basis):
+        return not_corner
+    corner = Echelon(n)
     for k in range(n):
-        bk = algebra.basis_vector(k)
-        corner_vecs.append(mulc(mulc(e, bk), e))
-    corner_span = echelonize(corner_vecs, ambient_dim=n)
-    if corner_span != e_span:
-        return CornerReport(is_corner=False, idempotent=None, factor_dim=None,
-                            is_full=False, is_zero=False)
+        bk = tuple(int(t == k) for t in range(n))
+        corner.add(rule_product(rule, z, rule_product(rule, bk, z, n, 0), n, 0))
+        if corner.dim > d:
+            return not_corner
+    if corner.to_subspace() != e_span:
+        return not_corner
+    e = tuple(e)
     return CornerReport(is_corner=True, idempotent=AlgElement(algebra, e),
-                        factor_dim=e_span.dim, is_full=(e == algebra.unit),
+                        factor_dim=d, is_full=(e == algebra.unit),
                         is_zero=False)
 
 

@@ -26,6 +26,11 @@ from .linalg import Subspace, ratio
 from .obstruction import ObstructionGraph
 
 
+# Levels of "matrix" descriptors one algebra descriptor may nest. Each level
+# is built in turn, and the loader recurses once per level.
+MAX_MATRIX_NESTING = 8
+
+
 class SchemaError(ObstructorError, ValueError):
     """Malformed JSON payload; the message names the offending path."""
 
@@ -75,7 +80,8 @@ def algebra_to_json(alg: StructureAlgebra) -> dict:
     return out
 
 
-def algebra_from_json(obj, where: str = "algebra") -> StructureAlgebra:
+def algebra_from_json(obj, where: str = "algebra",
+                      _nesting: int = 0) -> StructureAlgebra:
     if not isinstance(obj, Mapping):
         raise SchemaError(f"{where}: expected an object")
     kind = obj.get("kind")
@@ -91,7 +97,11 @@ def algebra_from_json(obj, where: str = "algebra") -> StructureAlgebra:
         g = obj.get("g")
         if not _is_int(g) or g < 1:
             raise SchemaError(f"{where}.g: expected a positive integer")
-        return matrix_algebra(algebra_from_json(obj.get("base"), f"{where}.base"), g)
+        if _nesting == MAX_MATRIX_NESTING:
+            raise SchemaError(f"{where}: matrix descriptors nested more than "
+                              f"{MAX_MATRIX_NESTING} deep")
+        base = algebra_from_json(obj.get("base"), f"{where}.base", _nesting + 1)
+        return matrix_algebra(base, g)
     if kind == "split":
         g = obj.get("g")
         if not _is_int(g) or g < 1:

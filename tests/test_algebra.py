@@ -23,7 +23,7 @@ from obstructor.algebra import (
     reduced_trace,
     split_model,
 )
-from obstructor.arith import factorint
+from obstructor.arith import MR_EXACT_BELOW, factorint, is_prime
 from obstructor.errors import (
     AlgebraValidationError,
     AssociativityError,
@@ -159,6 +159,20 @@ def test_factorint_within_the_pollard_rho_budget():
     # (10^24 + 7)(3 * 10^24 + 7): each factor needs about 10^12 rho steps.
     with pytest.raises(FactoringError):
         factorint(3000000000000000000000028000000000000000000000049)
+
+
+def test_is_prime_exact_below_the_base_41_bound():
+    # The least strong pseudoprime to the bases 2..37 (Sorenson & Webster).
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    # The least one to the bases 2..41 passes, so it bounds exactness.
+    assert is_prime(MR_EXACT_BELOW)
+    assert is_prime(41) and not is_prime(41 * 43)
+    assert factorint(2 ** 61 - 1) == {2 ** 61 - 1: 1}
+    for n in (MR_EXACT_BELOW, 2 ** 89 - 1, 6 * (2 ** 89 - 1)):
+        with pytest.raises(FactoringError, match="cannot prove"):
+            factorint(n)
 
 
 @pytest.mark.parametrize("p,params", [

@@ -365,6 +365,11 @@ def _two_vertex_graph(base) -> str:
 _QFP2_GRAPH = _two_vertex_graph({"kind": "quaternion_for_prime", "p": 2})
 
 
+def _nested_matrix(depth: int) -> str:
+    return ('{"kind": "matrix", "g": 1, "base": ' * depth
+            + '{"kind": "quaternion_for_prime", "p": 2}' + "}" * depth)
+
+
 @pytest.mark.parametrize("argv, files, code", [
     (["verify", "--g", "2", "--p", "2", "--strict"], {}, 1),
     (["find-generator", "--g", "1", "--p", "2", "--tries", "5"], {}, 1),
@@ -382,12 +387,16 @@ _QFP2_GRAPH = _two_vertex_graph({"kind": "quaternion_for_prime", "p": 2})
     (["obstruction", "--graph", "{tmp}", "--vertex", "1"], {}, 2),
     (["obstruction", "--graph", "{graph}", "--vertex", "1"],
      {"graph": "[" * 200_000 + "]" * 200_000}, 2),
+    (["hilbert", "--a", "318665857834031151167461", "--b", "-1"], {}, 2),
+    (["corner", "--algebra", "{algebra}", "--elements", "{elements}"],
+     {"algebra": _nested_matrix(900), "elements": '[["1", "0", "0", "0"]]'}, 2),
     (["obstruction", "--graph", "{graph}", "--vertex", "1"],
      {"graph": _QFP2_GRAPH}, 3),
 ], ids=["verify-strict", "find-generator-g1", "corner-non-unital",
         "vertex-out-of-range", "find-generator-g0", "divisor-r0",
         "hilbert-semiprime", "graph-semiprime-base", "graph-is-directory",
-        "graph-deep-array", "internal-error"])
+        "graph-deep-array", "hilbert-strong-pseudoprime",
+        "corner-deep-matrix-nesting", "internal-error"])
 def test_exit_code_routes(runner, tmp_path, monkeypatch, argv, files, code):
     """0 success, 1 verification failure, 2 usage or library error, 3 internal
     error; every route ends promptly and none prints a traceback. Exit 3 has no

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -303,9 +304,94 @@ def test_echelon_full_rank_basis_is_identity():
         tuple(F(int(i == k)) for k in range(3)) for i in range(3))
 
 
-def test_echelon_rows_are_primitive_integers():
+def _dense_rows(ech):
+    """The integer rows of ``ech`` with the pivot entries filled in."""
+    out = []
+    for i, pc in enumerate(ech.piv_cols):
+        row = [0] * ech.ambient
+        row[pc] = ech.den
+        for k, x in zip(ech.free, ech.rows[i]):
+            row[k] = x
+        out.append(row)
+    return out
+
+
+def _abs_det(m):
+    m = [[F(x) for x in row] for row in m]
+    det = F(1)
+    for i in range(len(m)):
+        p = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if p is None:
+            return 0
+        m[i], m[p] = m[p], m[i]
+        det *= m[i][i]
+        for r in range(i + 1, len(m)):
+            f = m[r][i] / m[i][i]
+            m[r] = [a - f * b for a, b in zip(m[r], m[i])]
+    return abs(det)
+
+
+def _primitive(v):
+    den = 1
+    for x in v:
+        den = den * F(x).denominator // gcd(den, F(x).denominator)
+    w = [int(F(x) * den) for x in v]
+    g = gcd(*w)
+    return [x // g for x in w] if g else w
+
+
+def _assert_gauss_jordan(ech, grown):
+    rows = _dense_rows(ech)
+    assert sorted(ech.piv_cols) == ech.piv_cols
+    assert sorted(ech.free + ech.piv_cols) == list(range(ech.ambient))
+    for row, pc in zip(rows, ech.piv_cols):
+        assert all(type(x) is int for x in row)
+        assert row[pc] == ech.den > 0
+        assert not any(row[:pc])
+        assert not any(row[other] for other in ech.piv_cols if other != pc)
+    if ech.sylvester:
+        # Catches a // that silently floors in the Sylvester update.
+        assert ech.den == _abs_det([[w[pc] for pc in ech.piv_cols] for w in grown])
+    else:
+        # den is the least common denominator of the reduced basis.
+        assert gcd(ech.den, *(x for row in rows for x in row)) == 1
+    return ech.sylvester
+
+
+def test_echelon_rows_are_fraction_free_gauss_jordan():
     ech = Echelon(3)
     ech.add((F(2, 3), F(4, 9), 0))
+    assert _assert_gauss_jordan(ech, [[3, 2, 0]])
+    assert _dense_rows(ech) == [[3, 2, 0]] and ech.den == 3
     ech.add((0, F(-6, 5), F(9, 5)))
-    assert ech.rows == [((0, 3), (1, 2)), ((1, 2), (2, -3))]
+    # The determinant 6 shares the factor 3 with every row: it is divided out.
+    assert not _assert_gauss_jordan(ech, [[3, 2, 0], [0, -2, 3]])
+    assert _dense_rows(ech) == [[2, 0, 2], [0, 2, -3]] and ech.den == 2
     assert ech.basis_vectors() == ((F(1), F(0), F(1)), (F(0), F(1), F(-3, 2)))
+    rng = random.Random(6)
+    forms = []
+    for trial in range(200):
+        if trial % 2:
+            n = rng.randint(1, 7)
+            vecs = _random_vectors(rng, n)
+        else:
+            n = rng.randint(3, 8)
+            # Large combinations of a small basis, then unit vectors: the
+            # determinant outgrows the reduced basis, and later growth runs
+            # on the least common denominator.
+            small = [[rng.randint(-2, 2) for _ in range(n)]
+                     for _ in range(rng.randint(1, n - 2))]
+            vecs = []
+            for _ in range(len(small) + 1):
+                coeffs = [rng.randint(-10 ** 4, 10 ** 4) for _ in small]
+                vecs.append([sum(c * b[k] for c, b in zip(coeffs, small))
+                             for k in range(n)])
+            vecs += [[int(k == t) for k in range(n)] for t in range(n)]
+        ech, grown = Echelon(n), []
+        for v in vecs:
+            grew = ech.add(v)
+            if grew:
+                grown.append(_primitive(v))
+            forms.append((_assert_gauss_jordan(ech, grown),
+                          grew and not ech.is_full()))
+    assert forms.count((True, True)) > 200 and forms.count((False, True)) > 100

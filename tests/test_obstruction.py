@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from obstructor.algebra import (
+    AlgElement,
     DMatrix,
     matrix_algebra,
     matrix_unit,
@@ -12,12 +13,13 @@ from obstructor.algebra import (
     rationals,
     reduced_norm,
 )
+from obstructor.closure import subrng_closure
 from obstructor.errors import (
     CoverValidationError,
     GraphValidationError,
     MapValidationError,
 )
-from obstructor.linalg import echelonize
+from obstructor.linalg import echelonize, solve_linear
 from obstructor.obstruction import (
     CornerReport,
     Cover,
@@ -35,6 +37,7 @@ from obstructor.obstruction import (
     specialize_transform,
     transport_span,
 )
+from obstructor.witness import build_r3_graph
 
 D2 = quaternion_for_prime(2)
 HAMILTON = quaternion_algebra(-1, -1)
@@ -441,3 +444,154 @@ def test_power_scaling_invariance():
                                matrix_algebra(D2, g.size(1)))
     assert flag_nonliftable(rep, True).verdict == \
         flag_nonliftable(rep_scaled, True).verdict
+
+
+# -- corner detection against the Fraction kernel ------------------------------
+
+
+def _reference_corner(e_span, algebra):
+    """corner_detect computed with Fraction products and the Fraction solve:
+    the two-sided unit from the left-unit system, idempotency, and equality
+    with span{e * b_k * e}."""
+    n = algebra.dim
+    if e_span.dim == 0:
+        return CornerReport(True, algebra.zero(), 0, False, True)
+    if e_span.is_full():
+        return CornerReport(True, algebra.one(), n, True, False)
+    no = CornerReport(False, None, None, False, False)
+    basis = e_span.basis
+    mulc = algebra.mul_coeffs
+    rows, rhs = [], []
+    for v in basis:
+        left = [mulc(u, v) for u in basis]
+        for c in range(n):
+            rows.append(tuple(col[c] for col in left))
+            rhs.append(v[c])
+    sol = solve_linear(tuple(rows), tuple(rhs))
+    if sol is None:
+        return no
+    e = tuple(sum((x * u[c] for x, u in zip(sol, basis)), F(0)) for c in range(n))
+    if any(mulc(v, e) != v for v in basis) or mulc(e, e) != e:
+        return no
+    corner = echelonize([mulc(mulc(e, algebra.basis_vector(k)), e)
+                         for k in range(n)], ambient_dim=n)
+    if corner != e_span:
+        return no
+    return CornerReport(True, AlgElement(algebra, e), e_span.dim,
+                        e == algebra.unit, False)
+
+
+def _scalar_matrix(alg, entries):
+    """The element of M_n(base) with rational entries times the base unit."""
+    base, n = alg.matrix_base, alg.matrix_size
+    out = alg.zero()
+    for r in range(n):
+        for c in range(n):
+            if entries[r][c]:
+                out = out + matrix_unit(alg, r + 1, c + 1) * entries[r][c]
+    return out
+
+
+def _random_idempotent(rng, alg):
+    """V [[I_k, X], [0, 0]] V^-1 with X over the base and V = I + N for a
+    strictly lower triangular rational N, so V^-1 = sum (-N)^i exactly."""
+    base, n = alg.matrix_base, alg.matrix_size
+    k = rng.randint(1, n - 1) if n > 1 else 1
+    p = alg.zero()
+    for i in range(1, k + 1):
+        p = p + matrix_unit(alg, i, i)
+        for j in range(k + 1, n + 1):
+            if rng.random() < 0.7:
+                x = base.element(tuple(F(rng.randint(-2, 2), rng.choice((1, 2)))
+                                       for _ in range(base.dim)))
+                p = p + matrix_unit(alg, i, j, x)
+    nil = _scalar_matrix(alg, [[F(rng.randint(-2, 2)) if c < r else 0
+                                for c in range(n)] for r in range(n)])
+    v, v_inv, power = alg.one() + nil, alg.one(), alg.one()
+    for _ in range(n - 1):
+        power = power * (-nil)
+        v_inv = v_inv + power
+    assert (v * v_inv).coeffs == alg.unit
+    return v * p * v_inv
+
+
+def _corner_cases():
+    """About 200 (span, algebra) pairs: loop spans of random graphs, corners
+    and one-sided ideals of random idempotents, block embeddings, zero and
+    full spans, and algebras whose constants have denominators."""
+    from test_closure import _rescaled
+
+    rng = random.Random(4242)
+    for p in (2, 3, 5):
+        base = quaternion_for_prime(p)
+        for sizes, count in (((3, 1, 1), 2), ((2, 2), 4), ((1, 2, 1), 2)):
+            for _ in range(count):
+                edges = {}
+                for i in range(1, len(sizes) + 1):
+                    for j in range(i + 1, len(sizes) + 1):
+                        edges[(i, j)] = DMatrix.from_entries(base, [
+                            [rand_elt(rng, base, 3) for _ in range(sizes[i - 1])]
+                            for _ in range(sizes[j - 1])])
+                g = ObstructionGraph(base, sizes, edges)
+                for v in range(1, g.r + 1):
+                    yield (compute_obstruction(g, v),
+                           matrix_algebra(base, g.size(v)))
+    h_rescaled = _rescaled(quaternion_algebra(1, 1), [F(1, 2), F(3, 5), 2, F(-7, 3)])
+    algebras = [matrix_algebra(rationals(), 2), matrix_algebra(rationals(), 3),
+                matrix_algebra(rationals(), 4), matrix_algebra(D2, 2),
+                matrix_algebra(quaternion_for_prime(3), 2),
+                matrix_algebra(h_rescaled, 2)]
+    for alg in algebras:
+        n = alg.dim
+        basis = [alg.basis_vector(k) for k in range(n)]
+        yield echelonize([], ambient_dim=n), alg
+        yield echelonize(basis), alg
+        for t in range(10):
+            p = _random_idempotent(rng, alg).coeffs
+            mul = alg.mul_coeffs
+            yield echelonize([mul(mul(p, b), p) for b in basis]), alg
+            if t % 3 == 0:
+                yield echelonize([mul(p, b) for b in basis]), alg
+            elif t % 3 == 1:
+                yield echelonize([mul(b, p) for b in basis]), alg
+            else:
+                extra = [rng.randint(-1, 1) for _ in range(n)]
+                yield echelonize([mul(mul(p, b), p) for b in basis] + [extra]), alg
+    rescaled = _rescaled(matrix_algebra(rationals(), 3),
+                         [F(1, 2), 3, F(2, 5), F(7, 3), F(-1, 6), 1, F(5, 4),
+                          F(3, 7), 2])
+    for t in range(12):
+        gens = [rescaled.element(tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                                       for _ in range(9)))
+                for _ in range(1 + t % 3)]
+        yield subrng_closure(rescaled, gens).span, rescaled
+        e = rescaled.element((1, 0, 0, 0, 0, 0, 0, 0, 0))
+        yield echelonize([(e * rescaled.basis_element(k) * e).coeffs
+                          for k in range(9)] + [g.coeffs for g in gens[:t % 2]],
+                         ambient_dim=9), rescaled
+    for p in (2, 3, 5, 7):
+        m3 = matrix_algebra(quaternion_for_prime(p), 3)
+        for skip in (3, 2):
+            yield echelonize([matrix_unit(m3, r, c, quaternion_for_prime(p)
+                                          .basis_element(t)).coeffs
+                              for r in (1, 2, 3) for c in (1, 2, 3)
+                              for t in range(4) if skip not in (r, c)]), m3
+    g = ObstructionGraph(D2, (3, 3, 3), {
+        k: DMatrix.from_entries(D2, [
+            [m.entries[r][c] if r < 2 and c < 2 else D2.zero() for c in range(3)]
+            for r in range(3)])
+        for k, m in build_r3_graph(2, 2, seed=697).edges.items()})
+    yield compute_obstruction(g, 1), matrix_algebra(D2, 3)
+
+
+def test_corner_detect_matches_fraction_kernel_seeded():
+    outcomes = []
+    for t, (span, alg) in enumerate(_corner_cases()):
+        rep = corner_detect(span, alg)
+        assert rep == _reference_corner(span, alg), t
+        outcomes.append((rep.is_corner, rep.is_zero, rep.is_full))
+    assert len(outcomes) >= 200
+    # Every kind of answer occurs: proper corners, non-corners, zero, full.
+    assert outcomes.count((True, False, False)) >= 50
+    assert outcomes.count((False, False, False)) >= 50
+    assert (True, True, False) in outcomes and (True, False, True) in outcomes

@@ -7,11 +7,17 @@ deeper nest builds algebras of dimension 256 or more, and building one takes
 seconds (dimension 1024 about 25 s), too long for a thousand examples.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from obstructor.errors import ObstructorError
-from obstructor.serialize import algebra_from_json, graph_from_json
+from obstructor.serialize import (
+    MAX_MATRIX_NESTING,
+    SchemaError,
+    algebra_from_json,
+    graph_from_json,
+)
 
 _FUZZ = settings(derandomize=True, max_examples=1000, deadline=None,
                  database=None, suppress_health_check=list(HealthCheck))
@@ -116,3 +122,12 @@ def test_graph_from_json_raises_only_obstructor_errors(payload):
         graph_from_json(payload)
     except ObstructorError:
         pass
+
+
+def test_matrix_nesting_cap():
+    desc = {"kind": "quaternion_for_prime", "p": 2}
+    for _ in range(MAX_MATRIX_NESTING):
+        desc = {"kind": "matrix", "g": 1, "base": desc}
+    assert algebra_from_json(desc).dim == 4
+    with pytest.raises(SchemaError, match="nested more than"):
+        algebra_from_json({"kind": "matrix", "g": 1, "base": desc})
