@@ -28,8 +28,9 @@ MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases ``_MR_BASES``: exact for ``n`` below
-    :data:`MR_EXACT_BELOW`; above it a False is still a proof."""
+    """Miller-Rabin to the bases ``_MR_BASES``, exact for ``n`` below
+    :data:`MR_EXACT_BELOW`. Above it a False is still a proof, but a pass is
+    not: that raises :class:`FactoringError` instead of returning True."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -50,6 +51,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= MR_EXACT_BELOW:
+        raise FactoringError(f"cannot prove a {len(str(n))}-digit integer prime: "
+                             f"Miller-Rabin is exact only below {MR_EXACT_BELOW}")
     return True
 
 
@@ -80,8 +84,8 @@ def factorint(n: int) -> dict[int, int]:
     """Prime factorization of ``|n|`` as ``{prime: exponent}``; 0 and units -> {}.
 
     Raises :class:`FactoringError` when the splits need more than
-    ``RHO_STEPS`` Pollard rho steps in all, or when a cofactor at or above
-    :data:`MR_EXACT_BELOW` passes Miller-Rabin and so is not proven prime.
+    ``RHO_STEPS`` Pollard rho steps in all, or when :func:`is_prime` cannot
+    prove a cofactor prime.
     """
     n = abs(n)
     out: dict[int, int] = {}
@@ -98,10 +102,6 @@ def factorint(n: int) -> dict[int, int]:
         if m == 1:
             continue
         if is_prime(m):
-            if m >= MR_EXACT_BELOW:
-                raise FactoringError(f"cannot prove a {len(str(m))}-digit cofactor "
-                                     f"prime: Miller-Rabin is exact only below "
-                                     f"{MR_EXACT_BELOW}")
             out[m] = out.get(m, 0) + 1
             continue
         d, budget = _pollard_rho(m, budget)

@@ -82,4 +82,5 @@ class InhomogeneousTermError(PolynomialError):
 
 
 class FactoringError(ObstructorError, ArithmeticError):
-    """An integer could not be factored within the Pollard rho step budget."""
+    """An integer could not be factored within the Pollard rho step budget,
+    or a Miller-Rabin pass could not be proven to mean prime."""

@@ -106,13 +106,17 @@ class Echelon:
     While ``sylvester`` holds, ``den`` is the absolute determinant of the
     primitive vectors that grew the span on the pivot columns, ``a`` is the
     next one, and each row becomes ``(a*row - row[q]*residual) // den``,
-    exact by Sylvester's identity (Bareiss, Math. Comp. 1968). When the span
-    has a much simpler basis than the vectors that grew it, that determinant
-    outgrows the basis: once ``den`` and the rows share a factor above
-    sqrt(``den``), it is divided out and ``sylvester`` turns False for good.
-    Each later growth forms ``a*row - row[q]*residual`` and the new row
-    ``den*residual`` over ``den*a`` and divides out their gcd, so ``den``
-    stays the least common denominator of the basis.
+    exact by Sylvester's identity (Bareiss, Math. Comp. 1968), with no gcd
+    over the rows. When the span has a much simpler basis than the vectors
+    that grew it, that determinant outgrows the least common denominator of
+    the basis: once ``den`` and the rows share a factor above sqrt(``den``),
+    so that ``den`` is over twice as long as it needs to be, it is divided
+    out (a smaller factor costs less to carry than a gcd over every row on
+    every growth), and as ``den`` is then no longer the determinant,
+    ``sylvester`` turns False for good. Each later growth forms
+    ``a*row - row[q]*residual`` and the new row ``den*residual`` over
+    ``den*a`` and divides out their gcd, so ``den`` stays the least common
+    denominator of the basis.
     """
 
     __slots__ = ("ambient", "den", "piv_cols", "free", "rows", "sylvester")
@@ -292,11 +296,6 @@ def echelonize(rows: Sequence[Iterable], ambient_dim: Optional[int] = None) -> S
                 "ambient_dim is required for an empty row list"
             )
         ambient_dim = len(rows[0])
-    for r in rows:
-        if len(r) != ambient_dim:
-            raise DimensionMismatchError(
-                f"row length {len(r)} does not match ambient {ambient_dim}"
-            )
     return Subspace(ambient_dim, rows)
 
 

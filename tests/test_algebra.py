@@ -166,10 +166,16 @@ def test_is_prime_exact_below_the_base_41_bound():
     assert 399165290221 * 798330580441 == 318665857834031151167461
     assert not is_prime(318665857834031151167461)
     assert is_prime(399165290221) and is_prime(798330580441)
-    # The least one to the bases 2..41 passes, so it bounds exactness.
-    assert is_prime(MR_EXACT_BELOW)
     assert is_prime(41) and not is_prime(41 * 43)
     assert factorint(2 ** 61 - 1) == {2 ** 61 - 1: 1}
+    # The least one to the bases 2..41 passes, so it bounds exactness: at and
+    # above it a pass is no proof, while a failure still is.
+    assert not is_prime((2 ** 61 - 1) * (2 ** 31 - 1))
+    for n in (MR_EXACT_BELOW, 2 ** 89 - 1):
+        with pytest.raises(FactoringError, match="cannot prove"):
+            is_prime(n)
+        with pytest.raises(FactoringError, match="cannot prove"):
+            hilbert_symbol(1, 1, n)
     for n in (MR_EXACT_BELOW, 2 ** 89 - 1, 6 * (2 ** 89 - 1)):
         with pytest.raises(FactoringError, match="cannot prove"):
             factorint(n)

@@ -388,6 +388,8 @@ def _nested_matrix(depth: int) -> str:
     (["obstruction", "--graph", "{graph}", "--vertex", "1"],
      {"graph": "[" * 200_000 + "]" * 200_000}, 2),
     (["hilbert", "--a", "318665857834031151167461", "--b", "-1"], {}, 2),
+    (["hilbert", "--a", "1", "--b", "1", "--place", "3317044064679887385961981"],
+     {}, 2),
     (["corner", "--algebra", "{algebra}", "--elements", "{elements}"],
      {"algebra": _nested_matrix(900), "elements": '[["1", "0", "0", "0"]]'}, 2),
     (["obstruction", "--graph", "{graph}", "--vertex", "1"],
@@ -396,7 +398,7 @@ def _nested_matrix(depth: int) -> str:
         "vertex-out-of-range", "find-generator-g0", "divisor-r0",
         "hilbert-semiprime", "graph-semiprime-base", "graph-is-directory",
         "graph-deep-array", "hilbert-strong-pseudoprime",
-        "corner-deep-matrix-nesting", "internal-error"])
+        "hilbert-place-beyond-exact-bound", "corner-deep-matrix-nesting", "internal-error"])
 def test_exit_code_routes(runner, tmp_path, monkeypatch, argv, files, code):
     """0 success, 1 verification failure, 2 usage or library error, 3 internal
     error; every route ends promptly and none prints a traceback. Exit 3 has no
