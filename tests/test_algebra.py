@@ -27,6 +27,7 @@ from obstructor.arith import MR_EXACT_BELOW, factorint, is_prime
 from obstructor.errors import (
     AlgebraValidationError,
     AssociativityError,
+    DimensionMismatchError,
     FactoringError,
     InvolutionError,
     UnitError,
@@ -73,6 +74,161 @@ def test_make_algebra_rejects_non_antimultiplicative_involution():
     rows[3] = (0, 0, 0, 1)  # fix k, keep i,j negated: breaks sigma(ij)
     with pytest.raises(InvolutionError):
         make_algebra(4, dict(D._sc), unit=D.unit, involution=tuple(rows))
+
+
+def test_make_algebra_rejects_out_of_range_output_index():
+    for k in (-1, 5):
+        with pytest.raises(DimensionMismatchError):
+            make_algebra(2, {(0, 0): ((k, 1),)})
+
+
+# -- the Fraction construction checks, as they ran before the integer ones ----
+
+
+def _reference_mul(sc, tx, ty):
+    acc = {}
+    for i, xi in tx:
+        for j, yj in ty:
+            for k, c in sc.get((i, j), ()):
+                acc[k] = acc.get(k, F(0)) + xi * yj * c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _reference_checks(dim, sc, unit, involution, labels):
+    """Associativity, the unit law and the involution axioms in Fraction
+    arithmetic on the canonical sparse constants ``sc``."""
+    right, left = {}, {}
+    for (i, j) in sc:
+        right.setdefault(i, []).append(j)
+        left.setdefault(j, []).append(i)
+    residue = {}
+    for (i, j), terms in sc.items():
+        for m, c in terms:
+            for k in right.get(m, ()):
+                for q, d in sc[(m, k)]:
+                    residue[(i, j, k, q)] = residue.get((i, j, k, q), F(0)) + c * d
+    for (j, k), terms in sc.items():
+        for m, c in terms:
+            for i in left.get(m, ()):
+                for q, d in sc[(i, m)]:
+                    residue[(i, j, k, q)] = residue.get((i, j, k, q), F(0)) - c * d
+    for (i, j, k, q) in sorted(residue):
+        val = residue[(i, j, k, q)]
+        if val:
+            raise AssociativityError(
+                (labels[i], labels[j], labels[k]),
+                f"(xy)z - x(yz) has coefficient {val} at {labels[q]}")
+    if unit is not None:
+        tu = tuple((k, c) for k, c in enumerate(unit) if c)
+        for j in range(dim):
+            ej = ((j, F(1)),)
+            if _reference_mul(sc, tu, ej) != {j: 1} or _reference_mul(sc, ej, tu) != {j: 1}:
+                raise UnitError(labels[j])
+    if involution is None:
+        return
+    inv = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in involution)
+    for j in range(dim):
+        acc = {}
+        for m, c in inv[j]:
+            for k, d in inv[m]:
+                acc[k] = acc.get(k, F(0)) + c * d
+        if {k: c for k, c in acc.items() if c} != {j: 1}:
+            raise InvolutionError(labels[j], "sigma(sigma(x)) != x")
+    for i in range(dim):
+        for j in range(dim):
+            lhs = {}
+            for m, c in sc.get((i, j), ()):
+                for k, d in inv[m]:
+                    lhs[k] = lhs.get(k, F(0)) + c * d
+            if {k: c for k, c in lhs.items() if c} != _reference_mul(sc, inv[j], inv[i]):
+                raise InvolutionError((labels[i], labels[j]),
+                                      "sigma(xy) != sigma(y)sigma(x)")
+    if unit is not None:
+        image = [F(0)] * dim
+        for t, a in enumerate(unit):
+            for k, c in inv[t]:
+                image[k] += a * c
+        if tuple(image) != tuple(unit):
+            raise InvolutionError("1", "sigma(1) != 1")
+
+
+def _outcome(check):
+    try:
+        check()
+    except AlgebraValidationError as exc:
+        witness = getattr(exc, "triple", getattr(exc, "label", getattr(exc, "witnesses", None)))
+        return type(exc), witness, str(exc)
+    return None
+
+
+def _rescaled_tables(alg, scales):
+    """The constants, unit and involution of ``alg`` on the basis s_t * b_t."""
+    n = alg.dim
+    sc = {}
+    for i in range(n):
+        for j in range(n):
+            prod = alg.mul_coeffs(alg.basis_vector(i), alg.basis_vector(j))
+            terms = tuple((k, c * scales[i] * scales[j] / scales[k])
+                          for k, c in enumerate(prod) if c)
+            if terms:
+                sc[(i, j)] = terms
+    unit = tuple(c / s for c, s in zip(alg.unit, scales))
+    inv = tuple(tuple(scales[j] * c / scales[k] for k, c in enumerate(row))
+                for j, row in enumerate(alg.involution))
+    return sc, unit, inv
+
+
+def _bump(row, k, delta):
+    row = list(row)
+    row[k] += delta
+    return tuple(row)
+
+
+def test_integer_checks_match_the_fraction_checks_seeded():
+    tables = [(alg.dim, dict(alg._sc), alg.unit, alg.involution, alg.basis_labels)
+              for alg in (matrix_algebra(quaternion_algebra(F(-1, 2), -3), 2),
+                          matrix_algebra(quaternion_for_prime(2), 2),
+                          matrix_algebra(quaternion_for_prime(3), 2),
+                          matrix_algebra(quaternion_for_prime(5), 2),
+                          split_model(2))]
+    q3 = matrix_algebra(rationals(), 3)
+    tables.append((9, *_rescaled_tables(
+        q3, [F(1, 2), 3, F(2, 5), F(7, 3), F(-1, 6), 1, F(5, 4), F(3, 7), 2]),
+        q3.basis_labels))
+    rng = random.Random(7)
+    cases = []
+    for dim, sc, unit, inv, labels in tables:
+        cases.append((dim, sc, unit, inv, labels))
+        fixed = [j for j, row in enumerate(inv) if [k for k, c in enumerate(row) if c] == [j]]
+        for trial in range(16):
+            delta = F(rng.choice((-2, -1, 1, 3)), 1 if trial % 2 else rng.choice((2, 3, 5)))
+            k = rng.randrange(dim)
+            kind = trial % 4
+            if kind == 0:
+                key = rng.choice(sorted(sc))
+                dense = [F(0)] * dim
+                for t, c in sc[key]:
+                    dense[t] = c
+                bent = dict(sc)
+                bent[key] = tuple((t, c) for t, c in enumerate(_bump(dense, k, delta)) if c)
+                cases.append((dim, bent, unit, inv, labels))
+            elif kind == 1:
+                cases.append((dim, sc, _bump(unit, k, delta), inv, labels))
+            else:
+                # An entry of sigma bumped, or the image of a basis element
+                # that sigma fixes up to sign negated: sigma stays an
+                # involution, but not anti-multiplicative.
+                j = rng.randrange(dim) if kind == 2 else rng.choice(fixed)
+                row = _bump(inv[j], k, delta) if kind == 2 else tuple(-c for c in inv[j])
+                cases.append((dim, sc, unit, inv[:j] + (row,) + inv[j + 1:], labels))
+    failures = set()
+    for dim, sc, unit, inv, labels in cases:
+        got = _outcome(lambda: make_algebra(dim, sc, unit=unit, involution=inv,
+                                            basis_labels=labels))
+        assert got == _outcome(lambda: _reference_checks(dim, sc, unit, inv, labels))
+        if got is not None:
+            failures.add(got[0])
+    assert failures == {AssociativityError, UnitError, InvolutionError}
 
 
 def test_quaternion_hamilton_table():

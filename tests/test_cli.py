@@ -234,6 +234,35 @@ def test_corner_non_unital_algebra_is_usage_error(runner, tmp_path):
     assert "unital" in res.output
 
 
+_IDEMPOTENT_PAIR = [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]
+
+
+@pytest.mark.parametrize("descriptor, line", [
+    ({"consts": [[["0", "1"], ["1", "0"]], [["0", "0"], ["0", "0"]]]},
+     "associativity fails on basis triple ('b0', 'b0', 'b0'): "
+     "(xy)z - x(yz) has coefficient -1 at b0"),
+    ({"consts": [[["0", "1/2"], ["1", "0"]], [["0", "0"], ["0", "0"]]]},
+     "associativity fails on basis triple ('b0', 'b0', 'b0'): "
+     "(xy)z - x(yz) has coefficient -1/2 at b0"),
+    ({"consts": _IDEMPOTENT_PAIR, "unit": ["1", "0"]},
+     "unit law fails on basis element b1"),
+    ({"consts": _IDEMPOTENT_PAIR, "unit": ["1", "1"],
+      "involution": [["1", "0"], ["1", "0"]]},
+     "involution axiom fails on b1: sigma(sigma(x)) != x"),
+], ids=["associativity", "associativity-denominator", "unit", "involution"])
+def test_corner_invalid_custom_algebra_error_line(runner, tmp_path, descriptor, line):
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"kind": "custom", "dim": 2, **descriptor}),
+                   encoding="utf-8")
+    elems = tmp_path / "span.json"
+    elems.write_text(json.dumps([["1", "0"]]), encoding="utf-8")
+    res = runner.invoke(main, ["corner", "--algebra", str(alg),
+                               "--elements", str(elems)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"Error: {line}\n"
+
+
 def test_hilbert_table(runner):
     res = runner.invoke(main, ["hilbert", "--a", "-1", "--b", "-1"])
     assert res.exit_code == 0
