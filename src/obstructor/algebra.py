@@ -1,12 +1,14 @@
 """Finite-dimensional associative Q-algebras given by structure constants.
 
-The constructors here validate everything they claim: associativity on all
-basis triples, the unit law, and the involution axioms. Validation walks the
-sparse structure-constant table instead of all dense triples, in exact
-integer arithmetic on the constants scaled by their common denominators.
-``matrix_algebra(quaternion_for_prime(2), g)`` builds and validates in about
-0.04 s at g = 5 (dimension 100), 0.07 s at g = 6 and 0.22 s at g = 8
-(dimension 256), on one core of a 2-vCPU x86-64 machine under CPython 3.11.
+Every construction validates everything it claims: associativity on all
+basis triples, the unit law, and the involution axioms. An algebra stores its
+structure constants once, as a sparse ``rule``, and its involution once, as
+sparse rows. Validation walks that table instead of all dense triples, in
+exact integer arithmetic on the constants scaled by their common
+denominators. ``matrix_algebra(quaternion_for_prime(2), g)`` builds and
+validates in about 0.05 s at g = 6, 0.13 s at g = 8 (dimension 256), 0.7 s at
+g = 12 and 2-2.7 s at g = 16 (dimension 1024, the cap :data:`MAX_DIM`; peak
+RSS 35 MB), on one core of a 2-vCPU x86-64 machine under CPython 3.11.
 
 Also provides the quaternion-algebra constructors with local ramification
 checks (Hilbert symbols), matrix algebras over an involutive base, the
@@ -43,9 +45,21 @@ Rule = tuple[tuple[tuple[int, int, Fraction], ...], ...]
 INF = "inf"
 Place = Union[int, str]
 
+# The largest algebra dimension, and the largest hom space base.dim * g_a * g_b
+# of a graph (see the README for the measured cost at the cap).
+MAX_DIM = 1024
+
 
 def _sparse(v: Vec) -> Terms:
     return tuple((k, c) for k, c in enumerate(v) if c)
+
+
+def _coeffs(v, dim: int) -> Vec:
+    out = vector(v)
+    if len(out) != dim:
+        raise DimensionMismatchError(
+            f"coefficient vector of length {len(out)} in a dim-{dim} algebra")
+    return out
 
 
 def rule_product(rule: Rule, u: Vec, v: Vec, out_len: int, zero=_ZERO) -> Vec:
@@ -81,26 +95,24 @@ def _integral_rows(rows: tuple[Terms, ...]) -> tuple[tuple, int]:
 class StructureAlgebra:
     """Associative Q-algebra with basis ``b_0 .. b_{n-1}`` and exact constants.
 
-    ``struct_consts`` may be given densely (``consts[i][j]`` is the coefficient
-    vector of ``b_i * b_j``) or sparsely as ``{(i, j): ((k, c), ...)}``. The
-    optional involution is specified by its images: row ``j`` holds the
-    coordinates of the image of ``b_j``. ``rule`` is the same table in the
-    layout of :func:`rule_product`.
+    The constructor takes the canonical forms: ``rule`` in the layout of
+    :func:`rule_product` and, optionally, a dense unit and the involution as
+    sparse rows (row ``j`` lists the ``(k, c)`` of the image of ``b_j``). It
+    always checks associativity, the unit law and the involution axioms.
+    :func:`make_algebra` parses the public layouts into these forms.
 
     Instances are immutable after construction and compare by identity, so
     they can key caches; elements carry a reference to their algebra.
     """
 
     __slots__ = (
-        "dim", "basis_labels", "unit", "involution", "_sc", "rule", "_inv_sparse",
+        "dim", "basis_labels", "unit", "rule", "inv_terms",
         "quaternion_params", "matrix_base", "matrix_size", "_rule_cache",
         "descriptor",
     )
 
-    def __init__(self, dim, struct_consts, unit=None, involution=None,
-                 basis_labels=None, _assoc_checked=False):
-        if dim < 1:
-            raise AlgebraValidationError("dimension must be positive")
+    def __init__(self, dim: int, rule: Rule, unit: Optional[Vec] = None,
+                 inv_terms: Optional[tuple[Terms, ...]] = None, basis_labels=None):
         self.dim = dim
         if basis_labels is None:
             basis_labels = tuple(f"b{t}" for t in range(dim))
@@ -108,67 +120,28 @@ class StructureAlgebra:
         if len(basis_labels) != dim:
             raise DimensionMismatchError("label count does not match dimension")
         self.basis_labels = basis_labels
-        self._sc = self._canonical_consts(struct_consts)
-        rule: list[list] = [[] for _ in range(dim)]
-        for (i, j), terms in self._sc.items():
-            rule[i].extend((j, k, c) for k, c in terms)
-        self.rule = tuple(tuple(r) for r in rule)
-        self.unit = None if unit is None else self._coeffs(unit)
-        if involution is None:
-            self.involution = None
-            self._inv_sparse = None
-        else:
-            rows = tuple(self._coeffs(r) for r in involution)
-            if len(rows) != dim:
-                raise DimensionMismatchError("involution must have one row per basis element")
-            self.involution = rows
-            self._inv_sparse = tuple(_sparse(r) for r in rows)
+        self.rule = rule
+        self.unit = unit
+        self.inv_terms = inv_terms
         self.quaternion_params = None
         self.matrix_base = None
         self.matrix_size = None
         self._rule_cache = {}
         self.descriptor = None  # JSON descriptor, set by the named constructors
-        self._validate(_assoc_checked)
+        self._check_associativity()
+        if unit is not None:
+            self._check_unit()
+        if inv_terms is not None:
+            self._check_involution()
 
-    # -- construction helpers -------------------------------------------------
-
-    def _coeffs(self, v) -> Vec:
-        out = vector(v)
-        if len(out) != self.dim:
-            raise DimensionMismatchError(
-                f"coefficient vector of length {len(out)} in a dim-{self.dim} algebra"
-            )
-        return out
-
-    def _canonical_consts(self, struct_consts) -> dict:
-        sc = {}
-        dim = self.dim
-        if isinstance(struct_consts, dict):
-            for (i, j), terms in struct_consts.items():
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise DimensionMismatchError(f"structure index {(i, j)} out of range")
-                acc: dict[int, Fraction] = {}
-                for k, c in terms:
-                    if not 0 <= k < dim:
-                        raise DimensionMismatchError(
-                            f"structure constant of {(i, j)} at index {k} out of range")
-                    acc[k] = acc.get(k, _ZERO) + ratio(c)
-                t = tuple((k, acc[k]) for k in sorted(acc) if acc[k])
-                if t:
-                    sc[(i, j)] = t
-            return sc
-        rows = list(struct_consts)
-        if len(rows) != dim:
-            raise DimensionMismatchError("structure constants must be dim x dim")
-        for i, row in enumerate(rows):
-            row = list(row)
-            if len(row) != dim:
-                raise DimensionMismatchError("structure constants must be dim x dim")
-            for j, cv in enumerate(row):
-                t = _sparse(self._coeffs(cv))
-                if t:
-                    sc[(i, j)] = t
-        return sc
+    @property
+    def involution(self) -> Optional[tuple[Vec, ...]]:
+        """Dense view of the involution: row ``j`` holds the coordinates of
+        the image of ``b_j``; None without an involution."""
+        if self.inv_terms is None:
+            return None
+        return tuple(tuple(dict(terms).get(k, _ZERO) for k in range(self.dim))
+                     for terms in self.inv_terms)
 
     # -- raw coefficient arithmetic -------------------------------------------
 
@@ -176,25 +149,17 @@ class StructureAlgebra:
         return rule_product(self.rule, x, y, self.dim)
 
     def involution_coeffs(self, x: Vec) -> Vec:
-        if self._inv_sparse is None:
+        if self.inv_terms is None:
             raise AlgebraValidationError("algebra has no involution")
         out = [_ZERO] * self.dim
         for j, xj in enumerate(x):
             if not xj:
                 continue
-            for k, c in self._inv_sparse[j]:
+            for k, c in self.inv_terms[j]:
                 out[k] += xj * c
         return tuple(out)
 
     # -- validation ------------------------------------------------------------
-
-    def _validate(self, assoc_checked=False):
-        if not assoc_checked:
-            self._check_associativity()
-        if self.unit is not None:
-            self._check_unit()
-        if self.involution is not None:
-            self._check_involution()
 
     def _check_associativity(self):
         # With the integral rule (constants D times the true ones), the entry
@@ -261,7 +226,7 @@ class StructureAlgebra:
         # and E sigma'(b_i b_j) = sigma'(b_j) sigma'(b_i), both sides D E^2
         # times the true ones under the integral rule, one left factor i at
         # a time.
-        inv, den = _integral_rows(self._inv_sparse)
+        inv, den = _integral_rows(self.inv_terms)
         labels = self.basis_labels
         n = self.dim
         square = den * den
@@ -308,7 +273,7 @@ class StructureAlgebra:
         return tuple(_ONE if k == t else _ZERO for k in range(self.dim))
 
     def element(self, coeffs) -> "AlgElement":
-        return AlgElement(self, self._coeffs(coeffs))
+        return AlgElement(self, _coeffs(coeffs, self.dim))
 
     def basis_element(self, t: int) -> "AlgElement":
         return AlgElement(self, self.basis_vector(t))
@@ -390,9 +355,45 @@ class AlgElement:
 
 def make_algebra(dim, struct_consts, unit=None, involution=None,
                  basis_labels=None) -> StructureAlgebra:
-    """Validated algebra constructor; see :class:`StructureAlgebra`."""
-    return StructureAlgebra(dim, struct_consts, unit=unit, involution=involution,
-                            basis_labels=basis_labels)
+    """Parse an algebra given in a public layout and build it, with every check.
+
+    ``struct_consts`` is dense (``consts[i][j]`` is the coefficient vector of
+    ``b_i * b_j``) or sparse (``{(i, j): ((k, c), ...)}``). The unit and each
+    involution row are dense coefficient vectors; involution row ``j`` holds
+    the coordinates of the image of ``b_j``.
+    """
+    if dim < 1:
+        raise AlgebraValidationError("dimension must be positive")
+    rule: list[list] = [[] for _ in range(dim)]
+    if isinstance(struct_consts, dict):
+        for (i, j), terms in struct_consts.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise DimensionMismatchError(f"structure index {(i, j)} out of range")
+            acc: dict[int, Fraction] = {}
+            for k, c in terms:
+                if not 0 <= k < dim:
+                    raise DimensionMismatchError(
+                        f"structure constant of {(i, j)} at index {k} out of range")
+                acc[k] = acc.get(k, _ZERO) + ratio(c)
+            rule[i].extend((j, k, acc[k]) for k in sorted(acc) if acc[k])
+    else:
+        rows = list(struct_consts)
+        if len(rows) != dim:
+            raise DimensionMismatchError("structure constants must be dim x dim")
+        for i, row in enumerate(rows):
+            row = list(row)
+            if len(row) != dim:
+                raise DimensionMismatchError("structure constants must be dim x dim")
+            for j, cv in enumerate(row):
+                rule[i].extend((j, k, c) for k, c in _sparse(_coeffs(cv, dim)))
+    if unit is not None:
+        unit = _coeffs(unit, dim)
+    if involution is not None:
+        involution = tuple(_sparse(_coeffs(r, dim)) for r in involution)
+        if len(involution) != dim:
+            raise DimensionMismatchError("involution must have one row per basis element")
+    return StructureAlgebra(dim, tuple(tuple(r) for r in rule), unit, involution,
+                            basis_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +407,7 @@ def rationals() -> StructureAlgebra:
     """Q as a dim-1 algebra with the identity involution (module-level singleton)."""
     global _rationals_cache
     if _rationals_cache is None:
-        _rationals_cache = StructureAlgebra(
+        _rationals_cache = make_algebra(
             1, {(0, 0): ((0, _ONE),)}, unit=(1,), involution=((1,),),
             basis_labels=("1",))
         _rationals_cache.descriptor = {
@@ -448,8 +449,8 @@ def quaternion_algebra(a, b) -> StructureAlgebra:
         (k, k): ((one, -a * b),),
     }
     inv = ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
-    alg = StructureAlgebra(4, sc, unit=(1, 0, 0, 0), involution=inv,
-                           basis_labels=("1", "i", "j", "k"))
+    alg = make_algebra(4, sc, unit=(1, 0, 0, 0), involution=inv,
+                       basis_labels=("1", "i", "j", "k"))
     alg.quaternion_params = (a, b)
     alg.descriptor = {"kind": "quaternion", "a": str(a), "b": str(b)}
     _quaternion_cache[key] = alg
@@ -617,13 +618,12 @@ def matrix_rule(base: StructureAlgebra, ga: int, gc: int, gb: int) -> Rule:
     return rule
 
 
-def integral_scale(algebra: StructureAlgebra,
-                   shape: Optional[tuple[int, int, int]] = None) -> int:
-    """The common denominator of the constants of ``algebra.rule`` (``shape``
-    None) or ``matrix_rule(algebra, *shape)``: the positive integer by which
-    a product under :func:`integral_rule` exceeds the true product."""
-    src = algebra.rule if shape is None else matrix_rule(algebra, *shape)
-    return lcm(*(c.denominator for bucket in src for _, _, c in bucket))
+def integral_scale(algebra: StructureAlgebra) -> int:
+    """The common denominator of the constants of ``algebra.rule``: the
+    positive integer by which a product under :func:`integral_rule` exceeds
+    the true product. ``matrix_rule(algebra, ...)`` repeats exactly these
+    constants, so it shares the scale."""
+    return lcm(*(c.denominator for bucket in algebra.rule for _, _, c in bucket))
 
 
 def integral_rule(algebra: StructureAlgebra,
@@ -637,7 +637,7 @@ def integral_rule(algebra: StructureAlgebra,
     rule = algebra._rule_cache.get(key)
     if rule is None:
         src = algebra.rule if shape is None else matrix_rule(algebra, *shape)
-        den = integral_scale(algebra, shape)
+        den = integral_scale(algebra)
         rule = tuple(tuple((j, k, c.numerator * (den // c.denominator))
                            for j, k, c in bucket) for bucket in src)
         algebra._rule_cache[key] = rule
@@ -649,35 +649,28 @@ def matrix_algebra(base: StructureAlgebra, g: int) -> StructureAlgebra:
 
     Basis order is matrix position major, base coefficient minor, so
     coefficient vectors agree with the row-major :class:`DMatrix` flattening.
+    The dimension g^2 * base.dim may not exceed :data:`MAX_DIM`.
     """
     if g < 1:
         raise AlgebraValidationError("matrix size must be positive")
-    if base.unit is None or base.involution is None:
+    if base.unit is None or base.inv_terms is None:
         raise AlgebraValidationError("matrix_algebra needs a unital base with involution")
+    d = base.dim
+    dim = g * g * d
+    if dim > MAX_DIM:
+        raise AlgebraValidationError(
+            f"M_{g} over a dim-{d} base has dimension {dim}, above the cap {MAX_DIM}")
     key = (base, g)
     cached = _matrix_cache.get(key)
     if cached is not None:
         return cached
-    d = base.dim
-    dim = g * g * d
-    sc: dict[tuple, list] = {}
-    for i, bucket in enumerate(matrix_rule(base, g, g, g)):
-        for j, k, cf in bucket:
-            sc.setdefault((i, j), []).append((k, cf))
     unit = [_ZERO] * dim
     for r in range(g):
         for t, cf in enumerate(base.unit):
             if cf:
                 unit[matrix_index(d, g, r, r, t)] = cf
-    inv_rows = []
-    for r in range(g):
-        for c in range(g):
-            for t in range(d):
-                row = [_ZERO] * dim
-                for k, cf in enumerate(base.involution[t]):
-                    if cf:
-                        row[matrix_index(d, g, c, r, k)] = cf
-                inv_rows.append(tuple(row))
+    inv = tuple(tuple((matrix_index(d, g, c, r, k), cf) for k, cf in terms)
+                for r in range(g) for c in range(g) for terms in base.inv_terms)
     labels = []
     plain = d == 1 and base.basis_labels[0] == "1"
     for r in range(g):
@@ -685,8 +678,7 @@ def matrix_algebra(base: StructureAlgebra, g: int) -> StructureAlgebra:
             for t in range(d):
                 e = f"e[{r + 1},{c + 1}]"
                 labels.append(e if plain else f"{e}*{base.basis_labels[t]}")
-    alg = StructureAlgebra(dim, sc, unit=tuple(unit), involution=tuple(inv_rows),
-                           basis_labels=tuple(labels))
+    alg = StructureAlgebra(dim, matrix_rule(base, g, g, g), tuple(unit), inv, labels)
     alg.matrix_base = base
     alg.matrix_size = g
     if base.descriptor is not None:
@@ -702,8 +694,8 @@ def split_model(g: int) -> StructureAlgebra:
     """M_2g(Q) with the block involution sending the 2x2 block (a b; c d) at
     block position (I, J) to (d -b; -c a) at (J, I).
 
-    The structure constants are rational, so the model is built over Q; the
-    involution is validated by the standard construction checks.
+    The structure constants are rational, so the model is built over Q on
+    the rule of M_2g(Q); like every construction it runs all three checks.
     """
     if g < 1:
         raise AlgebraValidationError("split model needs g >= 1")
@@ -712,21 +704,15 @@ def split_model(g: int) -> StructureAlgebra:
         return cached
     n = 2 * g
     plain = matrix_algebra(rationals(), n)
-    inv_rows = []
+    inv = []
     for r in range(n):
         for c in range(n):
             bi, al = divmod(r, 2)
             bj, be = divmod(c, 2)
             target = matrix_index(1, n, 2 * bj + (1 - be), 2 * bi + (1 - al))
-            row = [_ZERO] * (n * n)
-            row[target] = -_ONE if (al + be) % 2 else _ONE
-            inv_rows.append(tuple(row))
-    # plain._sc was validated a moment ago; reuse the identical constants
-    # object and only run the unit and involution checks here.
-    alg = StructureAlgebra(n * n, plain._sc, unit=plain.unit,
-                           involution=tuple(inv_rows),
-                           basis_labels=plain.basis_labels,
-                           _assoc_checked=True)
+            inv.append(((target, -_ONE if (al + be) % 2 else _ONE),))
+    alg = StructureAlgebra(n * n, plain.rule, plain.unit, tuple(inv),
+                           plain.basis_labels)
     alg.matrix_base = rationals()
     alg.matrix_size = n
     alg.descriptor = {"kind": "split", "g": g}

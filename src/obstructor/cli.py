@@ -248,6 +248,8 @@ def verify(g, p, run_all, strict, seed, trials):
         raise click.UsageError("--g must be >= 1")
     if not is_prime(p):
         raise click.UsageError("--p must be prime")
+    if trials < 1:
+        raise click.UsageError("--trials must be >= 1")
     seed = _default_seed() if seed is None else seed
     report: dict = {"seed": seed}
     if run_all:

@@ -299,11 +299,6 @@ def echelonize(rows: Sequence[Iterable], ambient_dim: Optional[int] = None) -> S
     return Subspace(ambient_dim, rows)
 
 
-def contains(s: Subspace, v) -> bool:
-    """Exact membership of ``v`` in ``s`` (function form of Subspace.contains)."""
-    return s.contains(vector(v))
-
-
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatchError(

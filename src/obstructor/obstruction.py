@@ -29,6 +29,7 @@ from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (
+    MAX_DIM,
     AlgElement,
     DMatrix,
     StructureAlgebra,
@@ -72,13 +73,17 @@ class ObstructionGraph:
 
     def __init__(self, base: StructureAlgebra, sizes: Sequence[int],
                  edges: Mapping[tuple, DMatrix]):
-        if base.unit is None or base.involution is None:
+        if base.unit is None or base.inv_terms is None:
             raise GraphValidationError("base algebra must be unital with involution")
         sizes = tuple(int(g) for g in sizes)
         if len(sizes) < 2:
             raise GraphValidationError("a graph needs at least two vertices")
         if any(g < 1 for g in sizes):
             raise GraphValidationError("vertex sizes must be positive")
+        ambient = base.dim * max(sizes) ** 2
+        if ambient > MAX_DIM:
+            raise GraphValidationError(
+                f"hom spaces of dimension {ambient} exceed the cap {MAX_DIM}")
         clean = {}
         for (i, j), m in dict(edges).items():
             if not (1 <= i < j <= len(sizes)):
@@ -468,7 +473,7 @@ class SpecializationMap:
                 if lhs != rhs:
                     raise MapValidationError(
                         f"map is not multiplicative on basis pair ({i},{j})")
-        if base.involution is not None:
+        if base.inv_terms is not None:
             for j in range(base.dim):
                 lhs = _linear_image(rows, base.involution_coeffs(base.basis_vector(j)))
                 rhs = base.involution_coeffs(rows[j])

@@ -191,7 +191,7 @@ def random_rosati_generator(alg: StructureAlgebra, seed: int = 0,
     coeff_bound]; the returned witness is the first success in try order,
     which makes the result a pure function of the seed.
     """
-    if alg.involution is None:
+    if alg.inv_terms is None:
         raise AlgebraValidationError("generator search needs an involution")
     rng = random.Random(seed)
     for attempt in range(1, max_tries + 1):

@@ -68,12 +68,35 @@ def test_make_algebra_rejects_bad_involution():
         make_algebra(2, consts, unit=(1, 1), involution=((1, 0), (1, 0)))
 
 
+def _dict_layout(alg):
+    """``alg.rule`` in the sparse input layout ``{(i, j): ((k, c), ...)}``."""
+    sc = {}
+    for i, bucket in enumerate(alg.rule):
+        for j, k, c in bucket:
+            sc[(i, j)] = sc.get((i, j), ()) + ((k, c),)
+    return sc
+
+
 def test_make_algebra_rejects_non_antimultiplicative_involution():
     D = quaternion_algebra(-1, -1)
     rows = list(D.involution)
     rows[3] = (0, 0, 0, 1)  # fix k, keep i,j negated: breaks sigma(ij)
     with pytest.raises(InvolutionError):
-        make_algebra(4, dict(D._sc), unit=D.unit, involution=tuple(rows))
+        make_algebra(4, _dict_layout(D), unit=D.unit, involution=tuple(rows))
+
+
+def test_make_algebra_dense_and_dict_layouts_give_one_rule():
+    D = quaternion_algebra(F(-1, 2), -3)
+    dense = [[D.mul_coeffs(D.basis_vector(i), D.basis_vector(j)) for j in range(4)]
+             for i in range(4)]
+    sc = _dict_layout(D)
+    # The dict layout merges repeated outputs and drops zero sums.
+    sc[(1, 2)] += ((0, 5), (0, -5), (3, 0))
+    built = [make_algebra(4, consts, unit=D.unit, involution=D.involution)
+             for consts in (dense, sc)]
+    assert [sorted(b) for b in built[0].rule] == [sorted(b) for b in built[1].rule]
+    assert [sorted(b) for b in built[0].rule] == [sorted(b) for b in D.rule]
+    assert built[0].involution == built[1].involution == D.involution
 
 
 def test_make_algebra_rejects_out_of_range_output_index():
@@ -185,7 +208,7 @@ def _bump(row, k, delta):
 
 
 def test_integer_checks_match_the_fraction_checks_seeded():
-    tables = [(alg.dim, dict(alg._sc), alg.unit, alg.involution, alg.basis_labels)
+    tables = [(alg.dim, _dict_layout(alg), alg.unit, alg.involution, alg.basis_labels)
               for alg in (matrix_algebra(quaternion_algebra(F(-1, 2), -3), 2),
                           matrix_algebra(quaternion_for_prime(2), 2),
                           matrix_algebra(quaternion_for_prime(3), 2),
@@ -441,16 +464,20 @@ def test_dmatrix_inverse():
 
 
 def test_element_dmatrix_reshape_consistency():
-    D = quaternion_for_prime(2)
-    M2 = matrix_algebra(D, 2)
+    bases = [quaternion_for_prime(p) for p in (2, 3, 5)]
+    bases += [quaternion_algebra(F(-1, 2), -3), matrix_algebra(quaternion_for_prime(3), 2)]
     rng = random.Random(1)
-    x = M2.element(tuple(rng.randint(-3, 3) for _ in range(16)))
-    y = M2.element(tuple(rng.randint(-3, 3) for _ in range(16)))
-    # algebra product and matrix composition agree entry for entry
-    assert (x * y).coeffs == (element_to_dmatrix(x) @ element_to_dmatrix(y)).flatten()
-    assert dmatrix_to_element(M2, element_to_dmatrix(x)) == x
-    # the matrix-algebra involution is the dagger-transpose
-    assert x.dagger().coeffs == element_to_dmatrix(x).dagger_transpose().flatten()
+    for base, g in itertools.product(bases, (1, 2, 3)):
+        M = matrix_algebra(base, g)
+        x = M.element(tuple(rng.randint(-3, 3) for _ in range(M.dim)))
+        y = M.element(tuple(rng.randint(-3, 3) for _ in range(M.dim)))
+        # algebra product and matrix composition agree entry for entry
+        assert (x * y).coeffs == (element_to_dmatrix(x) @ element_to_dmatrix(y)).flatten()
+        assert dmatrix_to_element(M, element_to_dmatrix(x)) == x
+        # the matrix-algebra involution is the dagger-transpose, on every
+        # basis element and on a random element
+        for e in [M.basis_element(t) for t in range(M.dim)] + [x]:
+            assert e.dagger().coeffs == element_to_dmatrix(e).dagger_transpose().flatten()
 
 
 def test_rectangular_compose_matches_entrywise_product():

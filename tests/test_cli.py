@@ -387,11 +387,12 @@ def test_json_int_over_the_digit_limit_is_usage_error(runner, tmp_path):
 _SEMIPRIME = "3000000000000000000000028000000000000000000000049"
 
 
-def _two_vertex_graph(base) -> str:
-    return json.dumps({"base": base, "r": 2, "sizes": [1, 1], "edges": []})
+def _two_vertex_graph(base, g: int = 1) -> str:
+    return json.dumps({"base": base, "r": 2, "sizes": [g, g], "edges": []})
 
 
-_QFP2_GRAPH = _two_vertex_graph({"kind": "quaternion_for_prime", "p": 2})
+_QFP2 = {"kind": "quaternion_for_prime", "p": 2}
+_QFP2_GRAPH = _two_vertex_graph(_QFP2)
 
 
 def _nested_matrix(depth: int) -> str:
@@ -422,12 +423,23 @@ def _nested_matrix(depth: int) -> str:
     (["corner", "--algebra", "{algebra}", "--elements", "{elements}"],
      {"algebra": _nested_matrix(900), "elements": '[["1", "0", "0", "0"]]'}, 2),
     (["obstruction", "--graph", "{graph}", "--vertex", "1"],
+     {"graph": _two_vertex_graph(_QFP2, 1_000_000)}, 2),
+    (["obstruction", "--graph", "{graph}", "--vertex", "1"],
+     {"graph": _two_vertex_graph(_QFP2, 40)}, 2),
+    (["find-generator", "--g", "100000", "--p", "2"], {}, 2),
+    (["verify", "--g", "100000", "--p", "2"], {}, 2),
+    (["verify", "--g", "1", "--p", "2", "--trials", "-1"], {}, 2),
+    (["verify", "--g", "1", "--p", "2", "--trials", "0"], {}, 2),
+    (["obstruction", "--graph", "{graph}", "--vertex", "1"],
      {"graph": _QFP2_GRAPH}, 3),
 ], ids=["verify-strict", "find-generator-g1", "corner-non-unital",
         "vertex-out-of-range", "find-generator-g0", "divisor-r0",
         "hilbert-semiprime", "graph-semiprime-base", "graph-is-directory",
         "graph-deep-array", "hilbert-strong-pseudoprime",
-        "hilbert-place-beyond-exact-bound", "corner-deep-matrix-nesting", "internal-error"])
+        "hilbert-place-beyond-exact-bound", "corner-deep-matrix-nesting",
+        "graph-size-million", "graph-size-40", "find-generator-huge-g",
+        "verify-huge-g", "verify-trials-negative", "verify-trials-zero",
+        "internal-error"])
 def test_exit_code_routes(runner, tmp_path, monkeypatch, argv, files, code):
     """0 success, 1 verification failure, 2 usage or library error, 3 internal
     error; every route ends promptly and none prints a traceback. Exit 3 has no

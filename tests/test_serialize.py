@@ -4,7 +4,8 @@ may escape ``graph_from_json`` or ``algebra_from_json`` is an
 
 Sizes and ``g`` stay in -1..2 and matrix bases nest at most one level: a
 deeper nest builds algebras of dimension 256 or more, and building one takes
-seconds (dimension 1024 about 25 s), too long for a thousand examples.
+a tenth of a second or more (dimension 256 about 0.13 s, dimension 1024
+about 2.7 s), too long for a thousand examples.
 """
 
 import pytest
