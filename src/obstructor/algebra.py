@@ -2,13 +2,13 @@
 
 Every construction validates everything it claims: associativity on all
 basis triples, the unit law, and the involution axioms. An algebra stores its
-structure constants once, as a sparse ``rule``, and its involution once, as
-sparse rows. Validation walks that table instead of all dense triples, in
-exact integer arithmetic on the constants scaled by their common
-denominators. ``matrix_algebra(quaternion_for_prime(2), g)`` builds and
+structure constants once, as a sparse integer ``rule`` with the ``scale`` by
+which its constants exceed the true ones, and its involution once, as sparse
+rows. Validation walks that table instead of all dense triples, in exact
+integer arithmetic. ``matrix_algebra(quaternion_for_prime(2), g)`` builds and
 validates in about 0.05 s at g = 6, 0.13 s at g = 8 (dimension 256), 0.7 s at
 g = 12 and 2-2.7 s at g = 16 (dimension 1024, the cap :data:`MAX_DIM`; peak
-RSS 35 MB), on one core of a 2-vCPU x86-64 machine under CPython 3.11.
+RSS 30 MB), on one core of a 2-vCPU x86-64 machine under CPython 3.11.
 
 Also provides the quaternion-algebra constructors with local ramification
 checks (Hilbert symbols), matrix algebras over an involutive base, the
@@ -39,8 +39,9 @@ _ONE = Fraction(1)
 Terms = tuple[tuple[int, Fraction], ...]
 # A bilinear product rule indexed by the left factor: rule[i] lists the
 # (j, k, c) such that basis i times basis j contributes c times basis k. The
-# constants c are Fractions, or ints in an integral_rule.
-Rule = tuple[tuple[tuple[int, int, Fraction], ...], ...]
+# constants c are ints, a fixed positive multiple (the algebra's scale) of the
+# true ones.
+Rule = tuple[tuple[tuple[int, int, int], ...], ...]
 
 INF = "inf"
 Place = Union[int, str]
@@ -67,8 +68,9 @@ def rule_product(rule: Rule, u: Vec, v: Vec, out_len: int, zero=_ZERO) -> Vec:
 
     This is the one bilinear kernel: algebra multiplication, the composition
     of hom-space coefficient vectors and the fixed-point engine all run
-    through it. ``zero`` fills the empty entries; with int vectors, an
-    :func:`integral_rule` and ``zero=0`` every entry is an int.
+    through it. The result is the true product times the rule's scale.
+    ``zero`` fills the empty entries; with int vectors and ``zero=0`` every
+    entry is an int.
     """
     acc: dict = {}
     for i, a in enumerate(u):
@@ -85,20 +87,29 @@ def rule_product(rule: Rule, u: Vec, v: Vec, out_len: int, zero=_ZERO) -> Vec:
     return tuple(res)
 
 
-def _integral_rows(rows: tuple[Terms, ...]) -> tuple[tuple, int]:
-    """Sparse Fraction rows scaled by their common denominator, with it."""
-    den = lcm(*(c.denominator for row in rows for _, c in row))
-    return tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in row)
-                 for row in rows), den
+def _unscale(v: Vec, scale: int) -> Vec:
+    """A product under a rule of the given scale, divided back to the true one."""
+    if scale == 1:
+        return v
+    return tuple(c / scale for c in v)
+
+
+def _integral_rows(rows) -> tuple[tuple, int]:
+    """Sparse rows whose entries end in a Fraction constant, the constants
+    scaled by their common denominator, with it."""
+    den = lcm(*(t[-1].denominator for row in rows for t in row))
+    return tuple(tuple((*t[:-1], t[-1].numerator * (den // t[-1].denominator))
+                       for t in row) for row in rows), den
 
 
 class StructureAlgebra:
     """Associative Q-algebra with basis ``b_0 .. b_{n-1}`` and exact constants.
 
     The constructor takes the canonical forms: ``rule`` in the layout of
-    :func:`rule_product` and, optionally, a dense unit and the involution as
-    sparse rows (row ``j`` lists the ``(k, c)`` of the image of ``b_j``). It
-    always checks associativity, the unit law and the involution axioms.
+    :func:`rule_product`, whose int constants are the true ones times the
+    positive int ``scale``, and, optionally, a dense unit and the involution
+    as sparse rows (row ``j`` lists the ``(k, c)`` of the image of ``b_j``).
+    It always checks associativity, the unit law and the involution axioms.
     :func:`make_algebra` parses the public layouts into these forms.
 
     Instances are immutable after construction and compare by identity, so
@@ -106,12 +117,12 @@ class StructureAlgebra:
     """
 
     __slots__ = (
-        "dim", "basis_labels", "unit", "rule", "inv_terms",
+        "dim", "basis_labels", "unit", "rule", "scale", "inv_terms",
         "quaternion_params", "matrix_base", "matrix_size", "_rule_cache",
         "descriptor",
     )
 
-    def __init__(self, dim: int, rule: Rule, unit: Optional[Vec] = None,
+    def __init__(self, dim: int, rule: Rule, scale: int, unit: Optional[Vec] = None,
                  inv_terms: Optional[tuple[Terms, ...]] = None, basis_labels=None):
         self.dim = dim
         if basis_labels is None:
@@ -121,6 +132,7 @@ class StructureAlgebra:
             raise DimensionMismatchError("label count does not match dimension")
         self.basis_labels = basis_labels
         self.rule = rule
+        self.scale = scale
         self.unit = unit
         self.inv_terms = inv_terms
         self.quaternion_params = None
@@ -146,7 +158,7 @@ class StructureAlgebra:
     # -- raw coefficient arithmetic -------------------------------------------
 
     def mul_coeffs(self, x: Vec, y: Vec) -> Vec:
-        return rule_product(self.rule, x, y, self.dim)
+        return _unscale(rule_product(self.rule, x, y, self.dim), self.scale)
 
     def involution_coeffs(self, x: Vec) -> Vec:
         if self.inv_terms is None:
@@ -162,13 +174,13 @@ class StructureAlgebra:
     # -- validation ------------------------------------------------------------
 
     def _check_associativity(self):
-        # With the integral rule (constants D times the true ones), the entry
+        # With the rule's constants D = scale times the true ones, the entry
         # (j, k, q) of row i is D^2 times the coefficient of b_q in
         # (b_i b_j) b_k - b_i (b_j b_k). Only nonzero product paths touch it;
         # every other entry is 0 = 0. ``made[m]`` lists the pairs whose
         # product has a b_m term, so b_i (b_j b_k) is reached through the
         # products b_i b_m in rule i, one left factor at a time.
-        rule = integral_rule(self)
+        rule = self.rule
         n = self.dim
         made: list[list] = [[] for _ in range(n)]
         for j, bucket in enumerate(rule):
@@ -190,20 +202,19 @@ class StructureAlgebra:
                 jk, q = divmod(key, n)
                 j, k = divmod(jk, n)
                 labels = self.basis_labels
-                scale = integral_scale(self)
                 raise AssociativityError(
                     (labels[i], labels[j], labels[k]),
                     f"(xy)z - x(yz) has coefficient "
-                    f"{Fraction(residue[key], scale * scale)} at {labels[q]}")
+                    f"{Fraction(residue[key], self.scale ** 2)} at {labels[q]}")
 
     def _check_unit(self):
-        # u' = U u is integral, so u' b_j and b_j u' under the integral rule
+        # u' = U u is integral, so u' b_j and b_j u' under the rule
         # are U D times u b_j and b_j u; both must be U D b_j. Entry (j, q)
         # of each table holds the coefficient of b_q, less U D when q = j.
         (u,), den = _integral_rows((_sparse(self.unit),))
-        want = den * integral_scale(self)
+        want = den * self.scale
         n = self.dim
-        rule = integral_rule(self)
+        rule = self.rule
         at = dict(u)
         left = {j * n + j: -want for j in range(n)}
         right = dict(left)
@@ -224,8 +235,7 @@ class StructureAlgebra:
     def _check_involution(self):
         # sigma' = E sigma is integral. The checks are sigma' sigma' = E^2 id
         # and E sigma'(b_i b_j) = sigma'(b_j) sigma'(b_i), both sides D E^2
-        # times the true ones under the integral rule, one left factor i at
-        # a time.
+        # times the true ones under the rule, one left factor i at a time.
         inv, den = _integral_rows(self.inv_terms)
         labels = self.basis_labels
         n = self.dim
@@ -237,7 +247,7 @@ class StructureAlgebra:
                     acc[k] = acc.get(k, 0) + c * d
             if {k: c for k, c in acc.items() if c} != {j: square}:
                 raise InvolutionError(labels[j], "sigma(sigma(x)) != x")
-        rule = integral_rule(self)
+        rule = self.rule
         by_right: list[list] = [[] for _ in range(n)]
         for m, bucket in enumerate(rule):
             for r, q, c in bucket:
@@ -360,7 +370,8 @@ def make_algebra(dim, struct_consts, unit=None, involution=None,
     ``struct_consts`` is dense (``consts[i][j]`` is the coefficient vector of
     ``b_i * b_j``) or sparse (``{(i, j): ((k, c), ...)}``). The unit and each
     involution row are dense coefficient vectors; involution row ``j`` holds
-    the coordinates of the image of ``b_j``.
+    the coordinates of the image of ``b_j``. The constants are scaled once,
+    by their least common denominator, to the integer rule.
     """
     if dim < 1:
         raise AlgebraValidationError("dimension must be positive")
@@ -392,8 +403,8 @@ def make_algebra(dim, struct_consts, unit=None, involution=None,
         involution = tuple(_sparse(_coeffs(r, dim)) for r in involution)
         if len(involution) != dim:
             raise DimensionMismatchError("involution must have one row per basis element")
-    return StructureAlgebra(dim, tuple(tuple(r) for r in rule), unit, involution,
-                            basis_labels)
+    rule, scale = _integral_rows(rule)
+    return StructureAlgebra(dim, rule, scale, unit, involution, basis_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +616,8 @@ def matrix_index(base_dim: int, n: int, r: int, c: int, t: int = 0) -> int:
 def matrix_rule(base: StructureAlgebra, ga: int, gc: int, gb: int) -> Rule:
     """Product rule of (ga x gc) by (gc x gb) matrices over ``base`` in the
     row-major flattening with base coefficients innermost, cached on
-    ``base``. ``matrix_rule(base, g, g, g)`` is the table of M_g(base)."""
+    ``base``. It repeats the constants of ``base.rule``, so it has the base's
+    scale. ``matrix_rule(base, g, g, g)`` is the table of M_g(base)."""
     key = (ga, gc, gb)
     rule = base._rule_cache.get(key)
     if rule is None:
@@ -615,32 +627,6 @@ def matrix_rule(base: StructureAlgebra, ga: int, gc: int, gb: int) -> Rule:
                   for q in range(gb) for t2, k, c in base.rule[t1])
             for p in range(ga) for s in range(gc) for t1 in range(d))
         base._rule_cache[key] = rule
-    return rule
-
-
-def integral_scale(algebra: StructureAlgebra) -> int:
-    """The common denominator of the constants of ``algebra.rule``: the
-    positive integer by which a product under :func:`integral_rule` exceeds
-    the true product. ``matrix_rule(algebra, ...)`` repeats exactly these
-    constants, so it shares the scale."""
-    return lcm(*(c.denominator for bucket in algebra.rule for _, _, c in bucket))
-
-
-def integral_rule(algebra: StructureAlgebra,
-                  shape: Optional[tuple[int, int, int]] = None) -> Rule:
-    """``algebra.rule`` (``shape`` None) or ``matrix_rule(algebra, *shape)``
-    scaled by :func:`integral_scale`, so that every constant is an int. A
-    product under it is that fixed positive multiple of the true product.
-    Built on first use and cached in ``_rule_cache`` next to the rational
-    form."""
-    key = ("int", shape)
-    rule = algebra._rule_cache.get(key)
-    if rule is None:
-        src = algebra.rule if shape is None else matrix_rule(algebra, *shape)
-        den = integral_scale(algebra)
-        rule = tuple(tuple((j, k, c.numerator * (den // c.denominator))
-                           for j, k, c in bucket) for bucket in src)
-        algebra._rule_cache[key] = rule
     return rule
 
 
@@ -678,7 +664,8 @@ def matrix_algebra(base: StructureAlgebra, g: int) -> StructureAlgebra:
             for t in range(d):
                 e = f"e[{r + 1},{c + 1}]"
                 labels.append(e if plain else f"{e}*{base.basis_labels[t]}")
-    alg = StructureAlgebra(dim, matrix_rule(base, g, g, g), tuple(unit), inv, labels)
+    alg = StructureAlgebra(dim, matrix_rule(base, g, g, g), base.scale, tuple(unit),
+                           inv, labels)
     alg.matrix_base = base
     alg.matrix_size = g
     if base.descriptor is not None:
@@ -711,7 +698,7 @@ def split_model(g: int) -> StructureAlgebra:
             bj, be = divmod(c, 2)
             target = matrix_index(1, n, 2 * bj + (1 - be), 2 * bi + (1 - al))
             inv.append(((target, -_ONE if (al + be) % 2 else _ONE),))
-    alg = StructureAlgebra(n * n, plain.rule, plain.unit, tuple(inv),
+    alg = StructureAlgebra(n * n, plain.rule, plain.scale, plain.unit, tuple(inv),
                            plain.basis_labels)
     alg.matrix_base = rationals()
     alg.matrix_size = n
@@ -858,8 +845,9 @@ class DMatrix:
                 f"({other.rows},{other.cols})")
         base = self.base
         rule = matrix_rule(base, self.rows, self.cols, other.cols)
-        return DMatrix(base, self.rows, other.cols, rule_product(
-            rule, self.coeffs, other.coeffs, self.rows * other.cols * base.dim))
+        return DMatrix(base, self.rows, other.cols, _unscale(rule_product(
+            rule, self.coeffs, other.coeffs, self.rows * other.cols * base.dim),
+            base.scale))
 
     def dagger_transpose(self) -> "DMatrix":
         inv = self.base.involution_coeffs

@@ -15,8 +15,8 @@ reported ``rounds`` (the rounds that grew some cell):
 * a cell stops taking products as soon as it is full.
 
 The engine runs on primitive integer vectors: seeds are scaled to integers
-and every rule is an :func:`~obstructor.algebra.integral_rule`, whose
-products are fixed positive multiples of the true ones. Every decision is a
+and every rule is an algebra's integer rule, whose products are fixed
+positive multiples (its ``scale``) of the true ones. Every decision is a
 span-membership test, which scaling a vector by a nonzero rational leaves
 unchanged, and products are bilinear; so the trajectory, the ``rounds`` and
 the spans are those of the same iteration over Q.
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .algebra import AlgElement, Rule, StructureAlgebra, integral_rule, rule_product
+from .algebra import AlgElement, Rule, StructureAlgebra, rule_product
 from .errors import AlgebraValidationError
 from .linalg import Echelon, Subspace, Vec, primitive
 
@@ -51,7 +51,7 @@ def fixed_point(cells: Mapping[tuple, int],
     """Close a table of spans under composition of its cells.
 
     ``cells`` maps each cell (a, b) to its ambient dimension, ``seeds`` gives
-    the starting vectors of a cell, and ``rule(a, c, b)`` is the integral
+    the starting vectors of a cell, and ``rule(a, c, b)`` is the integer
     product rule from cells (a, c) and (c, b) into (a, b). Triples are
     visited in the order of ``cells``. Returns ``({cell: Echelon}, rounds)``.
     """
@@ -61,8 +61,13 @@ def fixed_point(cells: Mapping[tuple, int],
         ech[cell] = target = Echelon(ambient)
         spanning[cell] = [primitive(v) for v in seeds.get(cell, ())
                           if target.add(v)]
-    triples = [(a, c, b) for (a, c) in cells for (c2, b) in cells
-               if c2 == c and (a, b) in cells]
+    # Cells indexed by their first vertex list the triples in O(r^3), in the
+    # order of a scan over all pairs of cells.
+    after: dict = {}
+    for c, b in cells:
+        after.setdefault(c, []).append(b)
+    triples = [(a, c, b) for (a, c) in cells for b in after.get(c, ())
+               if (a, b) in cells]
     marks: dict[tuple, tuple[int, int]] = {}
     rounds = 0
     changed = True
@@ -129,7 +134,7 @@ def subrng_closure(algebra: StructureAlgebra, gens: Iterable[AlgElement],
     cell = (0, 0)
     ech, rounds = fixed_point({cell: algebra.dim},
                               {cell: [g.coeffs for g in gens]},
-                              lambda a, c, b: integral_rule(algebra))
+                              lambda a, c, b: algebra.rule)
     return SubrngResult(span=ech[cell].to_subspace(), generators=gens,
                         rounds=rounds)
 

@@ -12,10 +12,11 @@ the path-span table: cell (a, b) holds the span of all path values from b to
 a. The table is the least fixed point computed by the one engine,
 :func:`closure.fixed_point`, over the graph's vertices: off-diagonal cells
 are seeded with the edges, and triple (a, c, b) composes cell (a, c) with
-cell (c, b) under the integral form of ``matrix_rule`` for the sizes
-(g_a, g_c, g_b). The same engine run on one vertex is the subrng closure;
-both follow the engine's two rules (factor lengths frozen per triple, and a
-full cell takes no more products), which fix the reported ``rounds``.
+cell (c, b) under ``matrix_rule`` for the sizes (g_a, g_c, g_b), which
+repeats the base's integer constants. The same engine run on one vertex is
+the subrng closure; both follow the engine's two rules (factor lengths
+frozen per triple, and a full cell takes no more products), which fix the
+reported ``rounds``.
 
 ``loop_oracle`` is the independent cross-check: literal enumeration of loop
 sequences up to a bounded number of edges, composing actual matrices.
@@ -33,9 +34,8 @@ from .algebra import (
     AlgElement,
     DMatrix,
     StructureAlgebra,
-    integral_rule,
-    integral_scale,
     invert_element,
+    matrix_rule,
     rule_product,
 )
 from .closure import fixed_point
@@ -58,6 +58,10 @@ from .linalg import (
 
 _ZERO = Fraction(0)
 
+# The largest vertex count of a graph: the path-span table has r^2 cells and
+# r^3 triples (see the README for the measured cost at the cap).
+MAX_VERTICES = 64
+
 
 class ObstructionGraph:
     """r vertices with sizes over a shared base; edges stored only for i < j.
@@ -78,6 +82,9 @@ class ObstructionGraph:
         sizes = tuple(int(g) for g in sizes)
         if len(sizes) < 2:
             raise GraphValidationError("a graph needs at least two vertices")
+        if len(sizes) > MAX_VERTICES:
+            raise GraphValidationError(
+                f"{len(sizes)} vertices exceed the cap {MAX_VERTICES}")
         if any(g < 1 for g in sizes):
             raise GraphValidationError("vertex sizes must be positive")
         ambient = base.dim * max(sizes) ** 2
@@ -162,8 +169,8 @@ def path_span_table(graph: ObstructionGraph) -> PathSpanTable:
                  for (a, b) in cells if a != b}
         sizes = graph.sizes
         ech, rounds = fixed_point(
-            cells, seeds, lambda a, c, b: integral_rule(
-                graph.base, (sizes[a - 1], sizes[c - 1], sizes[b - 1])))
+            cells, seeds, lambda a, c, b: matrix_rule(
+                graph.base, sizes[a - 1], sizes[c - 1], sizes[b - 1]))
         graph._table = PathSpanTable(
             spans={k: e.to_subspace() for k, e in ech.items()}, rounds=rounds)
     return graph._table
@@ -250,11 +257,11 @@ def corner_detect(e_span: Subspace, algebra: StructureAlgebra) -> CornerReport:
     span against span{e * b_k * e} over the algebra basis; equality is
     required, not containment.
 
-    All products run on the integer kernel. ``a * b`` denotes the
-    :func:`integral_rule` product, ``D`` times the true one. The span basis
-    vectors u_t are taken as their primitive integer rows p_t, so that
-    u_t = l_t p_t with l_t > 0. For e = sum_s y_s p_s the left-unit system
-    reads ``sum_s y_s (p_s * p_t) = D p_t``. Writing e = z / m with z
+    All products run on the integer kernel. ``a * b`` denotes the product
+    under ``algebra.rule``, ``D = algebra.scale`` times the true one. The
+    span basis vectors u_t are taken as their primitive integer rows p_t, so
+    that u_t = l_t p_t with l_t > 0. For e = sum_s y_s p_s the left-unit
+    system reads ``sum_s y_s (p_s * p_t) = D p_t``. Writing e = z / m with z
     integer, the right-unit check reads ``p_t * z = D m p_t``, and the
     corner is spanned by the integer vectors ``z * (b_k * z)``.
     """
@@ -272,8 +279,8 @@ def corner_detect(e_span: Subspace, algebra: StructureAlgebra) -> CornerReport:
                             factor_dim=n, is_full=True, is_zero=False)
     not_corner = CornerReport(is_corner=False, idempotent=None, factor_dim=None,
                               is_full=False, is_zero=False)
-    rule = integral_rule(algebra)
-    scale = integral_scale(algebra)
+    rule = algebra.rule
+    scale = algebra.scale
     basis = [primitive(v) for v in e_span.basis]
     d = len(basis)
     # Solve the left-unit system only. When a two-sided unit u exists, any

@@ -14,6 +14,7 @@ from obstructor.algebra import (
     invert_element,
     make_algebra,
     matrix_algebra,
+    matrix_rule,
     matrix_unit,
     quaternion_algebra,
     quaternion_for_prime,
@@ -69,11 +70,12 @@ def test_make_algebra_rejects_bad_involution():
 
 
 def _dict_layout(alg):
-    """``alg.rule`` in the sparse input layout ``{(i, j): ((k, c), ...)}``."""
+    """``alg.rule`` in the sparse input layout ``{(i, j): ((k, c), ...)}``,
+    divided back by ``alg.scale`` to the true constants."""
     sc = {}
     for i, bucket in enumerate(alg.rule):
         for j, k, c in bucket:
-            sc[(i, j)] = sc.get((i, j), ()) + ((k, c),)
+            sc[(i, j)] = sc.get((i, j), ()) + ((k, F(c, alg.scale)),)
     return sc
 
 
@@ -96,6 +98,7 @@ def test_make_algebra_dense_and_dict_layouts_give_one_rule():
              for consts in (dense, sc)]
     assert [sorted(b) for b in built[0].rule] == [sorted(b) for b in built[1].rule]
     assert [sorted(b) for b in built[0].rule] == [sorted(b) for b in D.rule]
+    assert built[0].scale == built[1].scale == D.scale == 2
     assert built[0].involution == built[1].involution == D.involution
 
 
@@ -399,6 +402,16 @@ def test_matrix_algebra_transpose_involution_over_q():
 def test_matrix_algebra_dimension():
     D = quaternion_for_prime(2)
     assert matrix_algebra(D, 3).dim == 36
+
+
+def test_matrix_algebras_share_one_rule_per_shape():
+    for base in (quaternion_for_prime(3), quaternion_algebra(F(-1, 2), -3)):
+        for g in (1, 2, 3):
+            M = matrix_algebra(base, g)
+            assert M.rule is matrix_rule(base, g, g, g)
+            assert M.scale == base.scale
+    for g in (1, 2, 3):
+        assert split_model(g).rule is matrix_algebra(rationals(), 2 * g).rule
 
 
 def test_matrix_algebra_requires_involution():

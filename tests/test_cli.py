@@ -387,12 +387,12 @@ def test_json_int_over_the_digit_limit_is_usage_error(runner, tmp_path):
 _SEMIPRIME = "3000000000000000000000028000000000000000000000049"
 
 
-def _two_vertex_graph(base, g: int = 1) -> str:
-    return json.dumps({"base": base, "r": 2, "sizes": [g, g], "edges": []})
+def _edgeless_graph(base, g: int = 1, r: int = 2) -> str:
+    return json.dumps({"base": base, "r": r, "sizes": [g] * r, "edges": []})
 
 
 _QFP2 = {"kind": "quaternion_for_prime", "p": 2}
-_QFP2_GRAPH = _two_vertex_graph(_QFP2)
+_QFP2_GRAPH = _edgeless_graph(_QFP2)
 
 
 def _nested_matrix(depth: int) -> str:
@@ -412,7 +412,7 @@ def _nested_matrix(depth: int) -> str:
     (["divisor", "--poly", "x1", "--r", "0"], {}, 2),
     (["hilbert", "--a", _SEMIPRIME, "--b", "-1"], {}, 2),
     (["obstruction", "--graph", "{graph}", "--vertex", "1"],
-     {"graph": _two_vertex_graph({"kind": "quaternion", "a": f"-{_SEMIPRIME}",
+     {"graph": _edgeless_graph({"kind": "quaternion", "a": f"-{_SEMIPRIME}",
                                   "b": "-1"})}, 2),
     (["obstruction", "--graph", "{tmp}", "--vertex", "1"], {}, 2),
     (["obstruction", "--graph", "{graph}", "--vertex", "1"],
@@ -423,9 +423,13 @@ def _nested_matrix(depth: int) -> str:
     (["corner", "--algebra", "{algebra}", "--elements", "{elements}"],
      {"algebra": _nested_matrix(900), "elements": '[["1", "0", "0", "0"]]'}, 2),
     (["obstruction", "--graph", "{graph}", "--vertex", "1"],
-     {"graph": _two_vertex_graph(_QFP2, 1_000_000)}, 2),
+     {"graph": _edgeless_graph(_QFP2, 1_000_000)}, 2),
     (["obstruction", "--graph", "{graph}", "--vertex", "1"],
-     {"graph": _two_vertex_graph(_QFP2, 40)}, 2),
+     {"graph": _edgeless_graph(_QFP2, 40)}, 2),
+    (["obstruction", "--graph", "{graph}", "--vertex", "1"],
+     {"graph": _edgeless_graph(_QFP2, 1, 65)}, 2),
+    (["obstruction", "--graph", "{graph}", "--vertex", "1"],
+     {"graph": _edgeless_graph(_QFP2, 1, 64)}, 0),
     (["find-generator", "--g", "100000", "--p", "2"], {}, 2),
     (["verify", "--g", "100000", "--p", "2"], {}, 2),
     (["verify", "--g", "1", "--p", "2", "--trials", "-1"], {}, 2),
@@ -437,7 +441,8 @@ def _nested_matrix(depth: int) -> str:
         "hilbert-semiprime", "graph-semiprime-base", "graph-is-directory",
         "graph-deep-array", "hilbert-strong-pseudoprime",
         "hilbert-place-beyond-exact-bound", "corner-deep-matrix-nesting",
-        "graph-size-million", "graph-size-40", "find-generator-huge-g",
+        "graph-size-million", "graph-size-40", "graph-65-vertices",
+        "graph-64-vertices", "find-generator-huge-g",
         "verify-huge-g", "verify-trials-negative", "verify-trials-zero",
         "internal-error"])
 def test_exit_code_routes(runner, tmp_path, monkeypatch, argv, files, code):
@@ -457,9 +462,12 @@ def test_exit_code_routes(runner, tmp_path, monkeypatch, argv, files, code):
     res = runner.invoke(main, [a.format(**paths) for a in argv])
     assert time.perf_counter() - start < 3
     assert res.exit_code == code, res.output
-    assert isinstance(res.exception, SystemExit)
+    if code:
+        assert isinstance(res.exception, SystemExit)
+    else:
+        assert res.exception is None
     assert "Traceback" not in res.stderr
-    if code == 1:
+    if code in (0, 1):
         assert json.loads(res.stdout)
     else:
         assert res.stdout == ""

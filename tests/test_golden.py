@@ -59,6 +59,46 @@ def _block_corner() -> tuple[str, str]:
     return alg, json.dumps(elems)
 
 
+def _half_integral_graph() -> str:
+    """Seeded random graph with sizes (2, 1, 1) over (-1/2, -3 / Q), whose
+    constants have denominator 2, with some half-integer entries."""
+    rng = random.Random(11)
+
+    def entry():
+        return [str(rng.randint(-3, 3)) if rng.random() < 0.5
+                else f"{2 * rng.randint(-3, 3) + 1}/2" for _ in range(4)]
+
+    return json.dumps({
+        "base": {"kind": "quaternion", "a": "-1/2", "b": "-3"},
+        "r": 3,
+        "sizes": [2, 1, 1],
+        "edges": [
+            {"i": 1, "j": 2, "matrix": [[entry() for _ in range(2)]]},
+            {"i": 1, "j": 3, "matrix": [[entry() for _ in range(2)]]},
+            {"i": 2, "j": 3, "matrix": [[entry()]]},
+        ],
+    })
+
+
+def _scaled_m2_corner() -> tuple[str, str]:
+    """M_2(Q) on the basis e11, e12/2, e21, e22, whose constants have
+    denominator 2, and the idempotent e11 + e12 spanning its own corner."""
+    def b(k, c="1"):
+        v = ["0"] * 4
+        v[k] = c
+        return v
+
+    z = ["0"] * 4
+    consts = [[b(0), b(1), z, z],
+              [z, z, b(0, "1/2"), b(1)],
+              [b(2), b(3, "1/2"), z, z],
+              [z, z, b(2), b(3)]]
+    alg = json.dumps({"kind": "custom", "dim": 4, "consts": consts,
+                      "unit": ["1", "0", "0", "1"],
+                      "involution": [b(0), b(2, "1/2"), b(1, "2"), b(3)]})
+    return alg, json.dumps([["1", "2", "0", "0"]])
+
+
 def _r3_graph() -> str:
     return dump_json(graph_to_json(build_r3_graph(2, 2, 0)))
 
@@ -92,6 +132,12 @@ CASES = {
         {"graph": (_small_graph, "e5296e7b606a2be0c43a38458889fddf"
                                  "c8a5b7e3a56a8a6a8a3d833724f9da36")},
         "2f94a1d06114e2f6570b035df1728d5befe0b3dcd00d23fafc455ebfd996292c"),
+    "obstruction-half-integral-oracle": (
+        ["obstruction", "--graph", "{graph}", "--vertex", "1",
+         "--oracle-len", "6"],
+        {"graph": (_half_integral_graph, "4fcb35348125f1083c0a342722cd9a4f"
+                                         "ed6739a72ce0a3da60c8c48d5150a1d4")},
+        "a89f07aede00851d0bd92c3dc2d2842f6769ef77a2589ee81617e68ab507d46f"),
     "find-generator-g2-p2": (
         ["find-generator", "--g", "2", "--p", "2"], {},
         "1324d2567050e18f215156abab1661b83cd73fa283ffb4b018441a0acc62d57a"),
@@ -107,6 +153,15 @@ CASES = {
                       "7533ca6303fb69eaa7cea7b6ee04c363"
                       "deb95e8a0d4bbafc9e98b222981c1421")},
         "fddd258b0d0ba1714d2f4cbc67fd1b46d9d231767726b1c5dfe82ab0b1b7d012"),
+    "corner-scaled-custom": (
+        ["corner", "--algebra", "{algebra}", "--elements", "{elements}"],
+        {"algebra": (lambda: _scaled_m2_corner()[0],
+                     "af8c795f88c248babfcb8de06729339e"
+                     "5e87ceac618b4aa1122ee340d33e8c97"),
+         "elements": (lambda: _scaled_m2_corner()[1],
+                      "10f01fc397ad755ab4a1b6a23d2ced62"
+                      "e514980c2cfb668cb1289296dbdffa64")},
+        "98cb2ae7262991de7edc84e68cec015dfaaa890788fbf3eae86c1b8f307165a5"),
     "verify-all-g2-p2": (
         ["verify", "--g", "2", "--p", "2", "--all"], {},
         "a0135a0ed92a2fdfc8a8654bdf098f4322dd2e9d08e45d32d9ac04319fb1c43b"),

@@ -139,6 +139,19 @@ def test_path_table_certificates():
                     assert table.spans[(a, b)].contains(m.flatten())
 
 
+def test_rule_cache_holds_one_rule_per_shape():
+    graph = build_r3_graph(3, 2, 0)
+    base = graph.base
+    end = matrix_algebra(base, 3)
+    path_span_table(graph)
+    corner_detect(compute_obstruction(graph, 1), end)
+    corner_detect(echelonize([matrix_unit(end, 1, 1).coeffs]), end)
+    assert base._rule_cache[(3, 3, 3)] is end.rule
+    for cache in (base._rule_cache, end._rule_cache):
+        assert all(len(key) == 3 and all(isinstance(n, int) for n in key)
+                   for key in cache)
+
+
 def test_loop_oracle_equals_fixed_point_seeded():
     rng = random.Random(20)
     checked = 0
