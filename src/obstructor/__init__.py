@@ -5,7 +5,6 @@ from .algebra import (
     AlgElement,
     DMatrix,
     StructureAlgebra,
-    dagger_transpose,
     element_to_dmatrix,
     hilbert_symbol,
     make_algebra,

@@ -482,29 +482,27 @@ def reduced_norm(x: AlgElement) -> Fraction:
     return c0 * c0 - a * c1 * c1 - b * c2 * c2 + a * b * c3 * c3
 
 
-def quaternion_inverse(x: AlgElement) -> AlgElement:
-    n = reduced_norm(x)
-    if not n:
-        raise ZeroDivisionError("element has reduced norm 0")
-    return x.dagger() * (_ONE / n)
+def unit_multiple(v: Vec, unit: Vec) -> Optional[Fraction]:
+    """The rational s with v = s * unit, or None when v is no such multiple."""
+    k = next(t for t, c in enumerate(unit) if c)
+    s = v[k] / unit[k]
+    return s if all(a == s * u for a, u in zip(v, unit)) else None
 
 
 def invert_element(x: AlgElement) -> Optional[AlgElement]:
-    """Two-sided inverse of a base-algebra element, or None.
+    """Two-sided inverse of a similitude, or None.
 
-    Supported bases: quaternion algebras (via the reduced norm) and the
-    dim-1 rational algebra.
+    ``x`` is a similitude when x * x^dagger = s * 1 for a nonzero rational s;
+    then x^(-1) = x^dagger / s, and in a finite-dimensional algebra this
+    right inverse is two-sided. Any unital base with involution works: on a
+    quaternion algebra s is the reduced norm, over Q it is x^2. None when s
+    is 0 or x * x^dagger is no rational multiple of the unit.
     """
-    if x.algebra.quaternion_params is not None:
-        if not reduced_norm(x):
-            return None
-        return quaternion_inverse(x)
-    if x.algebra.dim == 1:
-        c = x.coeffs[0]
-        if not c:
-            return None
-        return AlgElement(x.algebra, (_ONE / c,))
-    raise AlgebraValidationError("inversion is only supported over quaternion or rational bases")
+    xd = x.dagger()
+    s = unit_multiple((x * xd).coeffs, x.algebra.one().coeffs)
+    if not s:
+        return None
+    return xd * (1 / s)
 
 
 # ---------------------------------------------------------------------------
@@ -792,14 +790,10 @@ class DMatrix:
         return cls(base, rows, cols, zero_vector(rows * cols * base.dim))
 
     @classmethod
-    def _diagonal(cls, base: StructureAlgebra, n: int, block: Vec) -> "DMatrix":
-        zero = zero_vector(base.dim)
-        return cls(base, n, n, tuple(
-            x for r in range(n) for c in range(n) for x in (block if r == c else zero)))
-
-    @classmethod
     def identity(cls, base: StructureAlgebra, n: int) -> "DMatrix":
-        return cls._diagonal(base, n, base.one().coeffs)
+        one, zero = base.one().coeffs, zero_vector(base.dim)
+        return cls(base, n, n, tuple(
+            x for r in range(n) for c in range(n) for x in (one if r == c else zero)))
 
     @classmethod
     def scalar(cls, base: StructureAlgebra, n: int, c) -> "DMatrix":
@@ -860,56 +854,6 @@ class DMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def scalar_value(self):
-        """If the matrix is q * identity, return q as an element, else None."""
-        if self.rows != self.cols:
-            return None
-        diag = self._entry(0, 0)
-        if self != DMatrix._diagonal(self.base, self.rows, diag):
-            return None
-        return AlgElement(self.base, diag)
-
-    def inverse(self) -> "DMatrix":
-        """Inverse by Gauss-Jordan over the base; pivots need unit entries.
-
-        Works whenever the base is a division algebra (reduced norm nonzero on
-        nonzero elements), which covers every ramified quaternion base here.
-        """
-        if self.rows != self.cols:
-            raise DimensionMismatchError("only square matrices invert")
-        n = self.rows
-        a = [list(row) for row in self.entries]
-        inv = [list(row) for row in DMatrix.identity(self.base, n).entries]
-        for col in range(n):
-            piv = None
-            scale = None
-            for r in range(col, n):
-                e = a[r][col]
-                if not e.is_zero():
-                    scale = invert_element(e)
-                    if scale is not None:
-                        piv = r
-                        break
-            if piv is None:
-                raise ZeroDivisionError("matrix is not invertible over the base")
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            a[col] = [scale * e for e in a[col]]
-            inv[col] = [scale * e for e in inv[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                f = a[r][col]
-                if f.is_zero():
-                    continue
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return DMatrix.from_entries(self.base, inv)
-
-
-def dagger_transpose(m: DMatrix) -> DMatrix:
-    return m.dagger_transpose()
 
 
 def element_to_dmatrix(x: AlgElement) -> DMatrix:

@@ -288,6 +288,8 @@ def verify(g, p, run_all, strict, seed, trials):
               help="Also run the literal loop oracle up to this many edges.")
 def obstruction(graph_path, vertex, oracle_len):
     """Loop span, corner report, and verdict for one vertex of a graph."""
+    if oracle_len is not None and oracle_len < 2:
+        raise click.UsageError("--oracle-len must be >= 2")
     graph = graph_from_json(_load_json(graph_path, "graph"))
     span = compute_obstruction(graph, vertex)
     table = path_span_table(graph)
@@ -312,8 +314,6 @@ def obstruction(graph_path, vertex, oracle_len):
         "power_note": verdict.power_note,
     }
     if oracle_len is not None:
-        if oracle_len < 2:
-            raise click.UsageError("--oracle-len must be >= 2")
         oracle = loop_oracle(graph, vertex, oracle_len)
         out["oracle_len"] = oracle_len
         out["oracle_dim"] = oracle.dim

@@ -37,6 +37,7 @@ from .algebra import (
     invert_element,
     matrix_rule,
     rule_product,
+    unit_multiple,
 )
 from .closure import fixed_point
 from .errors import (
@@ -382,8 +383,9 @@ def _validate_cover(cov: Cover, g: int, base: StructureAlgebra):
             f"({cov.pi.rows},{cov.pi.cols}) do not frame size {g}")
     if cov.pi.cols != cov.iota.rows:
         raise CoverValidationError("pi and iota have incompatible shapes")
-    if cov.degree < 1:
-        raise CoverValidationError("cover degree must be >= 1")
+    if (not isinstance(cov.degree, int) or isinstance(cov.degree, bool)
+            or cov.degree < 1):
+        raise CoverValidationError("cover degree must be an int >= 1")
     prod = cov.pi @ cov.iota
     want = DMatrix.scalar(base, g, cov.degree)
     if prod.flatten() != want.flatten():
@@ -417,14 +419,19 @@ def pullback_transform(graph: ObstructionGraph,
     return ObstructionGraph(graph.base, new_sizes, new_edges)
 
 
+def _span_image(f, span: Subspace, base: StructureAlgebra, rows: int, cols: int,
+                ambient: int) -> Subspace:
+    """span{ f(e) } for e over the basis of ``span``, each read as a
+    (rows, cols) matrix over ``base``; the images live in dimension ``ambient``."""
+    return echelonize([f(DMatrix.from_flat(base, rows, cols, v)).flatten()
+                       for v in span.basis], ambient_dim=ambient)
+
+
 def transport_span(cov: Cover, span: Subspace, g: int) -> Subspace:
     """span{ iota . e . pi } for e running over the basis of ``span``."""
     base = cov.iota.base
-    out = []
-    for v in span.basis:
-        m = DMatrix.from_flat(base, g, g, v)
-        out.append((cov.iota @ m @ cov.pi).flatten())
-    return echelonize(out, ambient_dim=base.dim * cov.iota.rows * cov.iota.rows)
+    return _span_image(lambda m: cov.iota @ m @ cov.pi, span, base, g, g,
+                       base.dim * cov.iota.rows * cov.iota.rows)
 
 
 # -- specialization -------------------------------------------------------------
@@ -447,8 +454,10 @@ class SpecializationMap:
     Two flavors: a base-algebra map applied entrywise to every matrix (must
     be unital, multiplicative, involution-compatible, injective -- validated
     exhaustively on basis pairs at construction), or per-vertex conjugation
-    m -> U_a m U_b^(-1) by invertible matrices with U^dagger U a shared
-    rational scalar (which makes the map commute with the dagger-transpose).
+    m -> U_a m U_b^(-1) by similitudes, U^dagger U = s * identity with one
+    shared nonzero rational s (which makes the map commute with the
+    dagger-transpose). Then U^(-1) = U^dagger / s, over any unital base with
+    involution.
     """
 
     def __init__(self, base: StructureAlgebra, kind: str, base_rows=None,
@@ -506,7 +515,9 @@ class SpecializationMap:
     def vertex_conjugation(cls, base: StructureAlgebra,
                            units: Sequence[DMatrix]) -> "SpecializationMap":
         """m -> U_a m U_b^(-1); every U must satisfy U^dagger U = s * identity
-        with one shared nonzero rational s."""
+        with one shared nonzero rational s, and U^(-1) = U^dagger / s (a left
+        inverse of a square matrix over a finite-dimensional base is
+        two-sided). The base may be any unital algebra with involution."""
         units = list(units)
         shared = None
         inverses = []
@@ -515,20 +526,18 @@ class SpecializationMap:
                 raise MapValidationError("conjugating matrix over a different base")
             if u.rows != u.cols:
                 raise MapValidationError("conjugating matrices must be square")
-            gram = u.dagger_transpose() @ u
-            s = gram.scalar_value()
-            if s is None:
-                raise MapValidationError("U^dagger U is not scalar")
-            coeffs = s.coeffs
-            rat = coeffs[0]
-            if any(coeffs[1:]) or not rat:
+            u_dag = u.dagger_transpose()
+            gram = u_dag @ u
+            # s is read off the (0, 0) entry, the first base.dim coefficients.
+            s = unit_multiple(gram.coeffs[:base.dim], base.one().coeffs)
+            if not s or gram != DMatrix.scalar(base, u.rows, s):
                 raise MapValidationError("U^dagger U is not a nonzero rational scalar")
             if shared is None:
-                shared = rat
-            elif rat != shared:
+                shared = s
+            elif s != shared:
                 raise MapValidationError(
                     "conjugating matrices have different similitude scalars")
-            inverses.append(u.inverse())
+            inverses.append(u_dag * (1 / s))
         return cls(base, "vertex", units=units, inverses=inverses)
 
     # -- application --
@@ -547,12 +556,8 @@ class SpecializationMap:
 
     def apply_subspace(self, a: int, b: int, span: Subspace,
                        rows_: int, cols_: int) -> Subspace:
-        base = self.base
-        out = []
-        for v in span.basis:
-            m = DMatrix.from_flat(base, rows_, cols_, v)
-            out.append(self.apply_hom(a, b, m).flatten())
-        return echelonize(out, ambient_dim=span.ambient_dim)
+        return _span_image(lambda m: self.apply_hom(a, b, m), span, self.base,
+                           rows_, cols_, span.ambient_dim)
 
 
 def specialize_transform(graph: ObstructionGraph,
@@ -606,8 +611,4 @@ def relabel_vertices(graph: ObstructionGraph, perm: Sequence[int]) -> Obstructio
 
 def dagger_span(span: Subspace, base: StructureAlgebra, g: int) -> Subspace:
     """span{ dagger_transpose(e) } for e over the basis of an End-space span."""
-    out = []
-    for v in span.basis:
-        m = DMatrix.from_flat(base, g, g, v)
-        out.append(m.dagger_transpose().flatten())
-    return echelonize(out, ambient_dim=span.ambient_dim)
+    return _span_image(DMatrix.dagger_transpose, span, base, g, g, span.ambient_dim)

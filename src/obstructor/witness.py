@@ -90,10 +90,6 @@ class ChainReport:
         return tuple(i.name for i in self.identities if not i.holds)
 
 
-def _fmt(x: AlgElement) -> str:
-    return repr(x)
-
-
 def verify_identity_chain(g: int) -> ChainReport:
     """Exact checks of the documented identity chain for the split-model
     witness, plus an independent generation check.
@@ -118,33 +114,33 @@ def verify_identity_chain(g: int) -> ChainReport:
     stated = matrix_unit(model, 1, n)
     identities.append(ChainIdentity(
         name="x_pow_2g_minus_1", holds=(a == stated),
-        computed=_fmt(a), stated=_fmt(stated)))
+        computed=repr(a), stated=repr(stated)))
 
     nilp = x ** n
     identities.append(ChainIdentity(
         name="x_pow_2g_is_zero", holds=nilp.is_zero(),
-        computed=_fmt(nilp), stated="0"))
+        computed=repr(nilp), stated="0"))
 
     x_low = x ** (n - 3)
     stated = _unit_sum(model, [(1, n - 2), (2, n - 1), (3, n)])
     identities.append(ChainIdentity(
         name="x_pow_2g_minus_3", holds=(x_low == stated),
-        computed=_fmt(x_low), stated=_fmt(stated)))
+        computed=repr(x_low), stated=repr(stated)))
 
     stated = _unit_sum(model, [(n - 3, 2), (n, 1), (n - 1, 4)], sign=-1)
     identities.append(ChainIdentity(
         name="dagger_pow_2g_minus_3", holds=(b == stated),
-        computed=_fmt(b), stated=_fmt(stated)))
+        computed=repr(b), stated=repr(stated)))
 
     ab = a * b
     stated = -matrix_unit(model, 1, 1)
     identities.append(ChainIdentity(
-        name="ab", holds=(ab == stated), computed=_fmt(ab), stated=_fmt(stated)))
+        name="ab", holds=(ab == stated), computed=repr(ab), stated=repr(stated)))
 
     bab = b * ab
     stated = -matrix_unit(model, n, 1)
     identities.append(ChainIdentity(
-        name="bab", holds=(bab == stated), computed=_fmt(bab), stated=_fmt(stated),
+        name="bab", holds=(bab == stated), computed=repr(bab), stated=repr(stated),
         note="documented value; exact computation gives the opposite sign"))
 
     rho = _unit_sum(model, [(t - 1, t) for t in range(2, n + 1)]) \
@@ -152,13 +148,13 @@ def verify_identity_chain(g: int) -> ChainReport:
     diff = x - bab
     identities.append(ChainIdentity(
         name="x_minus_bab_is_rotation", holds=(diff == rho),
-        computed=_fmt(diff), stated=_fmt(rho),
+        computed=repr(diff), stated=repr(rho),
         note="depends on the sign of bab; see the bab entry"))
 
     alt = x + bab
     identities.append(ChainIdentity(
         name="x_plus_bab_is_rotation", holds=(alt == rho),
-        computed=_fmt(alt), stated=_fmt(rho),
+        computed=repr(alt), stated=repr(rho),
         note="rotation identity with the computed sign of bab"))
 
     return ChainReport(g=g, identities=tuple(identities),

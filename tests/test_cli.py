@@ -132,6 +132,20 @@ def test_obstruction_oracle_flag(runner, tmp_path):
     assert report["oracle_equal"] is True
 
 
+def test_obstruction_oracle_len_checked_before_any_work(runner, r3_graph_file,
+                                                        monkeypatch):
+    def fail(*args):
+        raise AssertionError("the loop span was computed before --oracle-len was checked")
+
+    monkeypatch.setattr("obstructor.cli.compute_obstruction", fail)
+    monkeypatch.setattr("obstructor.cli.path_span_table", fail)
+    res = runner.invoke(main, ["obstruction", "--graph", r3_graph_file,
+                               "--vertex", "1", "--oracle-len", "1"])
+    assert res.exit_code == 2
+    assert "Usage:" in res.output
+    assert "--oracle-len must be >= 2" in res.output
+
+
 def test_obstruction_malformed_json(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -40,6 +40,7 @@ from obstructor.obstruction import (
 from obstructor.witness import build_r3_graph
 
 D2 = quaternion_for_prime(2)
+M2Q = matrix_algebra(rationals(), 2)
 HAMILTON = quaternion_algebra(-1, -1)
 
 UNIT_ELTS = [HAMILTON.one(), HAMILTON.basis_element(1), HAMILTON.basis_element(2),
@@ -324,9 +325,17 @@ def test_pullback_rejects_non_adjoint_pair():
     ident = DMatrix.identity(D2, 2)
     # pi . iota = identity but pi is not a rational multiple of dagger(iota)
     iota = DMatrix.from_entries(D2, [[D2.one(), D2.zero()], [i_el, D2.one()]])
-    pi = iota.inverse()
+    pi = DMatrix.from_entries(D2, [[D2.one(), D2.zero()], [-i_el, D2.one()]])
     with pytest.raises(CoverValidationError):
         pullback_transform(g, [Cover(iota, pi, 1), Cover(ident, ident, 1)])
+
+
+@pytest.mark.parametrize("degree", [True, 1.0, "1", 0])
+def test_pullback_rejects_non_int_degree(degree):
+    g = ObstructionGraph(D2, (1, 1), {(1, 2): DMatrix.identity(D2, 1)})
+    ident = DMatrix.identity(D2, 1)
+    with pytest.raises(CoverValidationError):
+        pullback_transform(g, [Cover(ident, ident, degree), Cover(ident, ident, 1)])
 
 
 def test_pullback_shape_mismatch():
@@ -370,23 +379,61 @@ def rand_invertible(rng):
             return u
 
 
-def rand_vertex_conjugation(rng, g):
-    q = HAMILTON_UNIT(rng)
+def rand_vertex_conjugation(rng, g, q=None):
+    """Signed permutation matrices with the similitude ``q`` as entries."""
+    base = g.base
+    if q is None:
+        q = HAMILTON_UNIT(rng)
     units = []
     for v in range(1, g.r + 1):
         n = g.size(v)
         perm = list(range(n))
         rng.shuffle(perm)
-        ents = [[D2.zero()] * n for _ in range(n)]
+        ents = [[base.zero()] * n for _ in range(n)]
         for c in range(n):
             ents[perm[c]][c] = q if rng.random() < 0.5 else -q
-        units.append(DMatrix.from_entries(D2, ents))
-    return SpecializationMap.vertex_conjugation(D2, units)
+        units.append(DMatrix.from_entries(base, ents))
+    return SpecializationMap.vertex_conjugation(base, units)
 
 
 def HAMILTON_UNIT(rng):
     return [D2.one(), D2.basis_element(1), D2.basis_element(2),
             D2.basis_element(3)][rng.randrange(4)]
+
+
+def test_vertex_conjugation_over_matrix_base():
+    # Over M_2(Q) the unit is e11 + e22, and rot = [[1, -1], [1, 1]] has
+    # rot^T rot = 2.
+    rng = random.Random(29)
+    rot = M2Q.element((1, -1, 1, 1))
+    for trial in range(4):
+        g = rand_graph(rng, M2Q, rng.randint(2, 3))
+        ident = SpecializationMap.vertex_conjugation(
+            M2Q, [DMatrix.identity(M2Q, n) for n in g.sizes])
+        for h in (ident, rand_vertex_conjugation(rng, g, rot)):
+            g2 = specialize_transform(g, h)
+            for v in range(1, g.r + 1):
+                span = compute_obstruction(g, v)
+                img = h.apply_subspace(v, v, span, g.size(v), g.size(v))
+                assert img == compute_obstruction(g2, v), (trial, v)
+
+
+def test_vertex_conjugation_rejects_idempotent_over_matrix_base():
+    e11 = DMatrix.from_entries(M2Q, [[matrix_unit(M2Q, 1, 1)]])
+    with pytest.raises(MapValidationError):
+        SpecializationMap.vertex_conjugation(M2Q, [e11, e11])
+
+
+def test_vertex_conjugation_stores_two_sided_inverses():
+    rng = random.Random(37)
+    rot = M2Q.element((1, -1, 1, 1))
+    for base, q in ((D2, None), (M2Q, rot)):
+        for _ in range(4):
+            g = rand_graph(rng, base, 3, maxg=3)
+            h = rand_vertex_conjugation(rng, g, q)
+            for u, inv in zip(h.units, h.inverses):
+                ident = DMatrix.identity(base, u.rows)
+                assert u @ inv == ident and inv @ u == ident
 
 
 def test_specialize_rejects_doubling():
