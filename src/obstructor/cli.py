@@ -285,7 +285,7 @@ def verify(g, p, run_all, strict, seed, trials):
               help="Graph descriptor JSON file.")
 @click.option("--vertex", type=int, required=True, help="Base vertex (1-based).")
 @click.option("--oracle-len", type=int, default=None,
-              help="Also run the literal loop oracle up to this many edges.")
+              help="Also span the loops of up to this many edges with the loop oracle.")
 def obstruction(graph_path, vertex, oracle_len):
     """Loop span, corner report, and verdict for one vertex of a graph."""
     if oracle_len is not None and oracle_len < 2:

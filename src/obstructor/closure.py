@@ -26,10 +26,9 @@ a graph. Subrng closure is the one-vertex table: its only cell is the whole
 algebra, seeded with the generators, and its rule is the algebra's own
 multiplication table. The unit is never adjoined.
 
-``stabilized_word_span`` is the closure's independent cross-check: the span
-of all words in the generators, built length by length. Every word of length
-L+1 is a generator times a word of length L, so one length step that adds
-nothing means no longer word adds anything either.
+``spin`` serves both independent cross-checks, ``stabilized_word_span`` and
+:func:`obstruction.loop_oracle` (MeatAxe spinning, Parker 1984, over Q).
+Unlike ``fixed_point``, it never multiplies two span vectors.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from .algebra import AlgElement, Rule, StructureAlgebra, rule_product
 from .errors import AlgebraValidationError
 from .linalg import Echelon, Subspace, Vec, primitive
 
-__all__ = ["SubrngResult", "fixed_point", "subrng_closure", "generates_fully",
-           "stabilized_word_span"]
+__all__ = ["SubrngResult", "fixed_point", "spin", "subrng_closure",
+           "generates_fully", "stabilized_word_span"]
 
 
 def fixed_point(cells: Mapping[tuple, int],
@@ -101,6 +100,42 @@ def fixed_point(cells: Mapping[tuple, int],
     return ech, rounds
 
 
+def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
+         steps: Sequence[tuple[tuple, tuple, Rule, tuple[int, ...]]],
+         max_len: Optional[int] = None) -> tuple[dict, int]:
+    """Span the words over fixed steps, length by length.
+
+    ``cells`` and ``seeds`` are as for :func:`fixed_point`, the seeds being
+    the words of length 1. A step ``(target, source, rule, x)`` maps w in
+    cell ``source`` to x*w under the integer ``rule``, in cell ``target``.
+    The words of length L+1 span those up to length L plus the steps of the
+    primitive vectors that grew a source at length L, so only those are
+    multiplied, and a length that grows no cell is final. New vectors wait
+    for the next length, and a full target is skipped. Stops then, after at
+    most sum(cells) + 1 lengths, or at ``max_len`` letters. Returns
+    ``({cell: Echelon}, last length built)``.
+    """
+    ech, fresh = {}, {}
+    for cell, ambient in cells.items():
+        ech[cell] = target = Echelon(ambient)
+        fresh[cell] = [primitive(v) for v in seeds.get(cell, ())
+                       if target.add(v)]
+    length = 1
+    while length != max_len and any(fresh.values()):
+        grown = {cell: [] for cell in cells}
+        for target, source, rule, x in steps:
+            span = ech[target]
+            for w in fresh[source]:
+                if span.is_full():
+                    break
+                prod = rule_product(rule, x, w, span.ambient, 0)
+                if span.add(prod):
+                    grown[target].append(primitive(prod))
+        fresh = grown
+        length += 1
+    return ech, length
+
+
 @dataclass(frozen=True)
 class SubrngResult:
     """Outcome of a subrng closure: the span, the generators, and the number
@@ -150,31 +185,14 @@ def stabilized_word_span(algebra: StructureAlgebra, gens: Iterable[AlgElement],
     until one length step adds nothing (which is permanent) or the words
     reach ``max_len`` letters. Returns (span, last length built).
 
-    Independent of :func:`subrng_closure`: each length's values are spanned
-    before extension, since a basis of the length-L values yields the same
-    length-(L+1) span by bilinearity. Monotone in ``max_len``.
+    Independent of :func:`subrng_closure`: one :func:`spin` cell, whose steps
+    multiply each generator on the left. Monotone in ``max_len``.
     """
     gens = _check_gens(algebra, gens)
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be >= 1")
-    total = Echelon(algebra.dim)
-    level = Echelon(algebra.dim)
-    for g in gens:
-        total.add(g.coeffs)
-        level.add(g.coeffs)
-    mul = algebra.mul_coeffs
-    length = 1
-    grew = True
-    while grew and length != max_len:
-        prev = level.basis_vectors()
-        if not prev:
-            break
-        level = Echelon(algebra.dim)
-        grew = False
-        for g in gens:
-            for w in prev:
-                val = mul(g.coeffs, w)
-                level.add(val)
-                grew |= total.add(val)
-        length += 1
-    return total.to_subspace(), length
+    cell = (0, 0)
+    ech, length = spin({cell: algebra.dim}, {cell: [g.coeffs for g in gens]},
+                       [(cell, cell, algebra.rule, primitive(g.coeffs))
+                        for g in gens], max_len)
+    return ech[cell].to_subspace(), length

@@ -98,10 +98,10 @@ class Echelon:
     reduced row-echelon basis. Only the non-pivot columns ``free`` are
     stored: ``rows[i][j]`` is row ``i`` in column ``free[j]``.
 
-    ``add`` and ``contains`` form the residual ``den*w - sum(w[pc]*row)`` of
-    the integer vector ``w`` on the input's line in one pass, with no gcd;
-    it is zero exactly when ``w`` is in the span. Its first nonzero entry
-    ``a``, made positive, lies in the new pivot column ``q``.
+    ``add`` forms the residual ``den*w - sum(w[pc]*row)`` of the integer
+    vector ``w`` on the input's line in one pass, with no gcd; it is zero
+    exactly when ``w`` is in the span. Its first nonzero entry ``a``, made
+    positive, lies in the new pivot column ``q``.
 
     While ``sylvester`` holds, ``den`` is the absolute determinant of the
     primitive vectors that grew the span on the pivot columns, ``a`` is the
@@ -155,9 +155,6 @@ class Echelon:
             if c:
                 res = [x - c * y for x, y in zip(res, row)]
         return w, res
-
-    def contains(self, v) -> bool:
-        return not any(self._residual(v)[1])
 
     def add(self, v) -> bool:
         """Insert ``v`` (ints or Fractions) into the span. Returns True when

@@ -18,8 +18,8 @@ the subrng closure; both follow the engine's two rules (factor lengths
 frozen per triple, and a full cell takes no more products), which fix the
 reported ``rounds``.
 
-``loop_oracle`` is the independent cross-check: literal enumeration of loop
-sequences up to a bounded number of edges, composing actual matrices.
+``loop_oracle`` is the independent cross-check: :func:`closure.spin` builds
+the paths from the vertex edge by edge and reads off the loops.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .algebra import (
     rule_product,
     unit_multiple,
 )
-from .closure import fixed_point
+from .closure import fixed_point, spin
 from .errors import (
     AlgebraValidationError,
     CoverValidationError,
@@ -185,44 +185,27 @@ def compute_obstruction(graph: ObstructionGraph, vertex: int) -> Subspace:
 
 
 def loop_oracle(graph: ObstructionGraph, vertex: int, max_len: int) -> Subspace:
-    """Span of literal loop compositions at ``vertex`` with 2..max_len edges.
+    """Span of the loop values at ``vertex`` with 2..max_len edges.
 
-    Enumerates every vertex sequence with distinct consecutive entries whose
-    traversed edges are nonzero, composing actual matrices; monotone in
-    ``max_len``. Exponential in ``max_len``; meant as an oracle, not a
-    production path.
+    Cell (a, vertex) spans the paths from ``vertex`` to a, seeded with the
+    edges; each nonzero edge from c to a is a step from cell (c, vertex).
+    Monotone in ``max_len``, and stops once the spans are stable.
     """
     graph._check_vertex(vertex)
     if max_len < 2:
         raise ValueError("max_len must be >= 2 (shortest loop has two edges)")
-    # steps[v] lists (w, component J_w -> J_v): appending w to a path ending
-    # at v composes that component on the right.
-    steps: dict[int, list] = {}
-    for v in range(1, graph.r + 1):
-        outs = []
-        for w in range(1, graph.r + 1):
-            if w != v:
-                m = graph.hom_map(v, w)
-                if not m.is_zero():
-                    outs.append((w, m))
-        steps[v] = outs
-    ech = Echelon(graph.hom_ambient(vertex, vertex))
-    # A frontier item is (endpoint, composed value J_endpoint -> J_vertex).
-    frontier = list(steps[vertex])
-    length = 1
-    while frontier and length < max_len:
-        nxt = []
-        for v, val in frontier:
-            for w, step in steps[v]:
-                newval = val @ step
-                if newval.is_zero():
-                    continue
-                if w == vertex:
-                    ech.add(newval.flatten())
-                nxt.append((w, newval))
-        frontier = nxt
-        length += 1
-    return ech.to_subspace()
+    verts = range(1, graph.r + 1)
+    cells = {(a, vertex): graph.hom_ambient(a, vertex) for a in verts}
+    seeds = {(a, vertex): [graph.hom_map(a, vertex).flatten()]
+             for a in verts if a != vertex}
+    sizes = graph.sizes
+    steps = [((a, vertex), (c, vertex),
+              matrix_rule(graph.base, sizes[a - 1], sizes[c - 1], sizes[vertex - 1]),
+              primitive(graph.hom_map(a, c).flatten()))
+             for a in verts for c in verts
+             if a != c and not graph.hom_map(a, c).is_zero()]
+    ech, _ = spin(cells, seeds, steps, max_len)
+    return ech[(vertex, vertex)].to_subspace()
 
 
 # -- corner detection and verdicts --------------------------------------------

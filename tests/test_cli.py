@@ -132,6 +132,18 @@ def test_obstruction_oracle_flag(runner, tmp_path):
     assert report["oracle_equal"] is True
 
 
+def test_obstruction_huge_oracle_len_stops_once_stable(runner, r3_graph_file):
+    # The oracle stops when its spans stop growing, so a length far past
+    # anything enumerable needs no cap.
+    res = runner.invoke(main, ["obstruction", "--graph", r3_graph_file,
+                               "--vertex", "1", "--oracle-len", "1000000000"])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["oracle_len"] == 1000000000
+    assert report["oracle_dim"] == report["e_dim"]
+    assert report["oracle_equal"] is True
+
+
 def test_obstruction_oracle_len_checked_before_any_work(runner, r3_graph_file,
                                                         monkeypatch):
     def fail(*args):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -91,6 +92,13 @@ def test_word_oracle_stabilizes_in_m2q():
     gens = [matrix_unit(M2, 1, 2), matrix_unit(M2, 2, 1)]
     assert (stabilized_word_span(M2, gens, max_len=4)[0]
             == stabilized_word_span(M2, gens, max_len=5)[0])
+    # The returned length is the first length that grew nothing, or 1 when
+    # there is no nonzero generator, or max_len.
+    units = [matrix_unit(M2, i, j) for i in (1, 2) for j in (1, 2)]
+    for case, want in [([], 1), ([M2.zero(), M2.zero()], 1),
+                       ([matrix_unit(M2, 1, 2)], 2), (units, 2)]:
+        assert stabilized_word_span(M2, case)[1] == want, case
+    assert stabilized_word_span(M2, gens, max_len=1)[1] == 1
 
 
 def test_word_oracle_monotone():
@@ -257,3 +265,58 @@ def test_path_table_on_non_integral_base_matches_loop_oracle():
         [2, 4, 2, 4, 8, 4, 2, 4, 2]
     for v in (1, 2, 3):
         assert loop_oracle(g, v, 8) == table.spans[(v, v)], v
+
+
+# -- spinning against literal enumeration ----------------------------------------
+
+
+def test_word_span_matches_literal_words_seeded():
+    # M_3(Q) and M_2(D_2) keep growing past length 2, so the frozen levels
+    # are tested at every length.
+    rng = random.Random(31)
+    arenas = [rationals(), quaternion_for_prime(2), matrix_algebra(rationals(), 2),
+              matrix_algebra(rationals(), 3),
+              matrix_algebra(quaternion_for_prime(2), 2)]
+    for trial in range(80):
+        alg = arenas[trial % len(arenas)]
+        gens = _random_gens(alg, rng, 1 + trial % 2, bound=2)
+        words = []
+        for L in range(1, 5):
+            for word in itertools.product(gens, repeat=L):
+                val = word[0]
+                for letter in word[1:]:
+                    val = val * letter
+                words.append(val.coeffs)
+            literal = echelonize(words, ambient_dim=alg.dim)
+            assert stabilized_word_span(alg, gens, max_len=L)[0] == literal, (trial, L)
+
+
+def test_loop_oracle_matches_literal_loops_seeded():
+    rng = random.Random(32)
+    bases = [rationals(), quaternion_for_prime(2)]
+    for trial in range(60):
+        base = bases[trial % len(bases)]
+        r = 2 + trial % 3
+        sizes = [rng.randint(1, 2) for _ in range(r)]
+        edges = {}
+        for i in range(1, r + 1):
+            for j in range(i + 1, r + 1):
+                if rng.random() < 0.7:
+                    edges[(i, j)] = DMatrix.from_entries(base, [
+                        [_random_gens(base, rng, 1, bound=2)[0]
+                         for _ in range(sizes[i - 1])]
+                        for _ in range(sizes[j - 1])])
+        g = ObstructionGraph(base, sizes, edges)
+        v = rng.randint(1, r)
+        loops = []
+        for L in range(2, 6):
+            for inner in itertools.product(range(1, r + 1), repeat=L - 1):
+                seq = (v, *inner, v)
+                if any(a == b for a, b in zip(seq, seq[1:])):
+                    continue
+                val = g.hom_map(seq[0], seq[1])
+                for a, b in zip(seq[1:], seq[2:]):
+                    val = val @ g.hom_map(a, b)
+                loops.append(val.flatten())
+            literal = echelonize(loops, ambient_dim=g.hom_ambient(v, v))
+            assert loop_oracle(g, v, L) == literal, (trial, L)

@@ -273,10 +273,10 @@ def test_echelon_matches_gauss_jordan_seeded():
                 assert grew == ref.add(v), trial
                 assert ech.dim == len(ref.rows)
                 assert ech.basis_vectors() == ref.basis(), trial
-            for p in probes:
-                assert ech.contains(p) == ref.contains(p), trial
-            assert tuple(ech.piv_cols) == ref.pivots()
             sub = ech.to_subspace()
+            for p in probes:
+                assert sub.contains(p) == ref.contains(p), trial
+            assert tuple(ech.piv_cols) == ref.pivots()
             assert sub.basis == ref.basis() and sub.pivots == ref.pivots()
             bases.add(sub.basis)
         assert len(bases) == 1, trial
