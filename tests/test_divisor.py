@@ -211,3 +211,75 @@ def test_end_to_end_example_checks():
     lifted = substitute_powers(f, (2, 2, 2))
     plus = parse_poly("x1*x2*x3 + y1*y2*y3", 3)
     assert verify_factorization(lifted, [f, plus])
+
+
+# The parser's whole contract on a fixed table: each input maps either to its
+# exception (exact type, message, position) or to its terms and multidegree.
+_SYN, _INH, _POLY = PolynomialSyntaxError, InhomogeneousTermError, PolynomialError
+
+_PARSE_TABLE = [
+    ("x1 $ y1", 1, (_SYN, "unexpected character '$'", 3)),
+    ("x 1", 1, (_SYN, "unexpected character 'x'", 0)),
+    ("(x1)", 1, (_SYN, "parentheses are not supported", 0)),
+    ("x1 + + $", 1, (_SYN, "unexpected character '$'", 7)),
+    ("x1 y1 ^ )", 1, (_SYN, "parentheses are not supported", 8)),
+    ("", 1, (_SYN, "empty polynomial", 0)),
+    ("   ", 1, (_SYN, "empty polynomial", 0)),
+    ("-", 1, (_SYN, "dangling sign", 0)),
+    ("  +  ", 1, (_SYN, "dangling sign", 2)),
+    ("x1*", 1, (_SYN, "dangling operator", 2)),
+    ("x1 +", 1, (_SYN, "dangling operator", 3)),
+    ("x1 - ", 1, (_SYN, "dangling operator", 3)),
+    ("x1 + + x1", 1, (_SYN, "expected a factor, got '+'", 5)),
+    ("- - x1", 1, (_SYN, "expected a factor, got '-'", 2)),
+    ("x1 * * x1", 1, (_SYN, "expected a factor, got '*'", 5)),
+    ("x1*+y1", 1, (_SYN, "expected a factor, got '+'", 3)),
+    ("^2", 1, (_SYN, "expected a factor, got '^'", 0)),
+    ("x1 y1", 1, (_SYN, "expected an operator, got 'y1'", 3)),
+    ("x1 2", 1, (_SYN, "expected an operator, got '2'", 3)),
+    ("2^2", 1, (_SYN, "'^' only follows a variable", 1)),
+    ("x1^2^3", 1, (_SYN, "'^' only follows a variable", 4)),
+    ("x1^0*y1", 1, (_SYN, "exponent must be a positive integer", 2)),
+    ("x1^", 1, (_SYN, "exponent must be a positive integer", 2)),
+    ("x1^1/2", 1, (_SYN, "exponent must be a positive integer", 2)),
+    ("x1^y1", 1, (_SYN, "exponent must be a positive integer", 2)),
+    ("x0", 1, (_SYN, "variable x0 outside 1..1", 0)),
+    ("x4", 3, (_SYN, "variable x4 outside 1..3", 0)),
+    ("y9 + x1", 3, (_SYN, "variable y9 outside 1..3", 0)),
+    ("2/0*x1", 1, (_SYN, "zero denominator", 0)),
+    ("x1^2 + 3 * y1", 1, (_INH, "term 3 * y1 breaks multihomogeneity: "
+                                "degrees (1,) vs (2,)", None)),
+    ("1 + x1", 1, (_INH, "term x1 breaks multihomogeneity: "
+                         "degrees (1,) vs (0,)", None)),
+    ("x1 - x1 + y1^2", 1, (_INH, "term y1^2 breaks multihomogeneity: "
+                                 "degrees (2,) vs (1,)", None)),
+    ("x1", 0, (_POLY, "need at least one projective-line factor", None)),
+    ("-x1*y2 + 3/2*y1*x2", 2, ({((1, 0), (0, 1)): F(-1), ((0, 1), (1, 0)): F(3, 2)},
+                               (1, 1))),
+    ("+x1", 1, ({((1, 0),): F(1)}, (1,))),
+    ("0", 2, ({}, (0, 0))),
+    ("x1 - x1", 1, ({}, (0,))),
+    ("x1^2*x1 - 2*y1^ 3", 1, ({((3, 0),): F(1), ((0, 3),): F(-2)}, (3,))),
+    ("x1 + 0*y1^5", 1, ({((1, 0),): F(1)}, (1,))),
+    ("2*3/4*x1*x2*x3 - y1*y2*y3", 3,
+     ({((1, 0), (1, 0), (1, 0)): F(3, 2), ((0, 1), (0, 1), (0, 1)): F(-1)},
+      (1, 1, 1))),
+]
+
+
+@pytest.mark.parametrize("text, r, want", _PARSE_TABLE,
+                         ids=[f"{t!r}-r{r}" for t, r, _ in _PARSE_TABLE])
+def test_parse_table(text, r, want):
+    if isinstance(want[0], dict):
+        f = parse_poly(text, r)
+        assert (f.terms, f.degrees) == want
+        return
+    exc_type, message, position = want
+    with pytest.raises(exc_type) as exc:
+        parse_poly(text, r)
+    assert type(exc.value) is exc_type
+    if position is None:
+        assert str(exc.value) == message
+    else:
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
