@@ -483,7 +483,8 @@ def reduced_norm(x: AlgElement) -> Fraction:
 
 
 def unit_multiple(v: Vec, unit: Vec) -> Optional[Fraction]:
-    """The rational s with v = s * unit, or None when v is no such multiple."""
+    """The rational s with v = s * unit for a nonzero vector ``unit``, or None
+    when v is no such multiple."""
     k = next(t for t, c in enumerate(unit) if c)
     s = v[k] / unit[k]
     return s if all(a == s * u for a, u in zip(v, unit)) else None

@@ -342,21 +342,6 @@ class Cover:
     degree: int
 
 
-def _is_rational_multiple(u: Vec, w: Vec) -> bool:
-    lam = None
-    for a, b in zip(u, w):
-        if not a and not b:
-            continue
-        if not b:
-            return False
-        cand = a / b
-        if lam is None:
-            lam = cand
-        elif cand != lam:
-            return False
-    return lam is not None and lam != 0
-
-
 def _validate_cover(cov: Cover, g: int, base: StructureAlgebra):
     if cov.iota.base is not base or cov.pi.base is not base:
         raise CoverValidationError("cover matrices over a different base")
@@ -374,9 +359,9 @@ def _validate_cover(cov: Cover, g: int, base: StructureAlgebra):
     if prod.flatten() != want.flatten():
         raise CoverValidationError("pi . iota is not degree * identity")
     # The transformation law needs pi ~ dagger(iota) (adjoint up to a nonzero
-    # rational); both the identity and pure-scaling covers satisfy this.
-    if not _is_rational_multiple(cov.pi.flatten(),
-                                 cov.iota.dagger_transpose().flatten()):
+    # rational); both the identity and pure-scaling covers satisfy this. iota
+    # is nonzero here, since pi . iota = degree * identity.
+    if not unit_multiple(cov.pi.flatten(), cov.iota.dagger_transpose().flatten()):
         raise CoverValidationError(
             "pi must be a nonzero rational multiple of dagger_transpose(iota)")
 

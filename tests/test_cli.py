@@ -340,6 +340,47 @@ def test_divisor_single_fiber_is_usage_error(runner):
     assert res.exit_code == 2
 
 
+def _assert_one_error_line(res):
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr.startswith("Error:") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("r", ["65", "1000000000"])
+def test_divisor_r_over_the_cap_is_usage_error(runner, r):
+    start = time.perf_counter()
+    res = runner.invoke(main, ["divisor", "--poly", "x1", "--r", r])
+    assert time.perf_counter() - start < 1
+    _assert_one_error_line(res)
+    assert "exceed the cap 64" in res.stderr
+
+
+_HUGE_POWER = "x1^1000000000*x2 - y1^1000000000*y2"
+
+
+def test_divisor_fiber_over_the_bit_budget_is_usage_error(runner):
+    start = time.perf_counter()
+    res = runner.invoke(main, ["divisor", "--poly", _HUGE_POWER, "--r", "2",
+                               "--fiber", "1:[3:1]", "--fiber", "2:[1:1]"])
+    assert time.perf_counter() - start < 1
+    _assert_one_error_line(res)
+    assert "bits" in res.stderr
+
+
+@pytest.mark.parametrize("pt_i, pt_j", [("0:1", "1:0"), ("1:-1", "1:1")])
+def test_divisor_fiber_at_unit_coordinates_needs_no_bits(runner, pt_i, pt_j):
+    res = runner.invoke(main, ["divisor", "--poly", _HUGE_POWER, "--r", "2",
+                               "--fiber", f"1:[{pt_i}]", "--fiber", f"2:[{pt_j}]"])
+    assert res.exit_code == 0, res.output
+    assert res.output == dump_json({
+        "poly": _HUGE_POWER, "r": 2, "multidegree": [1000000000, 1],
+        "double_fiber_hits": [{"i": 1, "point_i": f"[{pt_i}]",
+                               "j": 2, "point_j": f"[{pt_j}]",
+                               "contained": True}]})
+
+
 def test_byte_identical_reports(runner, r3_graph_file):
     args = ["obstruction", "--graph", r3_graph_file, "--vertex", "1"]
     assert runner.invoke(main, args).output == runner.invoke(main, args).output

@@ -253,6 +253,8 @@ _PARSE_TABLE = [
                          "degrees (1,) vs (0,)", None)),
     ("x1 - x1 + y1^2", 1, (_INH, "term y1^2 breaks multihomogeneity: "
                                  "degrees (2,) vs (1,)", None)),
+    ("x1 + 2 * y1^2 - y1", 1, (_INH, "term 2 * y1^2 breaks multihomogeneity: "
+                                     "degrees (2,) vs (1,)", None)),
     ("x1", 0, (_POLY, "need at least one projective-line factor", None)),
     ("-x1*y2 + 3/2*y1*x2", 2, ({((1, 0), (0, 1)): F(-1), ((0, 1), (1, 0)): F(3, 2)},
                                (1, 1))),
@@ -283,3 +285,22 @@ def test_parse_table(text, r, want):
     else:
         assert str(exc.value) == f"{message} (at position {position})"
         assert exc.value.position == position
+
+
+def test_factor_count_is_capped():
+    assert parse_poly("x1", 64).r == 64
+    for make in (lambda: parse_poly("x1", 65), lambda: MultiHomogPoly.zero(65),
+                 lambda: parse_poly("x1", 10 ** 9)):
+        with pytest.raises(PolynomialError, match="exceed the cap 64"):
+            make()
+
+
+def test_double_fiber_bit_budget():
+    # [3:1] costs bit_length(2) = 2 bits per degree; [1:-1] and [0:1] cost none
+    at = parse_poly(f"x1^{2 ** 19}*x2 - y1^{2 ** 19}*y2", 2)
+    over = parse_poly(f"x1^{2 ** 19 + 1}*x2 - y1^{2 ** 19 + 1}*y2", 2)
+    assert not contains_double_fiber(at, 1, (3, 1), 2, (1, 1))
+    with pytest.raises(PolynomialError, match="budget"):
+        contains_double_fiber(over, 1, (3, 1), 2, (1, 1))
+    # the budget is judged on the coprime integer form of each point
+    assert contains_double_fiber(over, 1, ("2/3", "2/3"), 2, ("-2/7", "-2/7"))
