@@ -22,6 +22,7 @@ import click
 
 from .algebra import (
     INF,
+    DMatrix,
     element_to_dmatrix,
     hilbert_symbol,
     is_definite_rational_quaternion,
@@ -37,6 +38,7 @@ from .divisor import contains_double_fiber, parse_poly, substitute_powers, verif
 from .errors import ObstructorError
 from .linalg import echelonize, ratio
 from .obstruction import (
+    CornerReport,
     compute_obstruction,
     corner_detect,
     flag_nonliftable,
@@ -290,8 +292,18 @@ def obstruction(graph_path, vertex, oracle_len):
     graph = graph_from_json(_load_json(graph_path, "graph"))
     span = compute_obstruction(graph, vertex)
     table = path_span_table(graph)
-    end_alg = matrix_algebra(graph.base, graph.size(vertex))
-    report = corner_detect(span, end_alg)
+    g = graph.size(vertex)
+    if 0 < span.dim < span.ambient_dim:
+        report = corner_detect(span, matrix_algebra(graph.base, g))
+        idempotent = None if report.idempotent is None else report.idempotent.coeffs
+    else:
+        # A zero or full span is the corner of the zero or the identity
+        # matrix, which corner_detect reports without a product; M_g(D),
+        # whose build alone takes seconds at the largest sizes, is not built.
+        full = span.dim > 0
+        report = CornerReport(is_corner=True, idempotent=None, factor_dim=span.dim,
+                              is_full=full, is_zero=not full)
+        idempotent = DMatrix.scalar(graph.base, g, int(full)).flatten()
     ramified = is_definite_rational_quaternion(graph.base)
     verdict = flag_nonliftable(report, ramified)
     out = {
@@ -303,8 +315,7 @@ def obstruction(graph_path, vertex, oracle_len):
         "is_full": report.is_full,
         "is_zero": report.is_zero,
         "factor_dim": report.factor_dim,
-        "idempotent": (None if report.idempotent is None
-                       else coeffs_to_json(report.idempotent.coeffs)),
+        "idempotent": None if idempotent is None else coeffs_to_json(idempotent),
         "base_ramified": ramified,
         "verdict": verdict.verdict,
         "verdict_reason": verdict.reason,

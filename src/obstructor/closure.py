@@ -12,7 +12,17 @@ reported ``rounds`` (the rounds that grew some cell):
 
 * both factor-list lengths are frozen when a triple starts, so a vector
   found during the triple waits for the triple's next visit;
-* a cell stops taking products as soon as it is full.
+* a cell takes no products once full or once certified at its final
+  dimension.
+
+A product into a cell at its final dimension cannot grow it, so skipping it
+changes no decision. The final dimensions are certified lazily: the first
+time a cell has taken more than twice its current dimension in products that
+did not grow it, one ``spin`` from the current spans, stepping on the left by
+the seeds, spans the final table. That is exact because the product rules
+are associative (checked for every algebra at construction, and inherited
+by matrix composition over it): every element of the closure is a sum of
+left-nested words in the seeds. Full tables rarely reach the trigger.
 
 The engine runs on primitive integer vectors: seeds are scaled to integers
 and every rule is an algebra's integer rule, whose products are fixed
@@ -26,9 +36,10 @@ a graph. Subrng closure is the one-vertex table: its only cell is the whole
 algebra, seeded with the generators, and its rule is the algebra's own
 multiplication table. The unit is never adjoined.
 
-``spin`` serves both independent cross-checks, ``stabilized_word_span`` and
-:func:`obstruction.loop_oracle` (MeatAxe spinning, Parker 1984, over Q).
-Unlike ``fixed_point``, it never multiplies two span vectors.
+``spin`` (MeatAxe spinning, Parker 1984, over Q) also serves both independent
+cross-checks, ``stabilized_word_span`` and :func:`obstruction.loop_oracle`.
+Unlike the pairwise loop of ``fixed_point``, it never multiplies two span
+vectors.
 """
 
 from __future__ import annotations
@@ -53,6 +64,13 @@ def fixed_point(cells: Mapping[tuple, int],
     the starting vectors of a cell, and ``rule(a, c, b)`` is the integer
     product rule from cells (a, c) and (c, b) into (a, b). Triples are
     visited in the order of ``cells``. Returns ``({cell: Echelon}, rounds)``.
+
+    A cell takes no products once at its cap: its ambient dimension, until
+    some cell has taken more than twice its current dimension in products
+    that did not grow it. Then one :func:`spin` from the current spans,
+    stepping on the left by the seeds, spans the final table, and its
+    dimensions become the caps. This needs associative rules, so that the
+    closure is spanned by left-nested words in the seeds.
     """
     ech: dict[tuple, Echelon] = {}
     spanning: dict[tuple, list[tuple[int, ...]]] = {}
@@ -60,6 +78,9 @@ def fixed_point(cells: Mapping[tuple, int],
         ech[cell] = target = Echelon(ambient)
         spanning[cell] = [primitive(v) for v in seeds.get(cell, ())
                           if target.add(v)]
+    letters = {cell: list(vs) for cell, vs in spanning.items()}
+    cap = dict(cells)
+    misses: Optional[dict[tuple, int]] = dict.fromkeys(cells, 0)
     # Cells indexed by their first vertex list the triples in O(r^3), in the
     # order of a scan over all pairs of cells.
     after: dict = {}
@@ -81,7 +102,7 @@ def fixed_point(cells: Mapping[tuple, int],
                 continue
             marks[(a, c, b)] = (n1, n2)
             target = ech[(a, b)]
-            if target.is_full() or not n1 or not n2:
+            if target.dim == cap[(a, b)] or not n1 or not n2:
                 continue
             r = rule(a, c, b)
             bucket = spanning[(a, b)]
@@ -92,9 +113,17 @@ def fixed_point(cells: Mapping[tuple, int],
                     if target.add(prod):
                         bucket.append(primitive(prod))
                         changed = True
-                        if target.is_full():
-                            break
-                if target.is_full():
+                    elif misses is not None:
+                        misses[(a, b)] += 1
+                        if misses[(a, b)] > 2 * target.dim:
+                            final, _ = spin(cells, spanning, [
+                                ((p, q), (s, q), rule(p, s, q), w)
+                                for p, s, q in triples for w in letters[(p, s)]])
+                            cap = {cell: e.dim for cell, e in final.items()}
+                            misses = None
+                    if target.dim == cap[(a, b)]:
+                        break
+                if target.dim == cap[(a, b)]:
                     break
         rounds += changed
     return ech, rounds

@@ -33,7 +33,7 @@ _ZERO = Fraction(0)
 MAX_FACTORS = 64
 
 # The bit budget of contains_double_fiber (see there).
-FIBER_BITS = 1 << 20
+FIBER_BITS = 1 << 21
 
 # Exponents: one (a_i, b_i) pair per factor; a counts x_i, b counts y_i.
 Expo = tuple[tuple[int, int], ...]
@@ -308,10 +308,12 @@ def contains_double_fiber(f: MultiHomogPoly, i: int, pt_i, j: int, pt_j) -> bool
     Each point is scaled to coprime integers [s:t]; vanishing is unchanged,
     as f is homogeneous in each factor. A factor of degree d then adds
     d * bit_length(max(|s|, |t|) - 1) bits to a monomial's value, none at
-    coordinates in {0, 1, -1}. Points whose total exceeds FIBER_BITS = 2^20
-    are refused before any power is formed: at that budget a two-term
-    polynomial evaluates in 0.04-0.17 s (CPython 3.11, 2-vCPU guest), and
-    each quadrupling of it costs about 8x.
+    coordinates in {0, 1, -1}. By homogeneity every term costs the same
+    bits, so the evaluation costs bits * (number of terms), and points at
+    which that exceeds FIBER_BITS = 2^21 are refused before any power is
+    formed: one term of 2^21 bits evaluates in about 0.08 s and two of 2^20
+    in 0.03-0.05 s (CPython 3.11, 2-vCPU guest), and each quadrupling of the
+    budget costs about 8x.
     """
     if i == j:
         raise PolynomialError("double fiber needs two distinct factors")
@@ -320,8 +322,9 @@ def contains_double_fiber(f: MultiHomogPoly, i: int, pt_i, j: int, pt_j) -> bool
             raise DimensionMismatchError(f"factor {v} outside 1..{f.r}")
     si, ti = _check_point(pt_i)
     sj, tj = _check_point(pt_j)
-    bits = (f.degrees[i - 1] * (max(abs(si), abs(ti)) - 1).bit_length()
-            + f.degrees[j - 1] * (max(abs(sj), abs(tj)) - 1).bit_length())
+    bits = len(f.terms) * (
+        f.degrees[i - 1] * (max(abs(si), abs(ti)) - 1).bit_length()
+        + f.degrees[j - 1] * (max(abs(sj), abs(tj)) - 1).bit_length())
     if bits > FIBER_BITS:
         raise PolynomialError(
             f"evaluating at these points needs about {bits} bits, over the "

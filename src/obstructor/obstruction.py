@@ -15,8 +15,8 @@ are seeded with the edges, and triple (a, c, b) composes cell (a, c) with
 cell (c, b) under ``matrix_rule`` for the sizes (g_a, g_c, g_b), which
 repeats the base's integer constants. The same engine run on one vertex is
 the subrng closure; both follow the engine's two rules (factor lengths
-frozen per triple, and a full cell takes no more products), which fix the
-reported ``rounds``.
+frozen per triple, and a cell takes no products once full or once certified
+at its final dimension), which fix the reported ``rounds``.
 
 ``loop_oracle`` is the independent cross-check: :func:`closure.spin` builds
 the paths from the vertex edge by edge and reads off the loops.

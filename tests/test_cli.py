@@ -110,6 +110,44 @@ def test_obstruction_zero_graph(runner, zero_graph_file):
     assert report["verdict"] == "NOT-OBSTRUCTED"
 
 
+def _block_graph_json() -> str:
+    """The g = 2 r3 graph padded to three size-3 vertices: its loop span is
+    the partial corner of diag(1, 1, 0)."""
+    payload = graph_to_json(build_r3_graph(2, 2, seed=0))
+    zero = ["0"] * 4
+    for edge in payload["edges"]:
+        edge["matrix"] = [row + [zero] for row in edge["matrix"]] + [[zero] * 3]
+    payload["sizes"] = [3, 3, 3]
+    return dump_json(payload)
+
+
+def test_obstruction_builds_the_matrix_algebra_only_for_a_partial_span(
+        runner, tmp_path, monkeypatch, r3_graph_file):
+    import obstructor.cli as cli
+
+    built = []
+    real = cli.matrix_algebra
+    monkeypatch.setattr(cli, "matrix_algebra",
+                        lambda base, g: built.append(g) or real(base, g))
+    files = {"zero": tmp_path / "zero.json", "block": tmp_path / "block.json"}
+    files["zero"].write_text(json.dumps({"base": {"kind": "quaternion_for_prime", "p": 2},
+                                         "r": 2, "sizes": [3, 3], "edges": []}),
+                             encoding="utf-8")
+    files["block"].write_text(_block_graph_json(), encoding="utf-8")
+    reports = {}
+    for name, path in [*files.items(), ("full", r3_graph_file)]:
+        built.clear()
+        res = runner.invoke(main, ["obstruction", "--graph", str(path), "--vertex", "1"])
+        assert res.exit_code == 0, res.output
+        reports[name] = (json.loads(res.output), list(built))
+    zero, full, block = reports["zero"], reports["full"], reports["block"]
+    assert zero[1] == [] and full[1] == [] and block[1] == [3]
+    assert zero[0]["idempotent"] == ["0"] * 36 and zero[0]["factor_dim"] == 0
+    assert full[0]["idempotent"] == [str(int(r == c and t == 0))
+                                     for r in range(2) for c in range(2) for t in range(4)]
+    assert (block[0]["e_dim"], block[0]["is_corner"], block[0]["factor_dim"]) == (16, True, 16)
+
+
 def test_obstruction_oracle_flag(runner, tmp_path):
     # small graph whose loop span stabilizes within 4 edges
     payload = {
@@ -367,6 +405,23 @@ def test_divisor_fiber_over_the_bit_budget_is_usage_error(runner):
     assert time.perf_counter() - start < 1
     _assert_one_error_line(res)
     assert "bits" in res.stderr
+
+
+def test_divisor_fiber_budget_counts_every_term(runner):
+    from obstructor.cli import _divisor_section
+
+    # Each term costs 524288 * bit_length(2) = 2^20 bits at [3:2]; two fit
+    # the budget, forty do not.
+    terms = [f"x1^{524288 - k}*y1^{k}*x2" for k in range(1, 41)]
+    for count, code in [(1, 0), (2, 0), (40, 2)]:
+        start = time.perf_counter()
+        res = runner.invoke(main, ["divisor", "--poly", " + ".join(terms[:count]),
+                                   "--r", "2", "--fiber", "1:[3:2]", "--fiber", "2:[1:1]"])
+        assert time.perf_counter() - start < 1
+        assert res.exit_code == code, (count, res.output)
+    _assert_one_error_line(res)
+    assert "bits" in res.stderr
+    assert _divisor_section()["ok"] is True
 
 
 @pytest.mark.parametrize("pt_i, pt_j", [("0:1", "1:0"), ("1:-1", "1:1")])

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obstructor import closure
 from obstructor.algebra import (
     DMatrix,
     make_algebra,
     matrix_algebra,
+    matrix_rule,
     matrix_unit,
     quaternion_algebra,
     quaternion_for_prime,
     rationals,
+    rule_product,
     split_model,
 )
 from obstructor.closure import (
@@ -22,9 +25,9 @@ from obstructor.closure import (
     subrng_closure,
 )
 from obstructor.errors import AlgebraValidationError
-from obstructor.linalg import echelonize
+from obstructor.linalg import Echelon, echelonize, primitive
 from obstructor.obstruction import ObstructionGraph, loop_oracle, path_span_table
-from obstructor.witness import shift_witness
+from obstructor.witness import build_r3_graph, build_r4_graph, shift_witness
 
 
 def test_matrix_units_generate_m2q():
@@ -320,3 +323,154 @@ def test_loop_oracle_matches_literal_loops_seeded():
                 loops.append(val.flatten())
             literal = echelonize(loops, ambient_dim=g.hom_ambient(v, v))
             assert loop_oracle(g, v, L) == literal, (trial, L)
+
+
+# -- the engine's final-dimension caps against the plain engine -------------------
+
+
+def _plain_fixed_point(cells, seeds, rule, counter):
+    """The engine with no caps but fullness: the reference the caps must not
+    change. ``counter[0]`` counts the products it evaluates."""
+    ech, spanning = {}, {}
+    for cell, ambient in cells.items():
+        ech[cell] = target = Echelon(ambient)
+        spanning[cell] = [primitive(v) for v in seeds.get(cell, ()) if target.add(v)]
+    triples = [(a, c, b) for (a, c) in cells for (c2, b) in cells
+               if c2 == c and (a, b) in cells]
+    marks, rounds, changed = {}, 0, True
+    while changed:
+        changed = False
+        for a, c, b in triples:
+            us, vs = spanning[(a, c)], spanning[(c, b)]
+            n1, n2 = len(us), len(vs)
+            m1, m2 = marks.get((a, c, b), (0, 0))
+            if n1 == m1 and n2 == m2:
+                continue
+            marks[(a, c, b)] = (n1, n2)
+            target = ech[(a, b)]
+            if target.is_full() or not n1 or not n2:
+                continue
+            r = rule(a, c, b)
+            for x in range(n1):
+                for y in range(m2 if x < m1 else 0, n2):
+                    counter[0] += 1
+                    prod = rule_product(r, us[x], vs[y], target.ambient, 0)
+                    if target.add(prod):
+                        spanning[(a, b)].append(primitive(prod))
+                        changed = True
+                        if target.is_full():
+                            break
+                if target.is_full():
+                    break
+        rounds += changed
+    return ech, rounds
+
+
+def _random_edge(base, rng, rows, cols, dense):
+    """Dense: every coefficient in -2..2. Sparse: a few entries, each a small
+    multiple of one basis element, which often keeps the spans partial."""
+    if dense:
+        return DMatrix.from_entries(base, [[_random_gens(base, rng, 1, bound=2)[0]
+                                            for _ in range(cols)] for _ in range(rows)])
+    entries = [[base.zero() for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(1, 2)):
+        t = 0 if rng.random() < 0.6 else rng.randrange(base.dim)
+        entries[rng.randrange(rows)][rng.randrange(cols)] = \
+            base.basis_element(t) * rng.choice((-2, -1, 1, 2))
+    return DMatrix.from_entries(base, entries)
+
+
+def test_caps_keep_spans_and_rounds_of_the_plain_engine(monkeypatch):
+    fired, below, products = [], [], [0]
+    real_spin, real_product = closure.spin, closure.rule_product
+
+    def watched_spin(cells, seeds, steps, max_len=None):
+        out = real_spin(cells, seeds, steps, max_len)
+        fired.append(True)
+        below.append(any(len(seeds[c]) < e.dim for c, e in out[0].items()))
+        return out
+
+    def counted_product(*args):
+        products[0] += 1
+        return real_product(*args)
+
+    monkeypatch.setattr(closure, "spin", watched_spin)
+    monkeypatch.setattr(closure, "rule_product", counted_product)
+    rng = random.Random(41)
+    bases = [quaternion_for_prime(p) for p in (2, 3, 5)]
+    plain = [0]
+    cases = 0
+    for trial in range(240):
+        base = bases[trial % 3]
+        r = 2 + trial % 3
+        sizes = [rng.randint(1, 3 if r < 4 else 2) for _ in range(r)]
+        dense = trial % 4 == 0
+        edges = {(i, j): _random_edge(base, rng, sizes[j - 1], sizes[i - 1], dense)
+                 for i in range(1, r + 1) for j in range(i + 1, r + 1)
+                 if rng.random() < 0.7}
+        g = ObstructionGraph(base, sizes, edges)
+        cells = {(a, b): g.hom_ambient(a, b) for a in range(1, r + 1)
+                 for b in range(1, r + 1)}
+        seeds = {(a, b): [g.hom_map(a, b).flatten()] for (a, b) in cells if a != b}
+        ech, rounds = _plain_fixed_point(cells, seeds, lambda a, c, b: matrix_rule(
+            base, sizes[a - 1], sizes[c - 1], sizes[b - 1]), plain)
+        table = path_span_table(g)
+        assert table.rounds == rounds, trial
+        assert table.spans == {k: e.to_subspace() for k, e in ech.items()}, trial
+        cases += 1
+    for trial in range(80):
+        base = bases[trial % 3]
+        if trial % 4 == 3:
+            alg = base
+            gens = [_rational_element(base, rng, 0.3) for _ in range(1 + trial % 3)]
+        else:
+            alg = matrix_algebra(base, 2)
+            gens = [alg.element(_random_edge(base, rng, 2, 2, trial % 8 == 0).flatten())
+                    for _ in range(2 + trial % 3)]
+        ech, rounds = _plain_fixed_point({(0, 0): alg.dim}, {(0, 0): [x.coeffs for x in gens]},
+                                         lambda a, c, b: alg.rule, plain)
+        res = subrng_closure(alg, gens, allow_empty=True)
+        assert (res.span, res.rounds) == (ech[(0, 0)].to_subspace(), rounds), trial
+        cases += 1
+    assert cases >= 300
+    # The spin fires, before the engine reaches the final spans, on a good
+    # share of the inputs, and the caps save products overall.
+    assert sum(below) >= 60, (len(fired), sum(below))
+    assert products[0] < plain[0] / 2, (products[0], plain[0])
+
+
+def _block_graph(g, size):
+    """``g`` with every vertex padded by zero rows and columns to ``size``:
+    its spans stay in the top-left blocks, so they are partial."""
+    d = g.base.dim
+
+    def pad(m):
+        return DMatrix.from_flat(g.base, size, size, [
+            m.coeffs[((r * m.cols + c) * d) + t] if r < m.rows and c < m.cols else 0
+            for r in range(size) for c in range(size) for t in range(d)])
+
+    return ObstructionGraph(g.base, [size] * g.r,
+                            {k: pad(m) for k, m in g.edges.items()})
+
+
+def test_caps_stay_silent_on_full_tables_and_cut_a_block_table(monkeypatch):
+    graphs = {"r3": build_r3_graph(3, 2, seed=0), "r4": build_r4_graph(3, 5, seed=0),
+              "block": _block_graph(build_r3_graph(2, 2, seed=0), 3)}
+    real_product = closure.rule_product
+    products = [0]
+
+    def counted_product(*args):
+        products[0] += 1
+        return real_product(*args)
+
+    monkeypatch.setattr(closure, "rule_product", counted_product)
+    counts = {}
+    for name, g in graphs.items():
+        products[0] = 0
+        path_span_table(g)
+        counts[name] = products[0]
+    # 446 and 733 are the plain engine's counts on the full tables; the
+    # block table took 6912 products without the caps.
+    assert counts["r3"] == 446 and counts["r4"] == 733, counts
+    assert counts["block"] < 1000, counts
+    assert path_span_table(graphs["block"]).spans[(1, 1)].dim == 16
