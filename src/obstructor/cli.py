@@ -33,7 +33,7 @@ from .algebra import (
     split_model,
 )
 from .arith import is_prime
-from .closure import stabilized_word_span, subrng_closure
+from .closure import generates_fully, stabilized_word_span, subrng_closure
 from .divisor import contains_double_fiber, parse_poly, substitute_powers, verify_factorization
 from .errors import ObstructorError
 from .linalg import echelonize, ratio
@@ -199,15 +199,18 @@ def _construction_section(g: int, p: int, seed: int) -> dict:
     report = corner_detect(span, end_alg)
     verdict = flag_nonliftable(report, is_definite_rational_quaternion(graph.base))
     x = graph.edges[(1, 2)]
-    closure = subrng_closure(end_alg, [end_alg.element(x.flatten()),
-                                       end_alg.element(x.dagger_transpose().flatten())])
+    gens = [end_alg.element(x.flatten()),
+            end_alg.element(x.dagger_transpose().flatten())]
+    # A full span matches the closure exactly when the closure is full.
+    matches = (generates_fully(end_alg, gens) if span.is_full()
+               else subrng_closure(end_alg, gens).span == span)
     expected = 4 * g * g
     ok = (span.dim == expected and report.is_full
-          and verdict.verdict == "OBSTRUCTED" and closure.span == span)
+          and verdict.verdict == "OBSTRUCTED" and matches)
     return {"g": g, "p": p, "seed": seed, "e_dim": span.dim,
             "expected": expected, "is_full": report.is_full,
             "verdict": verdict.verdict,
-            "matches_generator_closure": closure.span == span, "ok": ok}
+            "matches_generator_closure": matches, "ok": ok}
 
 
 def _divisor_section() -> dict:
@@ -290,9 +293,10 @@ def obstruction(graph_path, vertex, oracle_len):
     if oracle_len is not None and oracle_len < 2:
         raise click.UsageError("--oracle-len must be >= 2")
     graph = graph_from_json(_load_json(graph_path, "graph"))
-    span = compute_obstruction(graph, vertex)
-    table = path_span_table(graph)
     g = graph.size(vertex)
+    # The table is needed for its rounds; built first, it also gives the span.
+    table = path_span_table(graph)
+    span = compute_obstruction(graph, vertex)
     if 0 < span.dim < span.ambient_dim:
         report = corner_detect(span, matrix_algebra(graph.base, g))
         idempotent = None if report.idempotent is None else report.idempotent.coeffs
@@ -333,7 +337,8 @@ def obstruction(graph_path, vertex, oracle_len):
 
 
 @main.command("find-generator")
-@click.option("--g", "g", type=int, required=True, help="Matrix size (>= 2).")
+@click.option("--g", "g", type=int, required=True,
+              help="Matrix size (>= 1; no x generates at g = 1, which exits 1).")
 @click.option("--p", "p", type=int, required=True, help="Base prime.")
 @click.option("--seed", type=int, default=None, help="Seed (default 0 / OBSTRUCTOR_SEED).")
 @click.option("--tries", type=int, default=200, show_default=True)

@@ -40,6 +40,18 @@ multiplication table. The unit is never adjoined.
 cross-checks, ``stabilized_word_span`` and :func:`obstruction.loop_oracle`.
 Unlike the pairwise loop of ``fixed_point``, it never multiplies two span
 vectors.
+
+Run mod the prime :data:`MODULUS`, ``spin`` certifies that a span is full.
+Let V be the Q-span of a cell's words and L = V ∩ Z_(p)^n. The seeds are
+primitive integer vectors and every rule is an integer rule, so every word
+lies in L. L is a saturated lattice of rank dim V, so its reduction mod p
+has dimension dim V, and the mod-p span of the words is at most that. A
+full mod-p span therefore proves V full, whose canonical basis is the
+identity. This holds for any prime, whatever the denominators, and needs no
+associativity, since the closure contains every word. A mod-p span that is
+not full proves nothing, and the caller falls back to the exact path:
+``generates_fully`` to ``subrng_closure``, and
+:func:`obstruction.compute_obstruction` to the path-span table.
 """
 
 from __future__ import annotations
@@ -49,10 +61,14 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .algebra import AlgElement, Rule, StructureAlgebra, rule_product
 from .errors import AlgebraValidationError
-from .linalg import Echelon, Subspace, Vec, primitive
+from .linalg import Echelon, EchelonModP, Subspace, Vec, primitive
 
-__all__ = ["SubrngResult", "fixed_point", "spin", "subrng_closure",
+__all__ = ["MODULUS", "SubrngResult", "fixed_point", "spin", "subrng_closure",
            "generates_fully", "stabilized_word_span"]
+
+# The one prime of the mod-p fullness certificates, fixed so that every run
+# takes the same path.
+MODULUS = 2**61 - 1
 
 
 def fixed_point(cells: Mapping[tuple, int],
@@ -131,7 +147,8 @@ def fixed_point(cells: Mapping[tuple, int],
 
 def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
          steps: Sequence[tuple[tuple, tuple, Rule, tuple[int, ...]]],
-         max_len: Optional[int] = None) -> tuple[dict, int]:
+         max_len: Optional[int] = None,
+         modulus: Optional[int] = None) -> tuple[dict, int]:
     """Span the words over fixed steps, length by length.
 
     ``cells`` and ``seeds`` are as for :func:`fixed_point`, the seeds being
@@ -143,12 +160,27 @@ def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
     for the next length, and a full target is skipped. Stops then, after at
     most sum(cells) + 1 lengths, or at ``max_len`` letters. Returns
     ``({cell: Echelon}, last length built)``.
+
+    With a prime ``modulus`` p, the seeds (made primitive) and the products
+    are reduced mod p and each cell is an :class:`EchelonModP`, so the
+    spans are those of the words reduced mod p. A cell full mod p proves
+    the words' Q-span full (see the module docstring); a partial one
+    proves nothing.
     """
+    if modulus is None:
+        new, norm = Echelon, primitive
+    else:
+        def new(ambient):
+            return EchelonModP(ambient, modulus)
+
+        def norm(v):
+            return [x % modulus for x in v]
+
+        seeds = {cell: [primitive(v) for v in vs] for cell, vs in seeds.items()}
     ech, fresh = {}, {}
     for cell, ambient in cells.items():
-        ech[cell] = target = Echelon(ambient)
-        fresh[cell] = [primitive(v) for v in seeds.get(cell, ())
-                       if target.add(v)]
+        ech[cell] = target = new(ambient)
+        fresh[cell] = [norm(v) for v in seeds.get(cell, ()) if target.add(v)]
     length = 1
     while length != max_len and any(fresh.values()):
         grown = {cell: [] for cell in cells}
@@ -159,7 +191,7 @@ def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
                     break
                 prod = rule_product(rule, x, w, span.ambient, 0)
                 if span.add(prod):
-                    grown[target].append(primitive(prod))
+                    grown[target].append(norm(prod))
         fresh = grown
         length += 1
     return ech, length
@@ -203,8 +235,28 @@ def subrng_closure(algebra: StructureAlgebra, gens: Iterable[AlgElement],
                         rounds=rounds)
 
 
+def _word_spin(algebra: StructureAlgebra, gens: Sequence[AlgElement],
+               max_len: Optional[int] = None, modulus: Optional[int] = None
+               ) -> tuple[Echelon | EchelonModP, int]:
+    """One :func:`spin` cell seeded with ``gens``, whose steps multiply each
+    generator on the left: the span of the words in ``gens``."""
+    cell = (0, 0)
+    ech, length = spin({cell: algebra.dim}, {cell: [g.coeffs for g in gens]},
+                       [(cell, cell, algebra.rule, primitive(g.coeffs))
+                        for g in gens], max_len, modulus)
+    return ech[cell], length
+
+
 def generates_fully(algebra: StructureAlgebra, gens: Iterable[AlgElement]) -> bool:
-    """True when the subrng generated by ``gens`` is all of ``algebra``."""
+    """True when the subrng generated by ``gens`` is all of ``algebra``.
+
+    The words in ``gens`` are spun first mod :data:`MODULUS`; a full span
+    there is a proof (see the module docstring). Otherwise the exact
+    :func:`subrng_closure` decides.
+    """
+    gens = _check_gens(algebra, gens)
+    if _word_spin(algebra, gens, modulus=MODULUS)[0].is_full():
+        return True
     return subrng_closure(algebra, gens, allow_empty=True).span.is_full()
 
 
@@ -220,8 +272,5 @@ def stabilized_word_span(algebra: StructureAlgebra, gens: Iterable[AlgElement],
     gens = _check_gens(algebra, gens)
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be >= 1")
-    cell = (0, 0)
-    ech, length = spin({cell: algebra.dim}, {cell: [g.coeffs for g in gens]},
-                       [(cell, cell, algebra.rule, primitive(g.coeffs))
-                        for g in gens], max_len)
-    return ech[cell].to_subspace(), length
+    span, length = _word_spin(algebra, gens, max_len)
+    return span.to_subspace(), length

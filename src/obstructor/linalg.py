@@ -9,7 +9,9 @@ no tolerance in any comparison.
 Spans are accumulated in :class:`Echelon` over the integers, in
 fraction-free Gauss-Jordan form: integer rows over one shared denominator,
 which divided by it are the canonical reduced row-echelon basis. The
-``Fraction`` basis is built only when it is read.
+``Fraction`` basis is built only when it is read. :class:`EchelonModP`
+keeps the span of integer vectors reduced mod a prime; its rank is never
+above the rank over Q, so it can only certify that a span is full.
 """
 
 from __future__ import annotations
@@ -219,6 +221,53 @@ class Echelon:
                                       tuple(self.piv_cols))
 
 
+class EchelonModP:
+    """Row-echelon accumulator of the span of integer vectors reduced mod a
+    prime ``p``, used only to certify that a span is full.
+
+    ``rows`` holds (pivot, row) pairs in insertion order: each row is
+    reduced mod p, is 1 in its pivot column, and 0 left of it and in the
+    pivot columns of the rows before it. ``add`` reduces each row's
+    coefficient mod p once while forming the residual, and every entry
+    once at the end.
+    """
+
+    __slots__ = ("ambient", "p", "rows")
+
+    def __init__(self, ambient: int, p: int):
+        self.ambient = ambient
+        self.p = p
+        self.rows: list[tuple[int, list[int]]] = []
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def is_full(self) -> bool:
+        return len(self.rows) == self.ambient
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Insert the integer vector ``v``. Returns True when the dimension
+        grew."""
+        if len(v) != self.ambient:
+            raise DimensionMismatchError(
+                f"vector length {len(v)} does not match ambient {self.ambient}"
+            )
+        p = self.p
+        w = v
+        for q, row in self.rows:
+            c = w[q] % p
+            if c:
+                w = [x - c * y for x, y in zip(w, row)]
+        w = [x % p for x in w]
+        q = next((q for q, x in enumerate(w) if x), None)
+        if q is None:
+            return False
+        inv = pow(w[q], -1, p)
+        self.rows.append((q, [x * inv % p for x in w]))
+        return True
+
+
 class Subspace:
     """Immutable Q-subspace with a canonical reduced row-echelon basis."""
 
@@ -239,6 +288,13 @@ class Subspace:
         out.basis = basis
         out.pivots = pivots
         return out
+
+    @classmethod
+    def full(cls, ambient: int) -> "Subspace":
+        """The whole space, whose canonical basis is the identity."""
+        basis = tuple(tuple(_ONE if k == i else _ZERO for k in range(ambient))
+                      for i in range(ambient))
+        return cls._from_echelon(ambient, basis, tuple(range(ambient)))
 
     @property
     def dim(self) -> int:

@@ -18,6 +18,9 @@ the subrng closure; both follow the engine's two rules (factor lengths
 frozen per triple, and a cell takes no products once full or once certified
 at its final dimension), which fix the reported ``rounds``.
 
+``compute_obstruction`` first tries a cheaper proof: the same spin mod
+:data:`closure.MODULUS`, whose full loop cell proves the span full.
+
 ``loop_oracle`` is the independent cross-check: :func:`closure.spin` builds
 the paths from the vertex edge by edge and reads off the loops.
 """
@@ -39,7 +42,7 @@ from .algebra import (
     rule_product,
     unit_multiple,
 )
-from .closure import fixed_point, spin
+from .closure import MODULUS, fixed_point, spin
 from .errors import (
     AlgebraValidationError,
     CoverValidationError,
@@ -179,9 +182,37 @@ def path_span_table(graph: ObstructionGraph) -> PathSpanTable:
 
 def compute_obstruction(graph: ObstructionGraph, vertex: int) -> Subspace:
     """Span of all loop values based at ``vertex`` (canonical subspace of the
-    endomorphism coefficient space, ambient dim base.dim * g_v^2)."""
+    endomorphism coefficient space, ambient dim base.dim * g_v^2).
+
+    Reads the path-span table when the graph has it cached. Otherwise the
+    loop column is spun first mod :data:`closure.MODULUS`: a full loop cell
+    there proves the span full (see :mod:`closure`), and the identity basis
+    is returned without building the table. A partial cell proves nothing,
+    and the table decides.
+    """
     graph._check_vertex(vertex)
+    if graph._table is None:
+        ech, _ = spin(*_loop_column(graph, vertex), modulus=MODULUS)
+        if ech[(vertex, vertex)].is_full():
+            return Subspace.full(graph.hom_ambient(vertex, vertex))
     return path_span_table(graph).spans[(vertex, vertex)]
+
+
+def _loop_column(graph: ObstructionGraph, vertex: int) -> tuple:
+    """The spin over the paths from ``vertex``: cells (a, vertex) seeded with
+    the edges from ``vertex``, and a step from cell (c, vertex) for each
+    nonzero edge from c to a. Returns ``(cells, seeds, steps)``."""
+    verts = range(1, graph.r + 1)
+    cells = {(a, vertex): graph.hom_ambient(a, vertex) for a in verts}
+    seeds = {(a, vertex): [graph.hom_map(a, vertex).flatten()]
+             for a in verts if a != vertex}
+    sizes = graph.sizes
+    steps = [((a, vertex), (c, vertex),
+              matrix_rule(graph.base, sizes[a - 1], sizes[c - 1], sizes[vertex - 1]),
+              primitive(graph.hom_map(a, c).flatten()))
+             for a in verts for c in verts
+             if a != c and not graph.hom_map(a, c).is_zero()]
+    return cells, seeds, steps
 
 
 def loop_oracle(graph: ObstructionGraph, vertex: int, max_len: int) -> Subspace:
@@ -194,17 +225,7 @@ def loop_oracle(graph: ObstructionGraph, vertex: int, max_len: int) -> Subspace:
     graph._check_vertex(vertex)
     if max_len < 2:
         raise ValueError("max_len must be >= 2 (shortest loop has two edges)")
-    verts = range(1, graph.r + 1)
-    cells = {(a, vertex): graph.hom_ambient(a, vertex) for a in verts}
-    seeds = {(a, vertex): [graph.hom_map(a, vertex).flatten()]
-             for a in verts if a != vertex}
-    sizes = graph.sizes
-    steps = [((a, vertex), (c, vertex),
-              matrix_rule(graph.base, sizes[a - 1], sizes[c - 1], sizes[vertex - 1]),
-              primitive(graph.hom_map(a, c).flatten()))
-             for a in verts for c in verts
-             if a != c and not graph.hom_map(a, c).is_zero()]
-    ech, _ = spin(cells, seeds, steps, max_len)
+    ech, _ = spin(*_loop_column(graph, vertex), max_len)
     return ech[(vertex, vertex)].to_subspace()
 
 

@@ -265,6 +265,9 @@ def test_find_generator_g1_not_found(runner):
     assert res.exit_code == 1
     report = json.loads(res.output)
     assert report["found"] is False and report["tries"] == 5
+    # The help text documents this exit rather than forbidding --g 1.
+    help_text = " ".join(runner.invoke(main, ["find-generator", "--help"]).output.split())
+    assert "Matrix size (>= 1; no x generates at g = 1, which exits 1)." in help_text
 
 
 def test_corner_command(runner, tmp_path):

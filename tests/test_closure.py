@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obstructor import closure
+from obstructor import closure, obstruction
 from obstructor.algebra import (
     DMatrix,
     make_algebra,
@@ -25,7 +25,7 @@ from obstructor.closure import (
     subrng_closure,
 )
 from obstructor.errors import AlgebraValidationError
-from obstructor.linalg import Echelon, echelonize, primitive
+from obstructor.linalg import Echelon, Subspace, echelonize, primitive
 from obstructor.obstruction import ObstructionGraph, loop_oracle, path_span_table
 from obstructor.witness import build_r3_graph, build_r4_graph, shift_witness
 
@@ -474,3 +474,99 @@ def test_caps_stay_silent_on_full_tables_and_cut_a_block_table(monkeypatch):
     assert counts["r3"] == 446 and counts["r4"] == 733, counts
     assert counts["block"] < 1000, counts
     assert path_span_table(graphs["block"]).spans[(1, 1)].dim == 16
+
+
+# -- the mod-p fullness certificate against the exact path -----------------------
+
+
+def _sparse_element(alg, rng, terms):
+    """A sum of a few small multiples of basis elements."""
+    coeffs = [0] * alg.dim
+    for _ in range(terms):
+        coeffs[rng.randrange(alg.dim)] = rng.choice((-2, -1, 1, 2))
+    return alg.element(tuple(coeffs))
+
+
+def test_certificate_agrees_with_the_exact_path_seeded(monkeypatch):
+    exact_closure = closure.subrng_closure
+    exact_table = obstruction.path_span_table
+    fallbacks = [0]
+
+    def counted(real):
+        def run(*args, **kwargs):
+            fallbacks[0] += 1
+            return real(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(closure, "subrng_closure", counted(exact_closure))
+    monkeypatch.setattr(obstruction, "path_span_table", counted(exact_table))
+    rng = random.Random(43)
+    D2, D3 = quaternion_for_prime(2), quaternion_for_prime(3)
+    # Constants with denominators: the certificate holds for any scale.
+    half = quaternion_algebra(F(-1, 2), -3)
+    m2q = _rescaled(matrix_algebra(rationals(), 2), [F(1, 2), 3, F(2, 5), 1])
+    arenas = [D2, D3, matrix_algebra(D2, 2), matrix_algebra(D3, 2), split_model(2),
+              m2q]
+    full = 0
+    for trial in range(300):
+        alg = arenas[trial % len(arenas)]
+        gens = [_sparse_element(alg, rng, rng.randint(1, 4))
+                for _ in range(1 + trial % 3)]
+        if trial % 4 == 0:
+            gens = [gens[0], gens[0].dagger()]
+        want = exact_closure(alg, gens, allow_empty=True).span.is_full()
+        fallbacks[0] = 0
+        assert generates_fully(alg, gens) == want, trial
+        # A full span is certified mod p; a partial one runs the exact path.
+        assert fallbacks[0] == (not want), trial
+        full += want
+    assert 60 <= full <= 240, full  # 100 of the 300 closures are full
+    cells = full_cells = 0
+    for trial in range(90):
+        base = (D2, D3, half)[trial // 3 % 3]
+        r = 2 + trial % 3
+        sizes = [rng.randint(1, 3 if r < 4 else 2) for _ in range(r)]
+        edges = {(i, j): _random_edge(base, rng, sizes[j - 1], sizes[i - 1],
+                                      trial % 4 != 3)
+                 for i in range(1, r + 1) for j in range(i + 1, r + 1)
+                 if rng.random() < 0.7}
+        want = exact_table(ObstructionGraph(base, sizes, edges)).spans
+        for v in range(1, r + 1):
+            fallbacks[0] = 0
+            span = obstruction.compute_obstruction(
+                ObstructionGraph(base, sizes, edges), v)
+            assert span == want[(v, v)], (trial, v)
+            assert fallbacks[0] == (not span.is_full()), (trial, v)
+            cells += 1
+            full_cells += span.is_full()
+    # Both branches are well exercised: 81 of the 270 loop cells are full.
+    assert cells == 270 and 50 <= full_cells <= 220, full_cells
+
+
+def test_a_prime_that_misses_a_full_span_falls_back(monkeypatch):
+    # Mod 2 neither the generator pair of the r3 graph at g = 2 nor its loop
+    # cell at vertex 1 is full (7 and 8 of 16), though both are full over Q.
+    g = build_r3_graph(2, 2, seed=0)
+    end_alg = matrix_algebra(g.base, 2)
+    x = g.edges[(1, 2)]
+    gens = [end_alg.element(x.flatten()),
+            end_alg.element(x.dagger_transpose().flatten())]
+    calls = []
+
+    def spy(real):
+        def run(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(closure, "MODULUS", 2)
+    monkeypatch.setattr(obstruction, "MODULUS", 2)
+    monkeypatch.setattr(closure, "subrng_closure", spy(closure.subrng_closure))
+    monkeypatch.setattr(obstruction, "path_span_table",
+                        spy(obstruction.path_span_table))
+    assert generates_fully(end_alg, gens)
+    span = obstruction.compute_obstruction(g, 1)
+    assert calls == ["subrng_closure", "path_span_table"]
+    assert span == Subspace.full(16)
+    assert span.basis == tuple(tuple(F(int(i == k)) for k in range(16))
+                               for i in range(16))

@@ -144,6 +144,12 @@ CASES = {
     "find-generator-g3-p3": (
         ["find-generator", "--g", "3", "--p", "3"], {},
         "9cfc66042aa82d5536447326f571a45f7e6dfefe82fe5126de800fc0ff13b61d"),
+    "find-generator-g5-p2": (
+        ["find-generator", "--g", "5", "--p", "2"], {},
+        "fdbd78e5b8f368f5a37f2e6b8088b7c07c438c9be764ac9672bc8dd3b9c686a5"),
+    "verify-g4-p2": (
+        ["verify", "--g", "4", "--p", "2"], {},
+        "2a943c4cf06794e4b6e3740a6de1b4fb38d54ef464a96b2b8bd9331728e0a4fb"),
     "corner-block": (
         ["corner", "--algebra", "{algebra}", "--elements", "{elements}"],
         {"algebra": (lambda: _block_corner()[0],

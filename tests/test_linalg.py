@@ -10,6 +10,7 @@ from obstructor.errors import DimensionMismatchError
 from obstructor.linalg import (
     MAX_DIGITS,
     Echelon,
+    EchelonModP,
     Subspace,
     echelonize,
     matrix,
@@ -395,3 +396,48 @@ def test_echelon_rows_are_fraction_free_gauss_jordan():
             forms.append((_assert_gauss_jordan(ech, grown),
                           grew and not ech.is_full()))
     assert forms.count((True, True)) > 200 and forms.count((False, True)) > 100
+
+
+# -- the mod-p accumulator -------------------------------------------------------
+
+
+def test_echelon_mod_p_rank_matches_echelon_seeded():
+    rng = random.Random(61)
+    p = 2**61 - 1
+    for trial in range(200):
+        n = rng.randint(1, 8)
+        # Dependent rows (sums of earlier ones) and huge entries mixed in.
+        rows = []
+        for _ in range(rng.randint(0, n + 2)):
+            if rows and rng.random() < 0.3:
+                row = tuple(sum(c) for c in zip(*rng.sample(rows, min(2, len(rows)))))
+            else:
+                big = 10**30 if rng.random() < 0.2 else 5
+                row = tuple(rng.randint(-big, big) if rng.random() < 0.6 else 0
+                            for _ in range(n))
+            rows.append(row)
+        exact, modp = Echelon(n), EchelonModP(n, p)
+        for row in rows:
+            assert modp.add(row) == exact.add(row), trial
+        assert modp.dim == exact.dim and modp.is_full() == exact.is_full(), trial
+        for q, row in modp.rows:
+            assert row[q] == 1 and all(0 <= x < p for x in row)
+            assert not any(row[:q]), trial
+
+
+def test_echelon_mod_p_rank_drops_on_a_matrix_singular_mod_p():
+    rows = [(1, 1, 0), (1, -1, 0), (0, 0, 3)]  # determinant -6
+    exact = Echelon(3)
+    assert all(exact.add(r) for r in rows)
+    for p, want in [(2, 2), (3, 2), (5, 3)]:
+        ech = EchelonModP(3, p)
+        assert [ech.add(r) for r in rows].count(True) == want, p
+        assert ech.is_full() == (want == 3)
+
+
+def test_echelon_mod_p_edges():
+    assert EchelonModP(0, 7).is_full()
+    ech = EchelonModP(2, 7)
+    assert not ech.add((0, 14)) and ech.dim == 0
+    with pytest.raises(DimensionMismatchError):
+        ech.add((1, 2, 3))
