@@ -36,12 +36,12 @@ a graph. Subrng closure is the one-vertex table: its only cell is the whole
 algebra, seeded with the generators, and its rule is the algebra's own
 multiplication table. The unit is never adjoined.
 
-``spin`` (MeatAxe spinning, Parker 1984, over Q) also serves both independent
-cross-checks, ``stabilized_word_span`` and :func:`obstruction.loop_oracle`.
-Unlike the pairwise loop of ``fixed_point``, it never multiplies two span
-vectors.
-
-Run mod the prime :data:`MODULUS`, ``spin`` certifies that a span is full.
+Every closure reads a table as ``(cells, seeds, rule)``. ``spin`` (MeatAxe
+spinning, Parker 1984, over Q) steps it on the left by letters, never
+multiplying two span vectors; with the seeds as letters it serves both
+independent cross-checks, ``stabilized_word_span`` and
+:func:`obstruction.loop_oracle`, and mod the prime :data:`MODULUS`, in
+``full_mod_p`` alone, it certifies that a span is full.
 Let V be the Q-span of a cell's words and L = V ∩ Z_(p)^n. The seeds are
 primitive integer vectors and every rule is an integer rule, so every word
 lies in L. L is a saturated lattice of rank dim V, so its reduction mod p
@@ -64,11 +64,13 @@ from .errors import AlgebraValidationError
 from .linalg import Echelon, EchelonModP, Subspace, Vec, primitive
 
 __all__ = ["MODULUS", "SubrngResult", "fixed_point", "spin", "subrng_closure",
-           "generates_fully", "stabilized_word_span"]
+           "full_mod_p", "generates_fully", "stabilized_word_span"]
 
 # The one prime of the mod-p fullness certificates, fixed so that every run
 # takes the same path.
 MODULUS = 2**61 - 1
+
+_CELL = (0, 0)  # the one cell of a subrng closure's table
 
 
 def fixed_point(cells: Mapping[tuple, int],
@@ -97,13 +99,7 @@ def fixed_point(cells: Mapping[tuple, int],
     letters = {cell: list(vs) for cell, vs in spanning.items()}
     cap = dict(cells)
     misses: Optional[dict[tuple, int]] = dict.fromkeys(cells, 0)
-    # Cells indexed by their first vertex list the triples in O(r^3), in the
-    # order of a scan over all pairs of cells.
-    after: dict = {}
-    for c, b in cells:
-        after.setdefault(c, []).append(b)
-    triples = [(a, c, b) for (a, c) in cells for b in after.get(c, ())
-               if (a, b) in cells]
+    triples = _triples(cells, cells)
     marks: dict[tuple, tuple[int, int]] = {}
     rounds = 0
     changed = True
@@ -132,9 +128,7 @@ def fixed_point(cells: Mapping[tuple, int],
                     elif misses is not None:
                         misses[(a, b)] += 1
                         if misses[(a, b)] > 2 * target.dim:
-                            final, _ = spin(cells, spanning, [
-                                ((p, q), (s, q), rule(p, s, q), w)
-                                for p, s, q in triples for w in letters[(p, s)]])
+                            final, _ = spin(cells, spanning, letters, rule)
                             cap = {cell: e.dim for cell, e in final.items()}
                             misses = None
                     if target.dim == cap[(a, b)]:
@@ -145,15 +139,26 @@ def fixed_point(cells: Mapping[tuple, int],
     return ech, rounds
 
 
+def _triples(left: Mapping[tuple, object], cells: Mapping[tuple, int]) -> list:
+    """The triples (a, c, b) with (a, c) in ``left`` and (c, b), (a, b) in
+    ``cells``, in the order of ``left``, then of ``cells``, in O(r^3)."""
+    after: dict = {}
+    for c, b in cells:
+        after.setdefault(c, []).append(b)
+    return [(a, c, b) for (a, c) in left for b in after.get(c, ())
+            if (a, b) in cells]
+
+
 def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
-         steps: Sequence[tuple[tuple, tuple, Rule, tuple[int, ...]]],
+         letters: Mapping[tuple, Sequence[Vec]], rule: Callable[..., Rule],
          max_len: Optional[int] = None,
          modulus: Optional[int] = None) -> tuple[dict, int]:
-    """Span the words over fixed steps, length by length.
+    """Span the words in the letters, length by length.
 
-    ``cells`` and ``seeds`` are as for :func:`fixed_point`, the seeds being
-    the words of length 1. A step ``(target, source, rule, x)`` maps w in
-    cell ``source`` to x*w under the integer ``rule``, in cell ``target``.
+    ``cells``, ``seeds`` and ``rule`` are as for :func:`fixed_point`, the
+    seeds being the words of length 1. Each letter x of ``letters[(a, c)]``
+    maps w in cell (c, b) to x*w in cell (a, b) under ``rule(a, c, b)``;
+    these steps are walked in the order of ``letters``, then of ``cells``.
     The words of length L+1 span those up to length L plus the steps of the
     primitive vectors that grew a source at length L, so only those are
     multiplied, and a length that grows no cell is final. New vectors wait
@@ -177,6 +182,8 @@ def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
             return [x % modulus for x in v]
 
         seeds = {cell: [primitive(v) for v in vs] for cell, vs in seeds.items()}
+    steps = [((a, b), (c, b), rule(a, c, b), primitive(x))
+             for a, c, b in _triples(letters, cells) for x in letters[(a, c)]]
     ech, fresh = {}, {}
     for cell, ambient in cells.items():
         ech[cell] = target = new(ambient)
@@ -184,12 +191,12 @@ def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
     length = 1
     while length != max_len and any(fresh.values()):
         grown = {cell: [] for cell in cells}
-        for target, source, rule, x in steps:
+        for target, source, r, x in steps:
             span = ech[target]
             for w in fresh[source]:
                 if span.is_full():
                     break
-                prod = rule_product(rule, x, w, span.ambient, 0)
+                prod = rule_product(r, x, w, span.ambient, 0)
                 if span.add(prod):
                     grown[target].append(norm(prod))
         fresh = grown
@@ -215,6 +222,13 @@ def _check_gens(algebra: StructureAlgebra, gens) -> tuple[AlgElement, ...]:
     return out
 
 
+def _word_table(algebra: StructureAlgebra, gens: Sequence[AlgElement]) -> tuple:
+    """``(cells, seeds, rule)`` of the one-cell table: the whole algebra,
+    seeded with ``gens``, under the algebra's own rule."""
+    return ({_CELL: algebra.dim}, {_CELL: [g.coeffs for g in gens]},
+            lambda a, c, b: algebra.rule)
+
+
 def subrng_closure(algebra: StructureAlgebra, gens: Iterable[AlgElement],
                    allow_empty: bool = False) -> SubrngResult:
     """Smallest Q-subspace of ``algebra`` that contains ``gens`` and every
@@ -227,37 +241,28 @@ def subrng_closure(algebra: StructureAlgebra, gens: Iterable[AlgElement],
     if not gens and not allow_empty:
         raise AlgebraValidationError(
             "empty generator set (pass allow_empty=True for the zero subrng)")
-    cell = (0, 0)
-    ech, rounds = fixed_point({cell: algebra.dim},
-                              {cell: [g.coeffs for g in gens]},
-                              lambda a, c, b: algebra.rule)
-    return SubrngResult(span=ech[cell].to_subspace(), generators=gens,
+    ech, rounds = fixed_point(*_word_table(algebra, gens))
+    return SubrngResult(span=ech[_CELL].to_subspace(), generators=gens,
                         rounds=rounds)
 
 
-def _word_spin(algebra: StructureAlgebra, gens: Sequence[AlgElement],
-               max_len: Optional[int] = None, modulus: Optional[int] = None
-               ) -> tuple[Echelon | EchelonModP, int]:
-    """One :func:`spin` cell seeded with ``gens``, whose steps multiply each
-    generator on the left: the span of the words in ``gens``."""
-    cell = (0, 0)
-    ech, length = spin({cell: algebra.dim}, {cell: [g.coeffs for g in gens]},
-                       [(cell, cell, algebra.rule, primitive(g.coeffs))
-                        for g in gens], max_len, modulus)
-    return ech[cell], length
+def full_mod_p(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
+               rule: Callable[..., Rule], cell: tuple) -> bool:
+    """True when ``cell`` is full in the :func:`spin` of the table mod
+    :data:`MODULUS`, the seeds being the letters: a proof that its closure
+    is full over Q (see the module docstring). False proves nothing."""
+    return spin(cells, seeds, seeds, rule, modulus=MODULUS)[0][cell].is_full()
 
 
 def generates_fully(algebra: StructureAlgebra, gens: Iterable[AlgElement]) -> bool:
     """True when the subrng generated by ``gens`` is all of ``algebra``.
 
     The words in ``gens`` are spun first mod :data:`MODULUS`; a full span
-    there is a proof (see the module docstring). Otherwise the exact
-    :func:`subrng_closure` decides.
+    there is a proof. Otherwise the exact :func:`subrng_closure` decides.
     """
     gens = _check_gens(algebra, gens)
-    if _word_spin(algebra, gens, modulus=MODULUS)[0].is_full():
-        return True
-    return subrng_closure(algebra, gens, allow_empty=True).span.is_full()
+    return (full_mod_p(*_word_table(algebra, gens), _CELL)
+            or subrng_closure(algebra, gens, allow_empty=True).span.is_full())
 
 
 def stabilized_word_span(algebra: StructureAlgebra, gens: Iterable[AlgElement],
@@ -266,11 +271,12 @@ def stabilized_word_span(algebra: StructureAlgebra, gens: Iterable[AlgElement],
     until one length step adds nothing (which is permanent) or the words
     reach ``max_len`` letters. Returns (span, last length built).
 
-    Independent of :func:`subrng_closure`: one :func:`spin` cell, whose steps
-    multiply each generator on the left. Monotone in ``max_len``.
+    Independent of :func:`subrng_closure`: the :func:`spin` of the one-cell
+    table, whose letters are the generators. Monotone in ``max_len``.
     """
     gens = _check_gens(algebra, gens)
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be >= 1")
-    span, length = _word_spin(algebra, gens, max_len)
-    return span.to_subspace(), length
+    cells, seeds, rule = _word_table(algebra, gens)
+    ech, length = spin(cells, seeds, seeds, rule, max_len)
+    return ech[_CELL].to_subspace(), length

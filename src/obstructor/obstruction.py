@@ -18,8 +18,8 @@ the subrng closure; both follow the engine's two rules (factor lengths
 frozen per triple, and a cell takes no products once full or once certified
 at its final dimension), which fix the reported ``rounds``.
 
-``compute_obstruction`` first tries a cheaper proof: the same spin mod
-:data:`closure.MODULUS`, whose full loop cell proves the span full.
+``compute_obstruction`` first tries a cheaper proof: the table's column at
+the vertex under :func:`closure.full_mod_p`, whose full loop cell suffices.
 
 ``loop_oracle`` is the independent cross-check: :func:`closure.spin` builds
 the paths from the vertex edge by edge and reads off the loops.
@@ -42,7 +42,7 @@ from .algebra import (
     rule_product,
     unit_multiple,
 )
-from .closure import MODULUS, fixed_point, spin
+from .closure import fixed_point, full_mod_p, spin
 from .errors import (
     AlgebraValidationError,
     CoverValidationError,
@@ -164,17 +164,25 @@ class PathSpanTable:
     rounds: int
 
 
+def _table(graph: ObstructionGraph, column: Optional[int] = None) -> tuple:
+    """The path-span table's ``(cells, seeds, rule)``: cell (a, b) is seeded
+    with the edge from b to a if nonzero, and triple (a, c, b) composes under
+    ``matrix_rule``. With ``column=v`` only the cells (a, v), the paths from
+    v, are kept, but every seed is."""
+    verts = range(1, graph.r + 1)
+    cells = {(a, b): graph.hom_ambient(a, b) for a in verts for b in verts
+             if column in (None, b)}
+    seeds = {(a, b): [graph.hom_map(a, b).flatten()] for a in verts for b in verts
+             if (min(a, b), max(a, b)) in graph.edges}
+    sizes = graph.sizes
+    return cells, seeds, lambda a, c, b: matrix_rule(
+        graph.base, sizes[a - 1], sizes[c - 1], sizes[b - 1])
+
+
 def path_span_table(graph: ObstructionGraph) -> PathSpanTable:
     """Compute (and cache on the graph) the full path-span fixed point."""
     if graph._table is None:
-        verts = range(1, graph.r + 1)
-        cells = {(a, b): graph.hom_ambient(a, b) for a in verts for b in verts}
-        seeds = {(a, b): [graph.hom_map(a, b).flatten()]
-                 for (a, b) in cells if a != b}
-        sizes = graph.sizes
-        ech, rounds = fixed_point(
-            cells, seeds, lambda a, c, b: matrix_rule(
-                graph.base, sizes[a - 1], sizes[c - 1], sizes[b - 1]))
+        ech, rounds = fixed_point(*_table(graph))
         graph._table = PathSpanTable(
             spans={k: e.to_subspace() for k, e in ech.items()}, rounds=rounds)
     return graph._table
@@ -185,47 +193,30 @@ def compute_obstruction(graph: ObstructionGraph, vertex: int) -> Subspace:
     endomorphism coefficient space, ambient dim base.dim * g_v^2).
 
     Reads the path-span table when the graph has it cached. Otherwise the
-    loop column is spun first mod :data:`closure.MODULUS`: a full loop cell
-    there proves the span full (see :mod:`closure`), and the identity basis
-    is returned without building the table. A partial cell proves nothing,
-    and the table decides.
+    table's column at ``vertex`` is tried first with
+    :func:`closure.full_mod_p`: a full loop cell there proves the span full,
+    and the identity basis is returned without building the table. A
+    partial cell proves nothing, and the table decides.
     """
     graph._check_vertex(vertex)
-    if graph._table is None:
-        ech, _ = spin(*_loop_column(graph, vertex), modulus=MODULUS)
-        if ech[(vertex, vertex)].is_full():
-            return Subspace.full(graph.hom_ambient(vertex, vertex))
+    if graph._table is None and full_mod_p(*_table(graph, vertex),
+                                           (vertex, vertex)):
+        return Subspace.full(graph.hom_ambient(vertex, vertex))
     return path_span_table(graph).spans[(vertex, vertex)]
-
-
-def _loop_column(graph: ObstructionGraph, vertex: int) -> tuple:
-    """The spin over the paths from ``vertex``: cells (a, vertex) seeded with
-    the edges from ``vertex``, and a step from cell (c, vertex) for each
-    nonzero edge from c to a. Returns ``(cells, seeds, steps)``."""
-    verts = range(1, graph.r + 1)
-    cells = {(a, vertex): graph.hom_ambient(a, vertex) for a in verts}
-    seeds = {(a, vertex): [graph.hom_map(a, vertex).flatten()]
-             for a in verts if a != vertex}
-    sizes = graph.sizes
-    steps = [((a, vertex), (c, vertex),
-              matrix_rule(graph.base, sizes[a - 1], sizes[c - 1], sizes[vertex - 1]),
-              primitive(graph.hom_map(a, c).flatten()))
-             for a in verts for c in verts
-             if a != c and not graph.hom_map(a, c).is_zero()]
-    return cells, seeds, steps
 
 
 def loop_oracle(graph: ObstructionGraph, vertex: int, max_len: int) -> Subspace:
     """Span of the loop values at ``vertex`` with 2..max_len edges.
 
-    Cell (a, vertex) spans the paths from ``vertex`` to a, seeded with the
-    edges; each nonzero edge from c to a is a step from cell (c, vertex).
-    Monotone in ``max_len``, and stops once the spans are stable.
+    :func:`closure.spin` of the table's column at ``vertex``, the edges
+    being the letters: cell (a, vertex) spans the paths from ``vertex`` to
+    a. Monotone in ``max_len``, and stops once the spans are stable.
     """
     graph._check_vertex(vertex)
     if max_len < 2:
         raise ValueError("max_len must be >= 2 (shortest loop has two edges)")
-    ech, _ = spin(*_loop_column(graph, vertex), max_len)
+    cells, seeds, rule = _table(graph, vertex)
+    ech, _ = spin(cells, seeds, seeds, rule, max_len)
     return ech[(vertex, vertex)].to_subspace()
 
 

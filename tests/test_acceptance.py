@@ -35,7 +35,6 @@ from obstructor.divisor import (
     substitute_powers,
     verify_factorization,
 )
-from obstructor.linalg import echelonize
 from obstructor.obstruction import (
     Cover,
     ObstructionGraph,

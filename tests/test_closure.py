@@ -384,8 +384,8 @@ def test_caps_keep_spans_and_rounds_of_the_plain_engine(monkeypatch):
     fired, below, products = [], [], [0]
     real_spin, real_product = closure.spin, closure.rule_product
 
-    def watched_spin(cells, seeds, steps, max_len=None):
-        out = real_spin(cells, seeds, steps, max_len)
+    def watched_spin(cells, seeds, letters, rule, max_len=None, modulus=None):
+        out = real_spin(cells, seeds, letters, rule, max_len, modulus)
         fired.append(True)
         below.append(any(len(seeds[c]) < e.dim for c, e in out[0].items()))
         return out
@@ -437,6 +437,35 @@ def test_caps_keep_spans_and_rounds_of_the_plain_engine(monkeypatch):
     # share of the inputs, and the caps save products overall.
     assert sum(below) >= 60, (len(fired), sum(below))
     assert products[0] < plain[0] / 2, (products[0], plain[0])
+
+
+def test_whole_table_spin_matches_the_engine_from_any_partial_start():
+    # The caps rest on this: from any spans between the seeds and the
+    # closure, stepping on the left by the edges reaches the closure.
+    rng = random.Random(47)
+    bases = [quaternion_for_prime(p) for p in (2, 3, 5)]
+    partial = 0
+    for trial in range(120):
+        base = bases[trial % 3]
+        r = 2 + trial % 3
+        sizes = [rng.randint(1, 3 if r < 4 else 2) for _ in range(r)]
+        edges = {(i, j): _random_edge(base, rng, sizes[j - 1], sizes[i - 1],
+                                      trial % 4 == 0)
+                 for i in range(1, r + 1) for j in range(i + 1, r + 1)
+                 if rng.random() < 0.7}
+        g = ObstructionGraph(base, sizes, edges)
+        want = path_span_table(g).spans
+        cells, seeds, rule = obstruction._table(g)
+        ech, _ = closure.spin(cells, seeds, seeds, rule)
+        assert {k: e.to_subspace() for k, e in ech.items()} == want, trial
+        start = {k: [*seeds.get(k, ()), *want[k].basis[:rng.randint(1, 3)]]
+                 for k in cells}
+        ech, _ = closure.spin(cells, start, seeds, rule)
+        assert {k: e.to_subspace() for k, e in ech.items()} == want, trial
+        partial += any(0 < echelonize(vs, ambient_dim=cells[k]).dim < want[k].dim
+                       for k, vs in start.items())
+    # 60 of the 120 starts lie strictly between the seeds and the closure.
+    assert partial >= 50, partial
 
 
 def _block_graph(g, size):
@@ -560,7 +589,6 @@ def test_a_prime_that_misses_a_full_span_falls_back(monkeypatch):
         return run
 
     monkeypatch.setattr(closure, "MODULUS", 2)
-    monkeypatch.setattr(obstruction, "MODULUS", 2)
     monkeypatch.setattr(closure, "subrng_closure", spy(closure.subrng_closure))
     monkeypatch.setattr(obstruction, "path_span_table",
                         spy(obstruction.path_span_table))

@@ -11,7 +11,6 @@ from obstructor.linalg import (
     MAX_DIGITS,
     Echelon,
     EchelonModP,
-    Subspace,
     echelonize,
     matrix,
     ratio,
