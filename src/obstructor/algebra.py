@@ -649,11 +649,6 @@ def matrix_algebra(base: StructureAlgebra, g: int) -> StructureAlgebra:
     cached = _matrix_cache.get(key)
     if cached is not None:
         return cached
-    unit = [_ZERO] * dim
-    for r in range(g):
-        for t, cf in enumerate(base.unit):
-            if cf:
-                unit[matrix_index(d, g, r, r, t)] = cf
     inv = tuple(tuple((matrix_index(d, g, c, r, k), cf) for k, cf in terms)
                 for r in range(g) for c in range(g) for terms in base.inv_terms)
     labels = []
@@ -663,8 +658,8 @@ def matrix_algebra(base: StructureAlgebra, g: int) -> StructureAlgebra:
             for t in range(d):
                 e = f"e[{r + 1},{c + 1}]"
                 labels.append(e if plain else f"{e}*{base.basis_labels[t]}")
-    alg = StructureAlgebra(dim, matrix_rule(base, g, g, g), base.scale, tuple(unit),
-                           inv, labels)
+    alg = StructureAlgebra(dim, matrix_rule(base, g, g, g), base.scale,
+                           DMatrix.identity(base, g).coeffs, inv, labels)
     alg.matrix_base = base
     alg.matrix_size = g
     if base.descriptor is not None:

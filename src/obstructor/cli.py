@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import click
 
@@ -56,8 +56,10 @@ from .serialize import (
 )
 from .witness import (
     DOCUMENTED_DISCREPANCIES,
+    MAX_TRIES,
     ChainReport,
     build_r3_graph,
+    random_elements,
     random_rosati_generator,
     verify_identity_chain,
 )
@@ -170,12 +172,10 @@ def _ramification_section(p: int) -> dict:
 
 def _impossibility_section(p: int, seed: int, trials: int) -> dict:
     base = quaternion_for_prime(p)
-    rng = random.Random(seed)
     non_generating = 0
     max_dim = 0
     all_comm = True
-    for _ in range(trials):
-        x = base.element(tuple(rng.randint(-10, 10) for _ in range(4)))
+    for x in islice(random_elements(base, seed, 10), trials):
         res = subrng_closure(base, [x, x.dagger()])
         d = res.span.dim
         max_dim = max(max_dim, d)
@@ -252,6 +252,8 @@ def verify(g, p, run_all, strict, seed, trials):
         raise click.UsageError("--p must be prime")
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
+    if trials > MAX_TRIES:
+        raise click.UsageError(f"--trials must be at most {MAX_TRIES}")
     seed = _default_seed() if seed is None else seed
     report: dict = {"seed": seed}
     if run_all:
@@ -350,6 +352,8 @@ def find_generator(g, p, seed, tries, bound):
         raise click.UsageError("--p must be prime")
     if tries < 1 or bound < 1:
         raise click.UsageError("--tries and --bound must be >= 1")
+    if tries > MAX_TRIES:
+        raise click.UsageError(f"--tries must be at most {MAX_TRIES}")
     seed = _default_seed() if seed is None else seed
     alg = matrix_algebra(quaternion_for_prime(p), g)
     search = random_rosati_generator(alg, seed=seed, max_tries=tries,

@@ -8,16 +8,17 @@ entries of the documented chain disagree with exact computation by one sign;
 verifies generation independently through the closure engine.
 
 Over M_g(D) there is no canonical rational witness, but the good set is
-Zariski open, so seeded random integer matrices find one almost immediately;
-``random_rosati_generator`` does exactly that and the graph builders consume
-it.
+Zariski open, so seeded random integer matrices find one almost immediately.
+``random_elements`` is the one seeded stream of such matrices; both searches,
+``random_rosati_generator`` and ``random_two_generators``, run one loop over
+it, and the graph builders consume what they find.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .algebra import (
     AlgElement,
@@ -35,8 +36,8 @@ from .obstruction import ObstructionGraph
 
 __all__ = [
     "ChainIdentity", "ChainReport", "DOCUMENTED_DISCREPANCIES", "GeneratorSearch",
-    "shift_witness", "verify_identity_chain", "random_rosati_generator",
-    "build_r3_graph", "build_r4_graph",
+    "MAX_TRIES", "shift_witness", "verify_identity_chain", "random_elements",
+    "random_rosati_generator", "build_r3_graph", "build_r4_graph",
 ]
 
 
@@ -112,58 +113,37 @@ def verify_identity_chain(g: int) -> ChainReport:
     x = shift_witness(g)
     xd = x.dagger()
     a = x ** (n - 1)
-    b = xd ** (n - 3) if n - 3 >= 1 else None
-
-    identities = []
-
-    stated = matrix_unit(model, 1, n)
-    identities.append(ChainIdentity(
-        name="x_pow_2g_minus_1", holds=(a == stated),
-        computed=repr(a), stated=repr(stated)))
-
-    nilp = x ** n
-    identities.append(ChainIdentity(
-        name="x_pow_2g_is_zero", holds=nilp.is_zero(),
-        computed=repr(nilp), stated="0"))
-
-    x_low = x ** (n - 3)
-    stated = _unit_sum(model, [(1, n - 2), (2, n - 1), (3, n)])
-    identities.append(ChainIdentity(
-        name="x_pow_2g_minus_3", holds=(x_low == stated),
-        computed=repr(x_low), stated=repr(stated)))
-
-    stated = _unit_sum(model, [(n - 3, 2), (n, 1), (n - 1, 4)], sign=-1)
-    identities.append(ChainIdentity(
-        name="dagger_pow_2g_minus_3", holds=(b == stated),
-        computed=repr(b), stated=repr(stated)))
-
+    b = xd ** (n - 3)
     ab = a * b
-    stated = -matrix_unit(model, 1, 1)
-    identities.append(ChainIdentity(
-        name="ab", holds=(ab == stated), computed=repr(ab), stated=repr(stated)))
-
     bab = b * ab
-    stated = -matrix_unit(model, n, 1)
-    identities.append(ChainIdentity(
-        name="bab", holds=(bab == stated), computed=repr(bab), stated=repr(stated),
-        note="documented value; exact computation gives the opposite sign"))
-
-    rho = _unit_sum(model, [(t - 1, t) for t in range(2, n + 1)]) \
-        + matrix_unit(model, n, 1)
-    diff = x - bab
-    identities.append(ChainIdentity(
-        name="x_minus_bab_is_rotation", holds=(diff == rho),
-        computed=repr(diff), stated=repr(rho),
-        note="depends on the sign of bab; see the bab entry"))
-
-    alt = x + bab
-    identities.append(ChainIdentity(
-        name="x_plus_bab_is_rotation", holds=(alt == rho),
-        computed=repr(alt), stated=repr(rho),
-        note="rotation identity with the computed sign of bab"))
-
-    return ChainReport(g=g, identities=tuple(identities),
+    rho = _unit_sum(model, [(t - 1, t) for t in range(2, n + 1)] + [(n, 1)])
+    rows = (
+        ("x_pow_2g_minus_1", a, matrix_unit(model, 1, n), ""),
+        ("x_pow_2g_is_zero", x ** n, model.zero(), ""),
+        ("x_pow_2g_minus_3", x ** (n - 3),
+         _unit_sum(model, [(1, n - 2), (2, n - 1), (3, n)]), ""),
+        ("dagger_pow_2g_minus_3", b,
+         _unit_sum(model, [(n - 3, 2), (n, 1), (n - 1, 4)], sign=-1), ""),
+        ("ab", ab, -matrix_unit(model, 1, 1), ""),
+        ("bab", bab, -matrix_unit(model, n, 1),
+         "documented value; exact computation gives the opposite sign"),
+        ("x_minus_bab_is_rotation", x - bab, rho,
+         "depends on the sign of bab; see the bab entry"),
+        ("x_plus_bab_is_rotation", x + bab, rho,
+         "rotation identity with the computed sign of bab"),
+    )
+    identities = tuple(
+        ChainIdentity(name=name, holds=computed == stated, computed=repr(computed),
+                      stated=repr(stated), note=note)
+        for name, computed, stated, note in rows)
+    return ChainReport(g=g, identities=identities,
                        generation=subrng_closure(model, [x, xd]))
+
+
+# The most tries the CLI lets a seeded loop make (`find-generator --tries`,
+# `verify --trials`). At g = 1 every try fails, and MAX_TRIES of them take
+# about 3 s and 5 s on one core of a 2-vCPU x86-64 machine.
+MAX_TRIES = 10_000
 
 
 @dataclass(frozen=True)
@@ -177,10 +157,28 @@ class GeneratorSearch:
         return self.element is not None
 
 
-def _random_element(alg: StructureAlgebra, rng: random.Random,
-                    coeff_bound: int) -> AlgElement:
-    return alg.element(tuple(rng.randint(-coeff_bound, coeff_bound)
-                             for _ in range(alg.dim)))
+def random_elements(alg: StructureAlgebra, seed: int,
+                    coeff_bound: int) -> Iterator[AlgElement]:
+    """The seeded stream behind every random witness: elements of ``alg``
+    whose integer coefficients are drawn one by one, uniformly in
+    [-coeff_bound, coeff_bound], from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    while True:
+        yield alg.element(tuple(rng.randint(-coeff_bound, coeff_bound)
+                                for _ in range(alg.dim)))
+
+
+def _search(alg: StructureAlgebra, seed: int, max_tries: int, coeff_bound: int,
+            draws: int, gens) -> tuple:
+    """Draw ``draws`` elements of :func:`random_elements` per try until
+    ``gens(*xs)`` generates ``alg``; return them with the try that found
+    them, or ``draws`` Nones with ``max_tries``."""
+    stream = random_elements(alg, seed, coeff_bound)
+    for attempt in range(1, max_tries + 1):
+        xs = [next(stream) for _ in range(draws)]
+        if generates_fully(alg, gens(*xs)):
+            return xs, attempt
+    return [None] * draws, max_tries
 
 
 def random_rosati_generator(alg: StructureAlgebra, seed: int = 0,
@@ -188,34 +186,28 @@ def random_rosati_generator(alg: StructureAlgebra, seed: int = 0,
                             coeff_bound: int = 10) -> GeneratorSearch:
     """Seeded search for x such that {x, dagger(x)} generates ``alg``.
 
-    Samples integer coefficient vectors uniformly in [-coeff_bound,
-    coeff_bound]; the returned witness is the first success in try order,
-    which makes the result a pure function of the seed.
+    Tries the elements of :func:`random_elements` in order; the returned
+    witness is the first success, which makes the result a pure function of
+    the seed.
     """
     if alg.inv_terms is None:
         raise AlgebraValidationError("generator search needs an involution")
-    rng = random.Random(seed)
-    for attempt in range(1, max_tries + 1):
-        x = _random_element(alg, rng, coeff_bound)
-        if generates_fully(alg, [x, x.dagger()]):
-            return GeneratorSearch(element=x, tries=attempt, seed=seed)
-    return GeneratorSearch(element=None, tries=max_tries, seed=seed)
+    (x,), tries = _search(alg, seed, max_tries, coeff_bound, 1,
+                          lambda x: [x, x.dagger()])
+    return GeneratorSearch(element=x, tries=tries, seed=seed)
 
 
 def random_two_generators(alg: StructureAlgebra, seed: int = 0,
                           max_tries: int = 200,
                           coeff_bound: int = 10) -> tuple:
-    """Seeded search for a pair (x, y) with {1, x, y} generating ``alg``."""
+    """Seeded search for a pair (x, y) with {1, x, y} generating ``alg``;
+    each try draws x, then y, from :func:`random_elements`."""
     if alg.unit is None:
         raise AlgebraValidationError("two-generator search needs a unit")
-    rng = random.Random(seed)
     one = alg.one()
-    for attempt in range(1, max_tries + 1):
-        x = _random_element(alg, rng, coeff_bound)
-        y = _random_element(alg, rng, coeff_bound)
-        if generates_fully(alg, [one, x, y]):
-            return GeneratorSearch(element=x, tries=attempt, seed=seed), y
-    return GeneratorSearch(element=None, tries=max_tries, seed=seed), None
+    (x, y), tries = _search(alg, seed, max_tries, coeff_bound, 2,
+                            lambda x, y: [one, x, y])
+    return GeneratorSearch(element=x, tries=tries, seed=seed), y
 
 
 def build_r3_graph(g: int, p: int, seed: int = 0) -> ObstructionGraph:

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from obstructor.cli import main
 from obstructor.linalg import MAX_DIGITS
 from obstructor.serialize import dump_json, graph_to_json
-from obstructor.witness import build_r3_graph
+from obstructor.witness import MAX_TRIES, build_r3_graph
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +268,21 @@ def test_find_generator_g1_not_found(runner):
     # The help text documents this exit rather than forbidding --g 1.
     help_text = " ".join(runner.invoke(main, ["find-generator", "--help"]).output.split())
     assert "Matrix size (>= 1; no x generates at g = 1, which exits 1)." in help_text
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--g", "1", "--p", "2", "--trials"], "--trials"),
+    (["find-generator", "--g", "1", "--p", "2", "--tries"], "--tries"),
+])
+def test_a_seeded_loop_above_the_cap_is_refused_before_any_draw(
+        runner, monkeypatch, argv, flag):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew an element")
+    monkeypatch.setattr("obstructor.cli.random_elements", no_draw)
+    monkeypatch.setattr("obstructor.cli.random_rosati_generator", no_draw)
+    res = runner.invoke(main, argv + [str(MAX_TRIES + 1)])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr.endswith(f"Error: {flag} must be at most {MAX_TRIES}\n")
 
 
 def test_corner_command(runner, tmp_path):
@@ -559,6 +574,10 @@ def _nested_matrix(depth: int) -> str:
     (["verify", "--g", "100000", "--p", "2"], {}, 2),
     (["verify", "--g", "1", "--p", "2", "--trials", "-1"], {}, 2),
     (["verify", "--g", "1", "--p", "2", "--trials", "0"], {}, 2),
+    (["verify", "--g", "1", "--p", "2", "--trials", str(MAX_TRIES + 1)], {}, 2),
+    (["find-generator", "--g", "1", "--p", "2", "--tries", str(MAX_TRIES + 1)],
+     {}, 2),
+    (["find-generator", "--g", "2", "--p", "2", "--tries", str(MAX_TRIES)], {}, 0),
     (["obstruction", "--graph", "{graph}", "--vertex", "1"],
      {"graph": _QFP2_GRAPH}, 3),
 ], ids=["verify-strict", "find-generator-g1", "corner-non-unital",
@@ -569,6 +588,8 @@ def _nested_matrix(depth: int) -> str:
         "graph-size-million", "graph-size-40", "graph-65-vertices",
         "graph-64-vertices", "find-generator-huge-g",
         "verify-huge-g", "verify-trials-negative", "verify-trials-zero",
+        "verify-trials-above-cap", "find-generator-tries-above-cap",
+        "find-generator-tries-at-cap",
         "internal-error"])
 def test_exit_code_routes(runner, tmp_path, monkeypatch, argv, files, code):
     """0 success, 1 verification failure, 2 usage or library error, 3 internal

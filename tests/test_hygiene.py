@@ -1,5 +1,6 @@
 """Source hygiene that no installed linter checks: every module-level import
-in the package and the tests is used."""
+in the package and the tests is used, and every module-level private name of
+the package is referenced somewhere besides its definition."""
 
 import ast
 from pathlib import Path
@@ -41,4 +42,53 @@ def test_no_unused_module_level_imports():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in FILES if path.name != "__init__.py"
              for line, name in _unused_imports(path.read_text())]
+    assert not found, found
+
+
+def _private_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each module-level private function, class or constant:
+    a name with one leading underscore, not a dunder."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _references(source: str) -> set[str]:
+    """Every name the source reads: loaded names, attributes, imported names
+    and the last dotted part of each string (as in ``monkeypatch.setattr``)."""
+    refs = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.alias):
+            refs.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            refs.add(n.value.rsplit(".", 1)[-1])
+    return refs
+
+
+def test_the_check_sees_an_unreferenced_private_name():
+    source = ("_A = 1\n_B = 2\n__version__ = '0'\nclass _C: pass\n"
+              "def _d(): return _B\ndef e(): pass\n")
+    defined = _private_definitions(source)
+    assert defined == [(1, "_A"), (2, "_B"), (4, "_C"), (5, "_d")]
+    assert [d for d in defined if d[1] not in _references(source)] == [
+        (1, "_A"), (4, "_C"), (5, "_d")]
+
+
+def test_no_unreferenced_module_level_private_names():
+    refs = set().union(*(_references(path.read_text()) for path in FILES))
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in FILES if path.parent.name == "obstructor"
+             for line, name in _private_definitions(path.read_text())
+             if name not in refs]
+    assert len(FILES) > 10
     assert not found, found
