@@ -338,10 +338,6 @@ class AlgElement:
         c = ratio(other)
         return AlgElement(self.algebra, tuple(c * a for a in self.coeffs))
 
-    def __rmul__(self, other):
-        c = ratio(other)
-        return AlgElement(self.algebra, tuple(c * a for a in self.coeffs))
-
     def __pow__(self, n: int) -> "AlgElement":
         if n < 1:
             raise ValueError("only positive powers are defined (no unit is assumed)")
@@ -795,38 +791,11 @@ class DMatrix:
     def scalar(cls, base: StructureAlgebra, n: int, c) -> "DMatrix":
         return cls.identity(base, n) * ratio(c)
 
-    def __add__(self, other: "DMatrix") -> "DMatrix":
-        self._same_shape(other)
-        return replace(self, coeffs=tuple(
-            a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "DMatrix") -> "DMatrix":
-        self._same_shape(other)
-        return replace(self, coeffs=tuple(
-            a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "DMatrix":
-        return replace(self, coeffs=tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, DMatrix):
-            return self.compose(other)
+    def __mul__(self, other) -> "DMatrix":
         c = ratio(other)
         return replace(self, coeffs=tuple(a * c for a in self.coeffs))
 
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "DMatrix") -> "DMatrix":
-        return self.compose(other)
-
-    def _same_shape(self, other: "DMatrix"):
-        if self.base is not other.base:
-            raise AlgebraValidationError("DMatrix operands over different bases")
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatchError(
-                f"shape ({self.rows},{self.cols}) vs ({other.rows},{other.cols})")
-
-    def compose(self, other: "DMatrix") -> "DMatrix":
         if self.base is not other.base:
             raise AlgebraValidationError("DMatrix operands over different bases")
         if self.cols != other.rows:

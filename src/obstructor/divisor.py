@@ -90,12 +90,6 @@ class MultiHomogPoly:
             out[e] = out.get(e, _ZERO) + c
         return MultiHomogPoly(self.r, out)
 
-    def __neg__(self) -> "MultiHomogPoly":
-        return MultiHomogPoly(self.r, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiHomogPoly") -> "MultiHomogPoly":
-        return self + (-other)
-
     def __mul__(self, other: "MultiHomogPoly") -> "MultiHomogPoly":
         self._same_arena(other)
         out: dict = {}

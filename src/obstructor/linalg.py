@@ -300,9 +300,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def is_zero(self) -> bool:
-        return not self.basis
-
     def is_full(self) -> bool:
         return len(self.basis) == self.ambient_dim
 
@@ -320,9 +317,6 @@ class Subspace:
                     if rk:
                         w[k] -= c * rk
         return not any(w)
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        return subspace_sum(self, other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

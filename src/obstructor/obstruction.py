@@ -249,9 +249,10 @@ def corner_detect(e_span: Subspace, algebra: StructureAlgebra) -> CornerReport:
     Algorithm: the zero span is the corner of p = 0. Otherwise solve the
     linear system for a left unit e of the span; without one the span is not
     a corner. Such an e lies in the span, so it is idempotent. A corner's
-    unit is two-sided, so e must also be a right unit. Finally compare the
-    span against span{e * b_k * e} over the algebra basis; equality is
-    required, not containment.
+    unit is two-sided, so e must also be a right unit. The two unit checks
+    give v = e * v * e for every v in the span, so the span lies in
+    e * algebra * e = span{e * b_k * e} over the algebra basis, and the
+    dimension count alone decides equality.
 
     All products run on the integer kernel. ``a * b`` denotes the product
     under ``algebra.rule``, ``D = algebra.scale`` times the true one. The
@@ -310,12 +311,9 @@ def corner_detect(e_span: Subspace, algebra: StructureAlgebra) -> CornerReport:
         corner.add(rule_product(rule, z, rule_product(rule, bk, z, n, 0), n, 0))
         if corner.dim > d:
             return not_corner
-    if corner.to_subspace() != e_span:
-        return not_corner
-    e = tuple(e)
-    return CornerReport(is_corner=True, idempotent=AlgElement(algebra, e),
-                        factor_dim=d, is_full=(e == algebra.unit),
-                        is_zero=False)
+    # e = 1 would give the whole algebra, refused above since d < n.
+    return CornerReport(is_corner=True, idempotent=AlgElement(algebra, tuple(e)),
+                        factor_dim=d, is_full=False, is_zero=False)
 
 
 def flag_nonliftable(report: CornerReport, base_is_ramified: bool) -> ObstructionVerdict:
@@ -569,8 +567,6 @@ def specialize_transform(graph: ObstructionGraph,
 
 def scale_edges(graph: ObstructionGraph, m: int) -> ObstructionGraph:
     """The graph of the m-th tensor power: every component scaled by m."""
-    if m == 0:
-        return ObstructionGraph(graph.base, graph.sizes, {})
     return ObstructionGraph(graph.base, graph.sizes,
                             {k: e * m for k, e in graph.edges.items()})
 
@@ -580,12 +576,8 @@ def relabel_vertices(graph: ObstructionGraph, perm: Sequence[int]) -> Obstructio
     if sorted(perm) != list(range(1, graph.r + 1)):
         raise GraphValidationError("perm must be a permutation of 1..r")
     sizes = [graph.size(perm[v - 1]) for v in range(1, graph.r + 1)]
-    edges = {}
-    for i in range(1, graph.r + 1):
-        for j in range(i + 1, graph.r + 1):
-            m = graph.hom_map(perm[j - 1], perm[i - 1])
-            if not m.is_zero():
-                edges[(i, j)] = m
+    edges = {(i, j): graph.hom_map(perm[j - 1], perm[i - 1])
+             for i in range(1, graph.r + 1) for j in range(i + 1, graph.r + 1)}
     return ObstructionGraph(graph.base, sizes, edges)
 
 

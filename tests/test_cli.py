@@ -259,6 +259,14 @@ def test_find_generator_seed_env_override(runner):
     assert direct.output == via_env.output
 
 
+def test_a_seed_env_that_is_not_an_integer_is_usage_error(runner):
+    res = runner.invoke(main, ["find-generator", "--g", "2", "--p", "2"],
+                        env={"OBSTRUCTOR_SEED": "abc"})
+    assert res.exit_code == 2 and res.stdout == ""
+    assert "Error: OBSTRUCTOR_SEED must be an integer, got 'abc'" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_find_generator_g1_not_found(runner):
     res = runner.invoke(main, ["find-generator", "--g", "1", "--p", "2",
                                "--tries", "5"])
@@ -578,6 +586,14 @@ def _nested_matrix(depth: int) -> str:
     (["find-generator", "--g", "1", "--p", "2", "--tries", str(MAX_TRIES + 1)],
      {}, 2),
     (["find-generator", "--g", "2", "--p", "2", "--tries", str(MAX_TRIES)], {}, 0),
+    (["find-generator", "--g", "2", "--p", "4"], {}, 2),
+    (["find-generator", "--g", "2", "--p", "2", "--bound", "0"], {}, 2),
+    (["corner", "--algebra", "{algebra}", "--elements", "{elements}"],
+     {"algebra": json.dumps(_QFP2), "elements": '{"v": ["1", "0", "0", "0"]}'}, 2),
+    (["hilbert", "--a", "-1", "--b", "-1", "--place", "x"], {}, 2),
+    (["hilbert", "--a", "-1", "--b", "-1", "--place", "4"], {}, 2),
+    (["hilbert", "--a", "-1", "--b", "-1", "--place", "inf"], {}, 0),
+    (["divisor", "--poly", "x1", "--r", "1", "--subst", "a"], {}, 2),
     (["obstruction", "--graph", "{graph}", "--vertex", "1"],
      {"graph": _QFP2_GRAPH}, 3),
 ], ids=["verify-strict", "find-generator-g1", "corner-non-unital",
@@ -589,7 +605,10 @@ def _nested_matrix(depth: int) -> str:
         "graph-64-vertices", "find-generator-huge-g",
         "verify-huge-g", "verify-trials-negative", "verify-trials-zero",
         "verify-trials-above-cap", "find-generator-tries-above-cap",
-        "find-generator-tries-at-cap",
+        "find-generator-tries-at-cap", "find-generator-p-not-prime",
+        "find-generator-bound-zero", "corner-elements-not-a-list",
+        "hilbert-place-not-a-number", "hilbert-place-not-prime",
+        "hilbert-place-inf", "divisor-subst-not-integers",
         "internal-error"])
 def test_exit_code_routes(runner, tmp_path, monkeypatch, argv, files, code):
     """0 success, 1 verification failure, 2 usage or library error, 3 internal

@@ -275,6 +275,7 @@ def test_parse_table(text, r, want):
     if isinstance(want[0], dict):
         f = parse_poly(text, r)
         assert (f.terms, f.degrees) == want
+        assert parse_poly(f.to_string(), r) == f
         return
     exc_type, message, position = want
     with pytest.raises(exc_type) as exc:

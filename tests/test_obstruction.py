@@ -15,7 +15,9 @@ from obstructor.algebra import (
 )
 from obstructor.closure import subrng_closure
 from obstructor.errors import (
+    AlgebraValidationError,
     CoverValidationError,
+    DimensionMismatchError,
     GraphValidationError,
     MapValidationError,
 )
@@ -113,6 +115,25 @@ def test_edge_shape_validation():
         ObstructionGraph(D2, (1, 2), {(1, 2): DMatrix.identity(D2, 1)})
     with pytest.raises(GraphValidationError):
         ObstructionGraph(D2, (1, 1), {(2, 1): DMatrix.identity(D2, 1)})
+
+
+@pytest.mark.parametrize("call, exc_type", [
+    (lambda: DMatrix.identity(D2, 1) @ DMatrix.identity(rationals(), 1),
+     AlgebraValidationError),
+    (lambda: DMatrix.identity(D2, 2) @ DMatrix.zero(D2, 3, 2),
+     DimensionMismatchError),
+    (lambda: ObstructionGraph(D2, (1, 1), {
+        (1, 2): DMatrix.identity(quaternion_for_prime(3), 1)}),
+     GraphValidationError),
+    (lambda: ObstructionGraph(D2, (1, 1), {}).hom_map(1, 1), GraphValidationError),
+    (lambda: corner_detect(echelonize([], ambient_dim=3), M2Q),
+     DimensionMismatchError),
+], ids=["compose-across-bases", "compose-shapes", "edge-over-another-base",
+        "hom-map-to-itself", "corner-ambient-mismatch"])
+def test_library_guards(call, exc_type):
+    with pytest.raises(exc_type) as exc:
+        call()
+    assert type(exc.value) is exc_type
 
 
 def test_path_table_certificates():

@@ -6,18 +6,26 @@ Sizes and ``g`` stay in -1..2 and matrix bases nest at most one level: a
 deeper nest builds algebras of dimension 256 or more, and building one takes
 a tenth of a second or more (dimension 256 about 0.13 s, dimension 1024
 about 2.7 s), too long for a thousand examples.
+
+A graph over a custom base also makes the round trip through its JSON form.
 """
+
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from obstructor.algebra import DMatrix, make_algebra
 from obstructor.errors import ObstructorError
+from obstructor.obstruction import ObstructionGraph, compute_obstruction
 from obstructor.serialize import (
     MAX_MATRIX_NESTING,
     SchemaError,
     algebra_from_json,
+    dump_json,
     graph_from_json,
+    graph_to_json,
 )
 
 _FUZZ = settings(derandomize=True, max_examples=1000, deadline=None,
@@ -132,3 +140,23 @@ def test_matrix_nesting_cap():
     assert algebra_from_json(desc).dim == 4
     with pytest.raises(SchemaError, match="nested more than"):
         algebra_from_json({"kind": "matrix", "g": 1, "base": desc})
+
+
+# Q(t) with t^2 = c and the involution t -> -t: c = -1 is Q(i) with
+# conjugation, and c = 1/2 leaves a denominator in the structure constants.
+@pytest.mark.parametrize("square", ["-1", "1/2"])
+def test_graph_over_a_custom_base_round_trips(square):
+    base = make_algebra(2, [[(1, 0), (0, 1)], [(0, 1), (square, 0)]],
+                        unit=(1, 0), involution=((1, 0), (0, -1)))
+    # Rational entries keep every loop span partial.
+    edges = {(1, 2): DMatrix.from_entries(base, [[("1/2", 0)], [(3, 0)]]),
+             (2, 3): DMatrix.from_entries(base, [[(2, 0), (-1, 0)]]),
+             (1, 3): DMatrix.from_entries(base, [[("-3/2", 0)]])}
+    graph = ObstructionGraph(base, [1, 2, 1], edges)
+    text = dump_json(graph_to_json(graph))
+    assert '"kind": "custom"' in text
+    back = graph_from_json(json.loads(text))
+    assert dump_json(graph_to_json(back)) == text
+    spans = [compute_obstruction(graph, v) for v in (1, 2, 3)]
+    assert [span.dim for span in spans] == [1, 4, 1]
+    assert [compute_obstruction(back, v) for v in (1, 2, 3)] == spans
