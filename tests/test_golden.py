@@ -107,6 +107,14 @@ def _r4_graph() -> str:
     return dump_json(graph_to_json(build_r4_graph(2, 3, 1)))
 
 
+def _r3_graph_g4() -> str:
+    return dump_json(graph_to_json(build_r3_graph(4, 2, 0)))
+
+
+def _r4_graph_g3() -> str:
+    return dump_json(graph_to_json(build_r4_graph(3, 5, 0)))
+
+
 # name -> (argv with {file} placeholders, {file: (builder, input sha256)},
 #          stdout sha256)
 CASES = {
@@ -126,6 +134,18 @@ CASES = {
         {"graph": (_r4_graph, "b80cb56123cc001140cb5754531bb6c0"
                               "a9952cf0a6125c9b5a0780b0dab0b0ab")},
         "a0f6039ce088fb5aec039a77853669e49712b60b97f9eab474709321650a020f"),
+    # g = 4 and g = 3: the sizes where coefficient swell makes the engine's
+    # trajectory matter.
+    "obstruction-r3-g4": (
+        ["obstruction", "--graph", "{graph}", "--vertex", "1"],
+        {"graph": (_r3_graph_g4, "35d648c2fec29d1b5206a21e57a1d106"
+                                 "c220dd1b21becd3b945bdc5b30cfa750")},
+        "34090be732fab2dc8eddb9240eb7a177c47b9af571e024a4e442bdcaa3f61291"),
+    "obstruction-r4-g3": (
+        ["obstruction", "--graph", "{graph}", "--vertex", "1"],
+        {"graph": (_r4_graph_g3, "b989a9c3d1133eeac9855bf5be74f689"
+                                 "b9af4b3f2a53180795fcda2f2fa9fddf")},
+        "e09321aeeba2bb0f43a1d4ec1e4c002b38ad36a8fe3b50bd888b791a94e435be"),
     "obstruction-small-oracle": (
         ["obstruction", "--graph", "{graph}", "--vertex", "1",
          "--oracle-len", "6"],
