@@ -9,9 +9,15 @@ no tolerance in any comparison.
 Spans are accumulated in :class:`Echelon` over the integers, in
 fraction-free Gauss-Jordan form: integer rows over one shared denominator,
 which divided by it are the canonical reduced row-echelon basis. The
-``Fraction`` basis is built only when it is read. :class:`EchelonModP`
-keeps the span of integer vectors reduced mod a prime; its rank is never
-above the rank over Q, so it can only certify that a span is full.
+``Fraction`` basis is built only when it is read.
+
+:class:`EchelonModP` keeps the span of integer vectors reduced mod a prime
+p, each row packed into one int of fixed-width slots, so that a row update
+is one multiply-add. Its rank is never above the rank over Q. So a vector
+outside its span is proven outside the Q-span of the vectors that grew it,
+and a full span proves the Q-span full. A vector inside it mod p is only a
+claim. With ``coordinates`` the class also gives that vector's coordinates
+mod p, from which :mod:`closure` certifies the claim exactly.
 """
 
 from __future__ import annotations
@@ -221,51 +227,169 @@ class Echelon:
                                       tuple(self.piv_cols))
 
 
-class EchelonModP:
-    """Row-echelon accumulator of the span of integer vectors reduced mod a
-    prime ``p``, used only to certify that a span is full.
+def _bits(xs: Iterable[int]) -> int:
+    """The int with bit k set for each nonzero ``xs[k]``."""
+    out = 0
+    for k, x in enumerate(xs):
+        if x:
+            out |= 1 << k
+    return out
 
-    ``rows`` holds (pivot, row) pairs in insertion order: each row is
-    reduced mod p, is 1 in its pivot column, and 0 left of it and in the
-    pivot columns of the rows before it. ``add`` reduces each row's
-    coefficient mod p once while forming the residual, and every entry
-    once at the end.
+
+class EchelonModP:
+    """Row-echelon span of integer vectors mod a prime ``p``, on packed
+    rows.
+
+    A row is one int of fixed-width slots, slot k < ``ambient`` holding
+    entry k as a residue in [0, p). Rows never change once added: each is 1
+    in its pivot column and 0 left of it. ``rows[q]`` is the row of pivot
+    q, bit k of ``pivot_bits`` is set when column k is a pivot, and bit k
+    of ``right[q]`` when that row is nonzero in column k > q.
+
+    The residual of v is formed without reducing a slot. Pivot columns are
+    visited left to right, since a row changes no slot left of its pivot,
+    and only those where a slot of w may be nonzero: where v or an applied
+    row is nonzero. Each row update ``w += (p - c) * row`` is one
+    multiply-add. A slot gains less than p^2 a row, at most once per
+    pivot, so it stays below (ambient + 1) * p^2 < 2^(T + bits(p)), where
+    T = bits(ambient + 1) + bits(p). A slot is T + bits(p) bits, rounded up
+    to whole bytes, so no slot carries into the next. Then w is 0 mod p in every slot exactly when p
+    divides w and every slot of w // p is below 2^T: such a quotient times
+    p carries into no slot either. Only a growth is unpacked slot by slot.
+    The width is read from ``p``, so any prime works.
+
+    With ``coordinates``, slot ``ambient + j`` of a row holds its coordinate
+    on the j-th vector that grew the span, so that the row is congruent to
+    the sum of its coordinates times those vectors, and bit j of
+    ``spread[q]`` is set when the j-th one of row q is nonzero.
+    :meth:`insert` and :meth:`solve` read the coordinates of a vector off
+    its residual.
+
+    The rank mod p is never above the rank over Q, so a vector outside the
+    span mod p is outside the Q-span of the vectors that grew it. A vector
+    inside it mod p may still be outside over Q.
     """
 
-    __slots__ = ("ambient", "p", "rows")
+    __slots__ = ("ambient", "p", "nbytes", "low", "high", "coordinates",
+                 "pivots", "pivot_bits", "rows", "right", "spread")
 
-    def __init__(self, ambient: int, p: int):
+    def __init__(self, ambient: int, p: int, coordinates: bool = False):
         self.ambient = ambient
         self.p = p
-        self.rows: list[tuple[int, list[int]]] = []
+        t = (ambient + 1).bit_length() + p.bit_length()
+        self.nbytes = nb = -(-(t + p.bit_length()) // 8)
+        self.low = (1 << 8 * nb * ambient) - 1
+        slot = ((1 << 8 * nb) - (1 << t)).to_bytes(nb, "little")
+        self.high = int.from_bytes(slot * ambient, "little")
+        self.coordinates = coordinates
+        self.pivots: list[int] = []  # in insertion order
+        self.pivot_bits = 0
+        self.rows: dict[int, int] = {}
+        self.right: dict[int, int] = {}
+        self.spread: dict[int, int] = {}
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def is_full(self) -> bool:
-        return len(self.rows) == self.ambient
+        return len(self.pivots) == self.ambient
 
-    def add(self, v: Sequence[int]) -> bool:
-        """Insert the integer vector ``v``. Returns True when the dimension
-        grew."""
+    def _reduce(self, v: Sequence[int]) -> tuple[int, bool, int]:
+        """The residual of ``v``, whether it is 0 mod p in every entry slot,
+        and the bits of its coordinate slots that may be nonzero. With
+        ``coordinates`` the residual is marked 1 in the coordinate slot of
+        the next row."""
         if len(v) != self.ambient:
             raise DimensionMismatchError(
                 f"vector length {len(v)} does not match ambient {self.ambient}"
             )
-        p = self.p
-        w = v
-        for q, row in self.rows:
-            c = w[q] % p
+        p, nb, zero = self.p, self.nbytes, bytes(self.nbytes)
+        w = int.from_bytes(b"".join([(x % p).to_bytes(nb, "little") if x else zero
+                                     for x in v]), "little")
+        todo = 0
+        for q in self.pivots:
+            if v[q]:
+                todo |= 1 << q
+        slot, rows, right, spread = 8 * nb, self.rows, self.right, self.spread
+        mask, pivot_bits, coords = (1 << slot) - 1, self.pivot_bits, 0
+        while todo:
+            q = (todo & -todo).bit_length() - 1
+            todo ^= 1 << q
+            c = (w >> slot * q & mask) % p
             if c:
-                w = [x - c * y for x, y in zip(w, row)]
-        w = [x % p for x in w]
-        q = next((q for q, x in enumerate(w) if x), None)
-        if q is None:
-            return False
-        inv = pow(w[q], -1, p)
-        self.rows.append((q, [x * inv % p for x in w]))
-        return True
+                w += (p - c) * rows[q]
+                todo |= right[q] & pivot_bits
+                coords |= spread[q]
+        if self.coordinates:
+            w |= 1 << slot * (self.ambient + len(self.pivots))
+        u, r = divmod(w & self.low, p)
+        return w, not r and not u & self.high, coords
+
+    def _grow(self, w: int) -> None:
+        """Append the residual ``w``, nonzero mod p, as a row."""
+        n, p, nb = self.ambient, self.p, self.nbytes
+        b = w.to_bytes((w.bit_length() + 7) // 8, "little")
+        width = nb * (n + len(self.pivots) + 1 if self.coordinates else n)
+        res = [int.from_bytes(b[i:i + nb], "little") % p for i in range(0, width, nb)]
+        q = next(q for q in range(n) if res[q])
+        inv = pow(res[q], -1, p)
+        self.pivots.append(q)
+        self.pivot_bits |= 1 << q
+        self.rows[q] = int.from_bytes(b"".join([(x * inv % p).to_bytes(nb, "little")
+                                                for x in res]), "little")
+        self.right[q] = _bits(res[:n]) & ~(1 << q)
+        self.spread[q] = _bits(res[n:])
+
+    def _solution(self, w: int, coords: int) -> list[int]:
+        """The coordinates on a residual ``w`` that is 0 mod p, read from
+        the slots of the bits of ``coords``."""
+        n, p, nb = self.ambient, self.p, self.nbytes
+        b = w.to_bytes(nb * (n + len(self.pivots) + 1), "little")
+        out = [0] * len(self.pivots)
+        while coords:
+            j = (coords & -coords).bit_length() - 1
+            coords ^= 1 << j
+            i = nb * (n + j)
+            out[j] = -int.from_bytes(b[i:i + nb], "little") % p
+        return out
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Insert the integer vector ``v``. Returns True when the dimension
+        grew."""
+        w, zero, _ = self._reduce(v)
+        if not zero:
+            self._grow(w)
+        return not zero
+
+    def insert(self, v: Sequence[int]) -> Optional[list[int]]:
+        """Insert ``v`` as :meth:`add` does. Returns None when the dimension
+        grew, and otherwise the coordinates of ``v`` as :meth:`solve` gives
+        them."""
+        w, zero, coords = self._reduce(v)
+        if zero:
+            return self._solution(w, coords)
+        self._grow(w)
+        return None
+
+    def solve(self, v: Sequence[int]) -> Optional[list[int]]:
+        """The coordinates x of ``v`` mod p on the vectors that grew the
+        span, in insertion order: v = sum x_j s_j (mod p), each x_j in
+        [0, p). None when ``v`` is outside the span mod p. Needs
+        ``coordinates``."""
+        w, zero, coords = self._reduce(v)
+        return self._solution(w, coords) if zero else None
+
+    def unpacked_rows(self) -> list[tuple[int, list[int]]]:
+        """The (pivot, entries) pairs of the rows in insertion order,
+        entries as residues."""
+        nb, n, p = self.nbytes, self.ambient, self.p
+        out = []
+        for q in self.pivots:
+            b = self.rows[q].to_bytes(nb * (n + len(self.pivots)), "little")
+            out.append((q, [int.from_bytes(b[i:i + nb], "little") % p
+                            for i in range(0, nb * n, nb)]))
+        return out
 
 
 class Subspace:

@@ -182,9 +182,8 @@ def _table(graph: ObstructionGraph, column: Optional[int] = None) -> tuple:
 def path_span_table(graph: ObstructionGraph) -> PathSpanTable:
     """Compute (and cache on the graph) the full path-span fixed point."""
     if graph._table is None:
-        ech, rounds = fixed_point(*_table(graph))
-        graph._table = PathSpanTable(
-            spans={k: e.to_subspace() for k, e in ech.items()}, rounds=rounds)
+        spans, rounds = fixed_point(*_table(graph))
+        graph._table = PathSpanTable(spans=spans, rounds=rounds)
     return graph._table
 
 

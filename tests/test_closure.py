@@ -598,3 +598,83 @@ def test_a_prime_that_misses_a_full_span_falls_back(monkeypatch):
     assert span == Subspace.full(16)
     assert span.basis == tuple(tuple(F(int(i == k)) for k in range(16))
                                for i in range(16))
+
+
+# -- the certified mod-p trajectory of the engine against the plain engine --------
+
+
+def test_every_certification_path_keeps_spans_and_rounds(monkeypatch):
+    # Mod 5 the coordinates of a non-growth rarely reconstruct, and the prime
+    # misses growths, so the p-adic lift, the exact fallback and the
+    # demotion all fire; every decision must still be the exact one.
+    calls = {"lift": 0, "lifted": 0, "exact": 0, "demoted": 0}
+    real_lift, real_exact = closure._Cell._lift, closure._Cell._exact
+
+    def lift(cell, s, x):
+        out = real_lift(cell, s, x)
+        calls["lift"] += 1
+        calls["lifted"] += out
+        return out
+
+    def exact(cell, s):
+        was = cell.modp is not None
+        out = real_exact(cell, s)
+        calls["exact"] += was
+        calls["demoted"] += was and out
+        return out
+
+    monkeypatch.setattr(closure, "MODULUS", 5)
+    monkeypatch.setattr(closure._Cell, "_lift", lift)
+    monkeypatch.setattr(closure._Cell, "_exact", exact)
+    rng = random.Random(53)
+    bases = [quaternion_for_prime(p) for p in (2, 3, 5)]
+    for trial in range(40):
+        base = bases[trial % 3]
+        r = 2 + trial % 3
+        sizes = [rng.randint(1, 3 if r < 4 else 2) for _ in range(r)]
+        edges = {(i, j): _random_edge(base, rng, sizes[j - 1], sizes[i - 1],
+                                      trial % 4 == 0)
+                 for i in range(1, r + 1) for j in range(i + 1, r + 1)
+                 if rng.random() < 0.7}
+        g = ObstructionGraph(base, sizes, edges)
+        cells, seeds, rule = obstruction._table(g)
+        ech, rounds = _plain_fixed_point(cells, seeds, rule, [0])
+        table = path_span_table(g)
+        assert table.rounds == rounds, trial
+        assert table.spans == {k: e.to_subspace() for k, e in ech.items()}, trial
+    for trial in range(30):
+        base = bases[trial % 3]
+        alg = matrix_algebra(base, 2) if trial % 2 else split_model(2)
+        gens = [alg.element(tuple(rng.choice((-2, -1, 0, 0, 1, 2))
+                                  for _ in range(alg.dim)))
+                for _ in range(1 + trial % 2)]
+        ech, rounds = _plain_fixed_point({(0, 0): alg.dim},
+                                         {(0, 0): [x.coeffs for x in gens]},
+                                         lambda a, c, b: alg.rule, [0])
+        res = subrng_closure(alg, gens, allow_empty=True)
+        assert (res.span, res.rounds) == (ech[(0, 0)].to_subspace(), rounds), trial
+    assert calls["lifted"] >= 1 and calls["lift"] > calls["lifted"], calls
+    assert calls["exact"] > calls["demoted"] >= 1, calls
+
+
+def test_full_tables_certify_every_non_growth_mod_p(monkeypatch):
+    # On a full table every non-growth is certified from its coordinates
+    # mod p or mod p^2, so the exact echelon never runs: a silent fall back
+    # to the exact path fails here rather than only slowing the benchmark.
+    exact_adds, claims = [0], [0]
+    real_add, real_insert = Echelon.add, closure.EchelonModP.insert
+
+    def counted_add(self, v):
+        exact_adds[0] += 1
+        return real_add(self, v)
+
+    def counted_insert(self, v):
+        out = real_insert(self, v)
+        claims[0] += out is not None
+        return out
+
+    monkeypatch.setattr(Echelon, "add", counted_add)
+    monkeypatch.setattr(closure.EchelonModP, "insert", counted_insert)
+    table = path_span_table(build_r4_graph(3, 5, seed=0))
+    assert all(s.is_full() for s in table.spans.values())
+    assert exact_adds[0] == 0 and claims[0] >= 100, (exact_adds, claims)

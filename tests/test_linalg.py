@@ -419,7 +419,7 @@ def test_echelon_mod_p_rank_matches_echelon_seeded():
         for row in rows:
             assert modp.add(row) == exact.add(row), trial
         assert modp.dim == exact.dim and modp.is_full() == exact.is_full(), trial
-        for q, row in modp.rows:
+        for q, row in modp.unpacked_rows():
             assert row[q] == 1 and all(0 <= x < p for x in row)
             assert not any(row[:q]), trial
 
@@ -440,3 +440,63 @@ def test_echelon_mod_p_edges():
     assert not ech.add((0, 14)) and ech.dim == 0
     with pytest.raises(DimensionMismatchError):
         ech.add((1, 2, 3))
+
+
+def test_echelon_mod_p_coordinates_combine_to_every_non_growth():
+    rng = random.Random(67)
+    non_growths = 0
+    for trial in range(150):
+        p = (5, 7, 2**61 - 1)[trial % 3]
+        n = rng.randint(1, 9)
+        ech, grown = EchelonModP(n, p, coordinates=True), []
+        for _ in range(rng.randint(1, 2 * n + 2)):
+            if grown and rng.random() < 0.5:
+                # A combination of earlier growth vectors, or a vector that
+                # only agrees with one mod p.
+                v = [sum(rng.randint(-3, 3) * s[k] for s in grown) for k in range(n)]
+                if rng.random() < 0.3:
+                    v[rng.randrange(n)] += p
+            else:
+                v = [rng.randint(-10**20, 10**20) if rng.random() < 0.6 else 0
+                     for _ in range(n)]
+            solved = ech.solve(v)
+            x = ech.insert(v)
+            assert solved == x, trial
+            if x is None:
+                grown.append(v)
+                continue
+            non_growths += 1
+            assert len(x) == len(grown) and all(0 <= c < p for c in x), trial
+            assert all((sum(c * s[k] for c, s in zip(x, grown)) - v[k]) % p == 0
+                       for k in range(n)), trial
+        assert ech.dim == len(grown), trial
+    assert non_growths >= 200, non_growths
+
+
+def test_echelon_mod_p_zero_test_reads_every_slot():
+    # With X = 2^(slot width), the vector (-X mod p, 1) packs to a multiple
+    # of p, but its second entry is 1: it must grow the span. The zero test
+    # sees this only because it also bounds every slot of the quotient by p.
+    for p in (2, 3, 5, 7, 2**61 - 1):
+        for n in range(2, 6):
+            ech = EchelonModP(n, p)
+            x = 1 << 8 * ech.nbytes
+            assert ech.add([-x % p, 1] + [0] * (n - 2)), (p, n)
+            assert ech.add([0, 0] + [1] * (n - 2)) == (n > 2), (p, n)
+
+
+def test_echelon_mod_p_slots_never_carry_at_ambient_1024():
+    # Row i is 1 at i and p - 1 right of it. Reducing v with v_k = 1 - k
+    # (mod p) against all 1024 rows takes coefficient 1 from every row, so
+    # each of the 1023 updates adds (p - 1)^2 to every later slot: the last
+    # slot reaches 1023 * (p - 1)^2 + p, the worst case the slot width is
+    # sized for. A carry into a neighbour would break the zero residual or
+    # the coordinates.
+    p, n = 2**61 - 1, 1024
+    ech = EchelonModP(n, p, coordinates=True)
+    for i in range(n):
+        assert ech.add([0] * i + [1] + [p - 1] * (n - i - 1))
+    assert ech.is_full()
+    assert ech.solve([(1 - k) % p for k in range(n)]) == [1] * n
+    assert ech.solve([p - 1] * n) == [(p - 2**(k % 61)) % p for k in range(n)]
+    assert all(q == i and row[i] == 1 for i, (q, row) in enumerate(ech.unpacked_rows()))
