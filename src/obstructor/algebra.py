@@ -69,21 +69,19 @@ def rule_product(rule: Rule, u: Vec, v: Vec, out_len: int, zero=_ZERO) -> Vec:
     This is the one bilinear kernel: algebra multiplication, the composition
     of hom-space coefficient vectors and the fixed-point engine all run
     through it. The result is the true product times the rule's scale.
-    ``zero`` fills the empty entries; with int vectors and ``zero=0`` every
-    entry is an int.
+    Each term is added in place into a list of ``zero``, so an entry is
+    ``zero`` plus its terms in the order of ``u``: with int vectors and
+    ``zero=0`` every entry is an int, and with the default Fraction zero
+    every entry is a Fraction.
     """
-    acc: dict = {}
+    res = [zero] * out_len
     for i, a in enumerate(u):
         if not a:
             continue
         for j, k, c in rule[i]:
             b = v[j]
             if b:
-                acc[k] = acc.get(k, zero) + a * b * c
-    res = [zero] * out_len
-    for k, c in acc.items():
-        if c:
-            res[k] = c
+                res[k] += a * b * c
     return tuple(res)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from functools import lru_cache
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -227,13 +228,18 @@ class Echelon:
                                       tuple(self.piv_cols))
 
 
-def _bits(xs: Iterable[int]) -> int:
-    """The int with bit k set for each nonzero ``xs[k]``."""
-    out = 0
-    for k, x in enumerate(xs):
-        if x:
-            out |= 1 << k
-    return out
+# Maps the bytes 0 and 1 to the digits "0" and "1".
+_BINARY = bytes.maketrans(b"\x00\x01", b"01")
+
+
+@lru_cache(maxsize=None)
+def _fold_masks(p: int, nb: int, width: int) -> tuple[int, int, int, int]:
+    """The masks ``lo``, ``hi``, ``deltas`` and ``tops`` of
+    :class:`EchelonModP` on ``width`` slots, shared by echelons of a shape."""
+    e = p.bit_length()
+    ones = int.from_bytes((b"\x01" + bytes(nb - 1)) * width, "little")
+    return (((1 << e) - 1) * ones, ((1 << 8 * nb - e) - 1) * ones,
+            ((1 << e) - p) * ones, ones << e)
 
 
 class EchelonModP:
@@ -251,11 +257,24 @@ class EchelonModP:
     and only those where a slot of w may be nonzero: where v or an applied
     row is nonzero. Each row update ``w += (p - c) * row`` is one
     multiply-add. A slot gains less than p^2 a row, at most once per
-    pivot, so it stays below (ambient + 1) * p^2 < 2^(T + bits(p)), where
-    T = bits(ambient + 1) + bits(p). A slot is T + bits(p) bits, rounded up
-    to whole bytes, so no slot carries into the next. Then w is 0 mod p in every slot exactly when p
-    divides w and every slot of w // p is below 2^T: such a quotient times
-    p carries into no slot either. Only a growth is unpacked slot by slot.
+    pivot, so it stays below (ambient + 1) * p^2 < 2^(T + e), where
+    e = bits(p) and T = bits(ambient + 1) + e. A slot is S = T + e bits,
+    rounded up to whole bytes, so no slot carries into the next. Then w is
+    0 mod p in every slot exactly when p divides w and every slot of
+    w // p is below 2^T: such a quotient times p carries into no slot
+    either.
+
+    A growth is reduced in every slot at once by pseudo-Mersenne folding
+    (Crandall and Pomerance 2005, 9.2.13) on all slots of one int (SIMD
+    within a register, Fisher and Dietz 1998): with delta = 2^e - p, each
+    slot x = h * 2^e + l becomes l + delta * h = x - h * p until every h
+    is 0, and then p is subtracted from the slots x >= p, which bit e of
+    x + delta marks. No slot carries, as delta <= 2^(e - 1) gives
+    l + delta * h < 2^e + 2^(S - 1) <= 2^S. Under p = 2^61 - 1 (delta = 1)
+    a slot below (ambient + 1) * p^2 takes at most 3 rounds while ambient
+    < 2^59. The row is then multiplied by the inverse of its first nonzero
+    entry, its slots staying below p^2, and folded again; bit e of
+    x + 2^e - 1 marks the nonzero slots x for ``right`` and ``spread``.
     The width is read from ``p``, so any prime works.
 
     With ``coordinates``, slot ``ambient + j`` of a row holds its coordinate
@@ -270,17 +289,23 @@ class EchelonModP:
     inside it mod p may still be outside over Q.
     """
 
-    __slots__ = ("ambient", "p", "nbytes", "low", "high", "coordinates",
-                 "pivots", "pivot_bits", "rows", "right", "spread")
+    __slots__ = ("ambient", "p", "nbytes", "entries", "excess", "e", "delta", "lo",
+                 "hi", "deltas", "tops", "coordinates", "pivots", "pivot_bits",
+                 "rows", "right", "spread")
 
     def __init__(self, ambient: int, p: int, coordinates: bool = False):
         self.ambient = ambient
         self.p = p
-        t = (ambient + 1).bit_length() + p.bit_length()
-        self.nbytes = nb = -(-(t + p.bit_length()) // 8)
-        self.low = (1 << 8 * nb * ambient) - 1
+        self.e = e = p.bit_length()
+        t = (ambient + 1).bit_length() + e
+        self.nbytes = nb = -(-(t + e) // 8)
+        self.entries = (1 << 8 * nb * ambient) - 1
         slot = ((1 << 8 * nb) - (1 << t)).to_bytes(nb, "little")
-        self.high = int.from_bytes(slot * ambient, "little")
+        self.excess = int.from_bytes(slot * ambient, "little")
+        self.delta = (1 << e) - p
+        # A row has a slot per entry and, with coordinates, one per pivot.
+        self.lo, self.hi, self.deltas, self.tops = _fold_masks(
+            p, nb, 2 * ambient if coordinates else ambient)
         self.coordinates = coordinates
         self.pivots: list[int] = []  # in insertion order
         self.pivot_bits = 0
@@ -323,23 +348,33 @@ class EchelonModP:
                 coords |= spread[q]
         if self.coordinates:
             w |= 1 << slot * (self.ambient + len(self.pivots))
-        u, r = divmod(w & self.low, p)
-        return w, not r and not u & self.high, coords
+        u, r = divmod(w & self.entries, p)
+        return w, not r and not u & self.excess, coords
+
+    def _fold(self, w: int) -> int:
+        """``w`` with every slot, of at most S bits, reduced into [0, p)."""
+        e, lo, hi, delta = self.e, self.lo, self.hi, self.delta
+        h = w >> e & hi
+        while h:
+            w = (w & lo) + delta * h
+            h = w >> e & hi
+        return w - self.p * ((w + self.deltas & self.tops) >> e)
 
     def _grow(self, w: int) -> None:
         """Append the residual ``w``, nonzero mod p, as a row."""
-        n, p, nb = self.ambient, self.p, self.nbytes
-        b = w.to_bytes((w.bit_length() + 7) // 8, "little")
-        width = nb * (n + len(self.pivots) + 1 if self.coordinates else n)
-        res = [int.from_bytes(b[i:i + nb], "little") % p for i in range(0, width, nb)]
-        q = next(q for q in range(n) if res[q])
-        inv = pow(res[q], -1, p)
+        n, nb, p = self.ambient, self.nbytes, self.p
+        w = self._fold(w)
+        # Byte 0 of slot k of the marks is 1 when slot k of w is nonzero;
+        # reversed, these bytes are the binary digits of ``nonzero``.
+        width = n + len(self.pivots) + 1 if self.coordinates else n
+        marks = ((w + self.lo & self.tops) >> self.e).to_bytes(nb * width, "little")
+        nonzero = int(marks[::nb].translate(_BINARY)[::-1], 2)
+        q = (nonzero & -nonzero).bit_length() - 1
         self.pivots.append(q)
         self.pivot_bits |= 1 << q
-        self.rows[q] = int.from_bytes(b"".join([(x * inv % p).to_bytes(nb, "little")
-                                                for x in res]), "little")
-        self.right[q] = _bits(res[:n]) & ~(1 << q)
-        self.spread[q] = _bits(res[n:])
+        self.rows[q] = self._fold(w * pow(w >> 8 * nb * q & (1 << 8 * nb) - 1, -1, p))
+        self.right[q] = nonzero & ((1 << n) - 1) & ~(1 << q)
+        self.spread[q] = nonzero >> n
 
     def _solution(self, w: int, coords: int) -> list[int]:
         """The coordinates on a residual ``w`` that is 0 mod p, read from

@@ -21,6 +21,7 @@ from obstructor.algebra import (
     rationals,
     reduced_norm,
     reduced_trace,
+    rule_product,
     split_model,
 )
 from obstructor.arith import MR_EXACT_BELOW, factorint, is_prime
@@ -520,3 +521,60 @@ def test_rectangular_compose_matches_entrywise_product():
                     acc = [x + y for x, y in zip(acc, prod)]
                 want.extend(acc)
         assert (m @ n).flatten() == tuple(want), (a, c, b)
+
+
+def _dict_rule_product(rule, u, v, out_len, zero=F(0)):
+    """The earlier rule_product, which summed into a dict and kept
+    ``zero`` in every entry whose terms cancel: the reference."""
+    acc = {}
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        for j, k, c in rule[i]:
+            b = v[j]
+            if b:
+                acc[k] = acc.get(k, zero) + a * b * c
+    res = [zero] * out_len
+    for k, c in acc.items():
+        if c:
+            res[k] = c
+    return tuple(res)
+
+
+def test_rule_product_matches_the_dict_kernel_seeded():
+    rng = random.Random(83)
+    q = quaternion_for_prime(2)
+    shapes = [(matrix_rule(rationals(), 1, 2, 1), 2, 2, 1),
+              (matrix_rule(rationals(), 2, 3, 2), 6, 6, 4),
+              (matrix_rule(q, 1, 2, 2), 8, 16, 8),
+              (matrix_rule(q, 2, 2, 2), 16, 16, 16),
+              (split_model(2).rule, 16, 16, 16)]
+
+    def draw(length, kind, fraction):
+        if kind == "zero":
+            return (0,) * length
+        if kind == "signs":  # +-1 entries, whose sums often cancel
+            xs = [rng.choice((-1, 1)) for _ in range(length)]
+        else:
+            share = 1.0 if kind == "dense" else 0.2
+            xs = [rng.randint(-10**6, 10**6) if rng.random() < share else 0
+                  for _ in range(length)]
+        return tuple(F(x, rng.randint(1, 9)) if fraction and x else x for x in xs)
+
+    cancelled = 0
+    for rule, len_u, len_v, out_len in shapes:
+        assert len(rule) == len_u
+        for _ in range(40):
+            fraction = rng.random() < 0.5
+            u = draw(len_u, rng.choice(("dense", "sparse", "zero", "signs")), fraction)
+            v = draw(len_v, rng.choice(("dense", "sparse", "signs")), fraction)
+            zeros = (F(0),) if fraction else (0, F(0))
+            for zero in zeros:
+                got = rule_product(rule, u, v, out_len, zero)
+                want = _dict_rule_product(rule, u, v, out_len, zero)
+                assert got == want
+                assert [type(x) for x in got] == [type(x) for x in want]
+            terms = {k for i, a in enumerate(u) if a
+                     for j, k, _ in rule[i] if v[j]}
+            cancelled += sum(1 for k in terms if not want[k])
+    assert cancelled >= 20, cancelled

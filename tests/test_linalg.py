@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obstructor.arith import is_prime
+from obstructor.closure import MODULUS
 from obstructor.errors import DimensionMismatchError
 from obstructor.linalg import (
     MAX_DIGITS,
@@ -500,3 +502,108 @@ def test_echelon_mod_p_slots_never_carry_at_ambient_1024():
     assert ech.solve([(1 - k) % p for k in range(n)]) == [1] * n
     assert ech.solve([p - 1] * n) == [(p - 2**(k % 61)) % p for k in range(n)]
     assert all(q == i and row[i] == 1 for i, (q, row) in enumerate(ech.unpacked_rows()))
+
+
+# -- folding packed slots ---------------------------------------------------------
+
+# A prime near 2^61 that is not Mersenne: delta = 2^62 - p is about 2^61,
+# the largest delta relative to 2^e that a prime can have.
+_NEAR_2_61 = next(q for q in range(2**61 + 1, 2**61 + 10**4, 2) if is_prime(q))
+_FOLD_PRIMES = (2, 3, 5, 7, 31, 2**31 - 1, 2**61 - 1, _NEAR_2_61)
+
+
+def _pack(slots, nb):
+    return int.from_bytes(b"".join(x.to_bytes(nb, "little") for x in slots), "little")
+
+
+def _unpack(w, nb, width):
+    b = w.to_bytes(nb * width, "little")
+    return [int.from_bytes(b[i:i + nb], "little") for i in range(0, nb * width, nb)]
+
+
+def _residual_slots(rng, p, n, width):
+    """Slots below the residual bound (n + 1) * p^2, mixing its edge values,
+    small residues and values anywhere below it."""
+    edges = (0, p - 1, p, (1 << p.bit_length()) - 1, (n + 1) * p * p - 1)
+    out = []
+    for _ in range(width):
+        r = rng.random()
+        out.append(rng.choice(edges) if r < 0.3 else rng.randrange(p) if r < 0.5
+                   else rng.randrange((n + 1) * p * p))
+    return out
+
+
+def test_echelon_mod_p_fold_matches_per_slot_reduction():
+    rng = random.Random(71)
+    for p in _FOLD_PRIMES:
+        edges = (0, p - 1, p, (1 << p.bit_length()) - 1)
+        for n in (1, 36, 1024):
+            for coordinates in (False, True):
+                ech = EchelonModP(n, p, coordinates)
+                nb, width = ech.nbytes, 2 * n if coordinates else n
+                cases = [[x] * width for x in edges + ((n + 1) * p * p - 1,)]
+                cases += [_residual_slots(rng, p, n, width)
+                          for _ in range(2 if n == 1024 else 20)]
+                for slots in cases:
+                    folded = _unpack(ech._fold(_pack(slots, nb)), nb, width)
+                    assert folded == [x % p for x in slots], (p, n, coordinates)
+
+
+def test_echelon_mod_p_grown_row_matches_per_slot_reference():
+    # A residual is grown on an echelon holding k unit rows at the right
+    # end, so that with coordinates it has n + k + 1 slots; the row must be
+    # the per-slot residues times the inverse of the first nonzero entry,
+    # with its nonzero entry and coordinate slots as right and spread.
+    rng = random.Random(73)
+    for p in _FOLD_PRIMES:
+        for n in (1, 36, 1024):
+            for coordinates in (False, True):
+                for _ in range(2 if n == 1024 else 8):
+                    k = rng.randrange(min(n, 40))
+                    ech = EchelonModP(n, p, coordinates)
+                    for i in range(k):
+                        assert ech.add([0] * (n - 1 - i) + [1] + [0] * i)
+                    nb, width = ech.nbytes, n + k + 1 if coordinates else n
+                    slots = _residual_slots(rng, p, n, width)
+                    if not any(x % p for x in slots[:n - k]):
+                        slots[rng.randrange(n - k)] = 1
+                    res = [x % p for x in slots]
+                    q = next(j for j in range(n) if res[j])
+                    inv = pow(res[q], -1, p)
+                    want = [x * inv % p for x in res]
+                    ech._grow(_pack(slots, nb))
+                    row = _unpack(ech.rows[q], nb, width)
+                    assert ech.pivots[-1] == q and ech.pivot_bits >> q & 1
+                    assert row == want and row[q] == 1, (p, n, coordinates, k)
+                    assert ech.right[q] == sum(1 << j for j in range(n)
+                                               if want[j] and j != q)
+                    assert ech.spread[q] == sum(1 << j for j, x in enumerate(want[n:])
+                                                if x)
+
+
+class _CountedDelta(int):
+    """A fold's delta that counts the rounds that multiply by it."""
+
+    rounds = 0
+
+    def __mul__(self, other):
+        type(self).rounds += 1
+        return int(self) * other
+
+
+def test_modulus_is_mersenne_and_folds_a_worst_residual_in_three_rounds():
+    # Every growth folds twice; a prime with a large delta, or a small one,
+    # would make each fold take many more rounds.
+    p, n = MODULUS, 1024
+    assert p == 2 ** p.bit_length() - 1
+    ech = EchelonModP(n, p, coordinates=True)
+    assert ech.delta == 1
+    ech.delta = _CountedDelta(1)
+    rng = random.Random(79)
+    worst = (n + 1) * p * p - 1
+    for slots in ([worst] * 2 * n, [worst - rng.randrange(p * p) for _ in range(2 * n)],
+                  _residual_slots(rng, p, n, 2 * n)):
+        _CountedDelta.rounds = 0
+        folded = _unpack(ech._fold(_pack(slots, ech.nbytes)), ech.nbytes, 2 * n)
+        assert folded == [x % p for x in slots]
+        assert 1 <= _CountedDelta.rounds <= 3, _CountedDelta.rounds
