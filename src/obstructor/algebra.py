@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Optional, Union
 
@@ -116,8 +117,7 @@ class StructureAlgebra:
 
     __slots__ = (
         "dim", "basis_labels", "unit", "rule", "scale", "inv_terms",
-        "quaternion_params", "matrix_base", "matrix_size", "_rule_cache",
-        "descriptor",
+        "quaternion_params", "matrix_base", "matrix_size", "descriptor",
     )
 
     def __init__(self, dim: int, rule: Rule, scale: int, unit: Optional[Vec] = None,
@@ -136,7 +136,6 @@ class StructureAlgebra:
         self.quaternion_params = None
         self.matrix_base = None
         self.matrix_size = None
-        self._rule_cache = {}
         self.descriptor = None  # JSON descriptor, set by the named constructors
         self._check_associativity()
         if unit is not None:
@@ -405,38 +404,31 @@ def make_algebra(dim, struct_consts, unit=None, involution=None,
 # Rational base field and quaternion algebras
 # ---------------------------------------------------------------------------
 
-_rationals_cache: Optional[StructureAlgebra] = None
-
-
+@cache
 def rationals() -> StructureAlgebra:
-    """Q as a dim-1 algebra with the identity involution (module-level singleton)."""
-    global _rationals_cache
-    if _rationals_cache is None:
-        _rationals_cache = make_algebra(
-            1, {(0, 0): ((0, _ONE),)}, unit=(1,), involution=((1,),),
-            basis_labels=("1",))
-        _rationals_cache.descriptor = {
-            "kind": "custom", "dim": 1, "consts": [[["1"]]],
-            "unit": ["1"], "involution": [["1"]]}
-    return _rationals_cache
-
-
-_quaternion_cache: dict[tuple, StructureAlgebra] = {}
+    """Q as a dim-1 algebra with the identity involution (built once)."""
+    alg = make_algebra(1, {(0, 0): ((0, _ONE),)}, unit=(1,), involution=((1,),),
+                       basis_labels=("1",))
+    alg.descriptor = {"kind": "custom", "dim": 1, "consts": [[["1"]]],
+                      "unit": ["1"], "involution": [["1"]]}
+    return alg
 
 
 def quaternion_algebra(a, b) -> StructureAlgebra:
     """The quaternion algebra (a, b / Q): i^2 = a, j^2 = b, ij = -ji = k.
 
     The involution is the main involution (conjugation) x -> Trd(x) - x.
+    Built once per pair of rationals, however they are spelled.
     """
     a = ratio(a)
     b = ratio(b)
     if not a or not b:
         raise AlgebraValidationError("quaternion parameters must be nonzero")
-    key = (a, b)
-    cached = _quaternion_cache.get(key)
-    if cached is not None:
-        return cached
+    return _quaternion_algebra(a, b)
+
+
+@cache
+def _quaternion_algebra(a: Fraction, b: Fraction, /) -> StructureAlgebra:
     one, i, j, k = 0, 1, 2, 3
     sc = {
         (one, one): ((one, _ONE),), (one, i): ((i, _ONE),),
@@ -458,7 +450,6 @@ def quaternion_algebra(a, b) -> StructureAlgebra:
                        basis_labels=("1", "i", "j", "k"))
     alg.quaternion_params = (a, b)
     alg.descriptor = {"kind": "quaternion", "a": str(a), "b": str(b)}
-    _quaternion_cache[key] = alg
     return alg
 
 
@@ -598,37 +589,32 @@ def is_definite_rational_quaternion(alg: StructureAlgebra) -> bool:
 # Matrix algebras over an involutive base
 # ---------------------------------------------------------------------------
 
-_matrix_cache: dict[tuple, StructureAlgebra] = {}
-
-
 def matrix_index(base_dim: int, n: int, r: int, c: int, t: int = 0) -> int:
     """Flat coefficient index of basis element e_(r,c) x b_t (0-based r, c)."""
     return (r * n + c) * base_dim + t
 
 
-def matrix_rule(base: StructureAlgebra, ga: int, gc: int, gb: int) -> Rule:
+@cache
+def matrix_rule(base: StructureAlgebra, ga: int, gc: int, gb: int, /) -> Rule:
     """Product rule of (ga x gc) by (gc x gb) matrices over ``base`` in the
-    row-major flattening with base coefficients innermost, cached on
-    ``base``. It repeats the constants of ``base.rule``, so it has the base's
+    row-major flattening with base coefficients innermost, built once per
+    shape. It repeats the constants of ``base.rule``, so it has the base's
     scale. ``matrix_rule(base, g, g, g)`` is the table of M_g(base)."""
-    key = (ga, gc, gb)
-    rule = base._rule_cache.get(key)
-    if rule is None:
-        d = base.dim
-        rule = tuple(
-            tuple(((s * gb + q) * d + t2, (p * gb + q) * d + k, c)
-                  for q in range(gb) for t2, k, c in base.rule[t1])
-            for p in range(ga) for s in range(gc) for t1 in range(d))
-        base._rule_cache[key] = rule
-    return rule
+    d = base.dim
+    return tuple(
+        tuple(((s * gb + q) * d + t2, (p * gb + q) * d + k, c)
+              for q in range(gb) for t2, k, c in base.rule[t1])
+        for p in range(ga) for s in range(gc) for t1 in range(d))
 
 
-def matrix_algebra(base: StructureAlgebra, g: int) -> StructureAlgebra:
+@cache
+def matrix_algebra(base: StructureAlgebra, g: int, /) -> StructureAlgebra:
     """M_g(base) with the involution (m_rc) -> (dagger of m_cr).
 
     Basis order is matrix position major, base coefficient minor, so
     coefficient vectors agree with the row-major :class:`DMatrix` flattening.
-    The dimension g^2 * base.dim may not exceed :data:`MAX_DIM`.
+    The dimension g^2 * base.dim may not exceed :data:`MAX_DIM`. Built once
+    per (base, g).
     """
     if g < 1:
         raise AlgebraValidationError("matrix size must be positive")
@@ -639,10 +625,6 @@ def matrix_algebra(base: StructureAlgebra, g: int) -> StructureAlgebra:
     if dim > MAX_DIM:
         raise AlgebraValidationError(
             f"M_{g} over a dim-{d} base has dimension {dim}, above the cap {MAX_DIM}")
-    key = (base, g)
-    cached = _matrix_cache.get(key)
-    if cached is not None:
-        return cached
     inv = tuple(tuple((matrix_index(d, g, c, r, k), cf) for k, cf in terms)
                 for r in range(g) for c in range(g) for terms in base.inv_terms)
     labels = []
@@ -658,25 +640,20 @@ def matrix_algebra(base: StructureAlgebra, g: int) -> StructureAlgebra:
     alg.matrix_size = g
     if base.descriptor is not None:
         alg.descriptor = {"kind": "matrix", "g": g, "base": base.descriptor}
-    _matrix_cache[key] = alg
     return alg
 
 
-_split_cache: dict[int, StructureAlgebra] = {}
-
-
-def split_model(g: int) -> StructureAlgebra:
+@cache
+def split_model(g: int, /) -> StructureAlgebra:
     """M_2g(Q) with the block involution sending the 2x2 block (a b; c d) at
     block position (I, J) to (d -b; -c a) at (J, I).
 
     The structure constants are rational, so the model is built over Q on
     the rule of M_2g(Q); like every construction it runs all three checks.
+    Built once per g.
     """
     if g < 1:
         raise AlgebraValidationError("split model needs g >= 1")
-    cached = _split_cache.get(g)
-    if cached is not None:
-        return cached
     n = 2 * g
     plain = matrix_algebra(rationals(), n)
     inv = []
@@ -691,7 +668,6 @@ def split_model(g: int) -> StructureAlgebra:
     alg.matrix_base = rationals()
     alg.matrix_size = n
     alg.descriptor = {"kind": "split", "g": g}
-    _split_cache[g] = alg
     return alg
 
 

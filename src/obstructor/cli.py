@@ -294,9 +294,9 @@ def obstruction(graph_path, vertex, oracle_len):
         raise click.UsageError("--oracle-len must be >= 2")
     graph = graph_from_json(_load_json(graph_path, "graph"))
     g = graph.size(vertex)
-    # The table is needed for its rounds; built first, it also gives the span.
+    # The table is needed for its rounds, so it also gives the span.
     table = path_span_table(graph)
-    span = compute_obstruction(graph, vertex)
+    span = table.spans[(vertex, vertex)]
     if 0 < span.dim < span.ambient_dim:
         report = corner_detect(span, matrix_algebra(graph.base, g))
         idempotent = None if report.idempotent is None else report.idempotent.coeffs

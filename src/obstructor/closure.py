@@ -83,9 +83,6 @@ from .algebra import AlgElement, Rule, StructureAlgebra, rule_product
 from .errors import AlgebraValidationError
 from .linalg import Echelon, EchelonModP, Subspace, Vec, primitive
 
-__all__ = ["MODULUS", "SubrngResult", "fixed_point", "spin", "subrng_closure",
-           "full_mod_p", "generates_fully", "stabilized_word_span"]
-
 # The one prime of the engine's cells and of the mod-p fullness certificate,
 # fixed so that every run takes the same path.
 MODULUS = 2**61 - 1

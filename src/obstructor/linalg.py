@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from functools import lru_cache
+from functools import cache
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -232,8 +232,8 @@ class Echelon:
 _BINARY = bytes.maketrans(b"\x00\x01", b"01")
 
 
-@lru_cache(maxsize=None)
-def _fold_masks(p: int, nb: int, width: int) -> tuple[int, int, int, int]:
+@cache
+def _fold_masks(p: int, nb: int, width: int, /) -> tuple[int, int, int, int]:
     """The masks ``lo``, ``hi``, ``deltas`` and ``tops`` of
     :class:`EchelonModP` on ``width`` slots, shared by echelons of a shape."""
     e = p.bit_length()

@@ -73,17 +73,18 @@ class ObstructionGraph:
     Vertices are 1-based in the public API. ``edges`` maps (i, j) with i < j
     to the component from factor i to factor j, a (g_j, g_i) matrix over the
     base. Zero edges are dropped; a missing edge reads back as the zero
-    matrix. Sizes and edges are fixed at construction; the path-span table
-    is computed once, on first use, and cached on the graph.
+    matrix. Sizes and edges are fixed at construction.
     """
 
-    __slots__ = ("base", "sizes", "edges", "_table")
+    __slots__ = ("base", "sizes", "edges")
 
     def __init__(self, base: StructureAlgebra, sizes: Sequence[int],
                  edges: Mapping[tuple, DMatrix]):
         if base.unit is None or base.inv_terms is None:
             raise GraphValidationError("base algebra must be unital with involution")
-        sizes = tuple(int(g) for g in sizes)
+        sizes = tuple(sizes)
+        if not all(isinstance(g, int) and not isinstance(g, bool) for g in sizes):
+            raise GraphValidationError("vertex sizes must be integers")
         if len(sizes) < 2:
             raise GraphValidationError("a graph needs at least two vertices")
         if len(sizes) > MAX_VERTICES:
@@ -112,7 +113,6 @@ class ObstructionGraph:
         self.base = base
         self.sizes = sizes
         self.edges = clean
-        self._table = None
 
     @property
     def r(self) -> int:
@@ -180,26 +180,22 @@ def _table(graph: ObstructionGraph, column: Optional[int] = None) -> tuple:
 
 
 def path_span_table(graph: ObstructionGraph) -> PathSpanTable:
-    """Compute (and cache on the graph) the full path-span fixed point."""
-    if graph._table is None:
-        spans, rounds = fixed_point(*_table(graph))
-        graph._table = PathSpanTable(spans=spans, rounds=rounds)
-    return graph._table
+    """Compute the full path-span fixed point."""
+    spans, rounds = fixed_point(*_table(graph))
+    return PathSpanTable(spans=spans, rounds=rounds)
 
 
 def compute_obstruction(graph: ObstructionGraph, vertex: int) -> Subspace:
     """Span of all loop values based at ``vertex`` (canonical subspace of the
     endomorphism coefficient space, ambient dim base.dim * g_v^2).
 
-    Reads the path-span table when the graph has it cached. Otherwise the
-    table's column at ``vertex`` is tried first with
+    The table's column at ``vertex`` is tried first with
     :func:`closure.full_mod_p`: a full loop cell there proves the span full,
     and the identity basis is returned without building the table. A
     partial cell proves nothing, and the table decides.
     """
     graph._check_vertex(vertex)
-    if graph._table is None and full_mod_p(*_table(graph, vertex),
-                                           (vertex, vertex)):
+    if full_mod_p(*_table(graph, vertex), (vertex, vertex)):
         return Subspace.full(graph.hom_ambient(vertex, vertex))
     return path_span_table(graph).spans[(vertex, vertex)]
 

@@ -34,12 +34,6 @@ from .closure import SubrngResult, generates_fully, subrng_closure
 from .errors import AlgebraValidationError
 from .obstruction import ObstructionGraph
 
-__all__ = [
-    "ChainIdentity", "ChainReport", "DOCUMENTED_DISCREPANCIES", "GeneratorSearch",
-    "MAX_TRIES", "shift_witness", "verify_identity_chain", "random_elements",
-    "random_rosati_generator", "build_r3_graph", "build_r4_graph",
-]
-
 
 def shift_witness(g: int) -> AlgElement:
     """The superdiagonal shift x = sum of e_(t,t+1) in the split model M_2g(Q).

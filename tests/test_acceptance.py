@@ -232,13 +232,13 @@ def test_criterion_6_pullback_law():
         law_holds = True
         for v in range(1, graph.r + 1):
             span = compute_obstruction(graph, v)
+            lifted_span = compute_obstruction(lifted, v)
             transported = transport_span(covers[v - 1], span, graph.size(v))
-            law_holds &= transported == compute_obstruction(lifted, v)
+            law_holds &= transported == lifted_span
             report = corner_detect(span, matrix_algebra(base, graph.size(v)))
             if report.is_corner:
-                lifted_report = corner_detect(
-                    compute_obstruction(lifted, v),
-                    matrix_algebra(base, lifted.size(v)))
+                lifted_report = corner_detect(lifted_span,
+                                              matrix_algebra(base, lifted.size(v)))
                 ok &= lifted_report.is_corner
                 corners_checked += 1
         if law_holds:

@@ -437,6 +437,28 @@ def test_matrix_algebras_share_one_rule_per_shape():
         assert split_model(g).rule is matrix_algebra(rationals(), 2 * g).rule
 
 
+def test_constructors_build_each_algebra_once():
+    # Algebras compare by identity, so a repeat call must return the same
+    # object, whatever spelling its arguments have.
+    D = quaternion_for_prime(2)
+    assert rationals() is rationals()
+    assert quaternion_algebra("-1", "-1") is quaternion_algebra(-1, F(-1)) is D
+    assert matrix_algebra(D, 2) is matrix_algebra(D, 2)
+    assert split_model(2) is split_model(2)
+    assert matrix_rule(D, 1, 2, 3) is matrix_rule(D, 1, 2, 3)
+    # A keyword call would key a second copy.
+    for call in (lambda: matrix_algebra(D, g=2), lambda: split_model(g=2),
+                 lambda: matrix_rule(D, 1, 2, gb=3)):
+        with pytest.raises(TypeError):
+            call()
+    # A failed construction is not remembered.
+    for _ in range(2):
+        with pytest.raises(AlgebraValidationError):
+            matrix_algebra(D, 0)
+        with pytest.raises(AlgebraValidationError):
+            split_model(0)
+
+
 def test_matrix_algebra_requires_involution():
     bare = make_algebra(1, [[(1,)]], unit=(1,))
     with pytest.raises(AlgebraValidationError):

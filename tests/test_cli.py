@@ -187,7 +187,6 @@ def test_obstruction_oracle_len_checked_before_any_work(runner, r3_graph_file,
     def fail(*args):
         raise AssertionError("the loop span was computed before --oracle-len was checked")
 
-    monkeypatch.setattr("obstructor.cli.compute_obstruction", fail)
     monkeypatch.setattr("obstructor.cli.path_span_table", fail)
     res = runner.invoke(main, ["obstruction", "--graph", r3_graph_file,
                                "--vertex", "1", "--oracle-len", "1"])
@@ -620,9 +619,9 @@ def test_exit_code_routes(runner, tmp_path, monkeypatch, argv, files, code):
         path.write_text(text, encoding="utf-8")
         paths[key] = str(path)
     if code == 3:
-        def boom(graph, vertex):
+        def boom(graph):
             raise RuntimeError("injected\nfault")
-        monkeypatch.setattr("obstructor.cli.compute_obstruction", boom)
+        monkeypatch.setattr("obstructor.cli.path_span_table", boom)
     start = time.perf_counter()
     res = runner.invoke(main, [a.format(**paths) for a in argv])
     assert time.perf_counter() - start < 3

@@ -1,6 +1,7 @@
 """Source hygiene that no installed linter checks: every module-level import
-in the package and the tests is used, and every module-level private name of
-the package is referenced somewhere besides its definition."""
+in the package and the tests is used, every module-level private name of
+the package is referenced somewhere besides its definition, and the package
+keeps no mutable module state."""
 
 import ast
 from pathlib import Path
@@ -90,5 +91,41 @@ def test_no_unreferenced_module_level_private_names():
              for path in FILES if path.parent.name == "obstructor"
              for line, name in _private_definitions(path.read_text())
              if name not in refs]
+    assert len(FILES) > 10
+    assert not found, found
+
+
+_MUTABLE = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _module_state(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each module-level name bound to a dict, list or set
+    display or to None, and of each ``global`` statement: the makings of a
+    hand-rolled cache. Memoize a pure function with ``functools.cache``."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(node.value, _MUTABLE)
+                or isinstance(node.value, ast.Constant) and node.value.value is None):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    found += [(n.lineno, "global " + ", ".join(n.names))
+              for n in ast.walk(tree) if isinstance(n, ast.Global)]
+    return found
+
+
+def test_the_check_sees_module_state():
+    source = ("_A = {}\n_B: list = []\n_C = None\n_D = (1, 2)\n_E = {1: 2}.get\n"
+              "_F = {k: k for k in 'ab'}\nX = frozenset()\n"
+              "def f():\n    global _C\n    _C = 1\n")
+    assert _module_state(source) == [(1, "_A"), (2, "_B"), (3, "_C"), (6, "_F"),
+                                     (9, "global _C")]
+
+
+def test_no_mutable_module_state():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in FILES if path.parent.name == "obstructor"
+             for line, name in _module_state(path.read_text())]
     assert len(FILES) > 10
     assert not found, found

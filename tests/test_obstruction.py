@@ -7,6 +7,7 @@ from obstructor.algebra import (
     AlgElement,
     DMatrix,
     matrix_algebra,
+    matrix_rule,
     matrix_unit,
     quaternion_algebra,
     quaternion_for_prime,
@@ -126,10 +127,14 @@ def test_edge_shape_validation():
         (1, 2): DMatrix.identity(quaternion_for_prime(3), 1)}),
      GraphValidationError),
     (lambda: ObstructionGraph(D2, (1, 1), {}).hom_map(1, 1), GraphValidationError),
+    (lambda: ObstructionGraph(D2, (2.9, 1), {}), GraphValidationError),
+    (lambda: ObstructionGraph(D2, (2, True), {}), GraphValidationError),
+    (lambda: ObstructionGraph(D2, (2, "1"), {}), GraphValidationError),
     (lambda: corner_detect(echelonize([], ambient_dim=3), M2Q),
      DimensionMismatchError),
 ], ids=["compose-across-bases", "compose-shapes", "edge-over-another-base",
-        "hom-map-to-itself", "corner-ambient-mismatch"])
+        "hom-map-to-itself", "float-size", "bool-size", "string-size",
+        "corner-ambient-mismatch"])
 def test_library_guards(call, exc_type):
     with pytest.raises(exc_type) as exc:
         call()
@@ -168,10 +173,7 @@ def test_rule_cache_holds_one_rule_per_shape():
     path_span_table(graph)
     corner_detect(compute_obstruction(graph, 1), end)
     corner_detect(echelonize([matrix_unit(end, 1, 1).coeffs]), end)
-    assert base._rule_cache[(3, 3, 3)] is end.rule
-    for cache in (base._rule_cache, end._rule_cache):
-        assert all(len(key) == 3 and all(isinstance(n, int) for n in key)
-                   for key in cache)
+    assert matrix_rule(base, 3, 3, 3) is end.rule
 
 
 def test_loop_oracle_equals_fixed_point_seeded():
