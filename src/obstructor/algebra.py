@@ -112,12 +112,14 @@ class StructureAlgebra:
     :func:`make_algebra` parses the public layouts into these forms.
 
     Instances are immutable after construction and compare by identity, so
-    they can key caches; elements carry a reference to their algebra.
+    they can key caches; elements carry a reference to their algebra. The
+    named constructors record what they built: ``quaternion_params``,
+    ``matrix_base`` with ``matrix_size``, and ``is_split_model``.
     """
 
     __slots__ = (
         "dim", "basis_labels", "unit", "rule", "scale", "inv_terms",
-        "quaternion_params", "matrix_base", "matrix_size", "descriptor",
+        "quaternion_params", "matrix_base", "matrix_size", "is_split_model",
     )
 
     def __init__(self, dim: int, rule: Rule, scale: int, unit: Optional[Vec] = None,
@@ -136,7 +138,7 @@ class StructureAlgebra:
         self.quaternion_params = None
         self.matrix_base = None
         self.matrix_size = None
-        self.descriptor = None  # JSON descriptor, set by the named constructors
+        self.is_split_model = False
         self._check_associativity()
         if unit is not None:
             self._check_unit()
@@ -407,11 +409,8 @@ def make_algebra(dim, struct_consts, unit=None, involution=None,
 @cache
 def rationals() -> StructureAlgebra:
     """Q as a dim-1 algebra with the identity involution (built once)."""
-    alg = make_algebra(1, {(0, 0): ((0, _ONE),)}, unit=(1,), involution=((1,),),
-                       basis_labels=("1",))
-    alg.descriptor = {"kind": "custom", "dim": 1, "consts": [[["1"]]],
-                      "unit": ["1"], "involution": [["1"]]}
-    return alg
+    return make_algebra(1, {(0, 0): ((0, _ONE),)}, unit=(1,), involution=((1,),),
+                        basis_labels=("1",))
 
 
 def quaternion_algebra(a, b) -> StructureAlgebra:
@@ -449,7 +448,6 @@ def _quaternion_algebra(a: Fraction, b: Fraction, /) -> StructureAlgebra:
     alg = make_algebra(4, sc, unit=(1, 0, 0, 0), involution=inv,
                        basis_labels=("1", "i", "j", "k"))
     alg.quaternion_params = (a, b)
-    alg.descriptor = {"kind": "quaternion", "a": str(a), "b": str(b)}
     return alg
 
 
@@ -638,8 +636,6 @@ def matrix_algebra(base: StructureAlgebra, g: int, /) -> StructureAlgebra:
                            DMatrix.identity(base, g).coeffs, inv, labels)
     alg.matrix_base = base
     alg.matrix_size = g
-    if base.descriptor is not None:
-        alg.descriptor = {"kind": "matrix", "g": g, "base": base.descriptor}
     return alg
 
 
@@ -667,7 +663,7 @@ def split_model(g: int, /) -> StructureAlgebra:
                            plain.basis_labels)
     alg.matrix_base = rationals()
     alg.matrix_size = n
-    alg.descriptor = {"kind": "split", "g": g}
+    alg.is_split_model = True
     return alg
 
 
@@ -787,9 +783,6 @@ class DMatrix:
         return DMatrix(self.base, self.cols, self.rows, tuple(
             x for c in range(self.cols) for r in range(self.rows)
             for x in inv(self._entry(r, c))))
-
-    def flatten(self) -> Vec:
-        return self.coeffs
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

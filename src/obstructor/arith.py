@@ -58,10 +58,8 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
-    """A proper divisor of the composite ``n`` and the steps of ``budget`` left
-    after finding it."""
-    if n % 2 == 0:
-        return 2, budget
+    """A proper divisor of the odd composite ``n`` and the steps of
+    ``budget`` left after finding it."""
     for c in range(1, 50):
         x = y = 2
         d = 1
@@ -99,8 +97,6 @@ def factorint(n: int) -> dict[int, int]:
     budget = RHO_STEPS
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

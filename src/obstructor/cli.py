@@ -307,7 +307,7 @@ def obstruction(graph_path, vertex, oracle_len):
         full = span.dim > 0
         report = CornerReport(is_corner=True, idempotent=None, factor_dim=span.dim,
                               is_full=full, is_zero=not full)
-        idempotent = DMatrix.scalar(graph.base, g, int(full)).flatten()
+        idempotent = DMatrix.scalar(graph.base, g, int(full)).coeffs
     ramified = is_definite_rational_quaternion(graph.base)
     verdict = flag_nonliftable(report, ramified)
     out = {

@@ -78,13 +78,6 @@ def zero_vector(n: int) -> Vec:
     return (_ZERO,) * n
 
 
-def matrix(rows: Iterable[Iterable]) -> Mat:
-    out = tuple(vector(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise DimensionMismatchError("matrix rows have unequal lengths")
-    return out
-
-
 def primitive(v) -> tuple[int, ...]:
     """The primitive integer vector on the line of ``v``.
 
@@ -489,13 +482,12 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def echelonize(rows: Sequence[Iterable], ambient_dim: Optional[int] = None) -> Subspace:
+def echelonize(rows: Sequence[Sequence], ambient_dim: Optional[int] = None) -> Subspace:
     """Canonical reduced-row-echelon span of ``rows``.
 
     ``ambient_dim`` is required when ``rows`` is empty; otherwise it is taken
     from the rows (which must all share one length).
     """
-    rows = [vector(r) for r in rows]
     if ambient_dim is None:
         if not rows:
             raise DimensionMismatchError(
@@ -503,22 +495,6 @@ def echelonize(rows: Sequence[Iterable], ambient_dim: Optional[int] = None) -> S
             )
         ambient_dim = len(rows[0])
     return Subspace(ambient_dim, rows)
-
-
-def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionMismatchError(
-            f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}"
-        )
-    return Subspace(s1.ambient_dim, s1.basis + s2.basis)
-
-
-def subspace_equal(s1: Subspace, s2: Subspace) -> bool:
-    if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionMismatchError(
-            f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}"
-        )
-    return s1.basis == s2.basis
 
 
 def solve_linear(a: Mat, b: Vec) -> Optional[Vec]:

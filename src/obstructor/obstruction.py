@@ -172,7 +172,7 @@ def _table(graph: ObstructionGraph, column: Optional[int] = None) -> tuple:
     verts = range(1, graph.r + 1)
     cells = {(a, b): graph.hom_ambient(a, b) for a in verts for b in verts
              if column in (None, b)}
-    seeds = {(a, b): [graph.hom_map(a, b).flatten()] for a in verts for b in verts
+    seeds = {(a, b): [graph.hom_map(a, b).coeffs] for a in verts for b in verts
              if (min(a, b), max(a, b)) in graph.edges}
     sizes = graph.sizes
     return cells, seeds, lambda a, c, b: matrix_rule(
@@ -361,12 +361,12 @@ def _validate_cover(cov: Cover, g: int, base: StructureAlgebra):
         raise CoverValidationError("cover degree must be an int >= 1")
     prod = cov.pi @ cov.iota
     want = DMatrix.scalar(base, g, cov.degree)
-    if prod.flatten() != want.flatten():
+    if prod.coeffs != want.coeffs:
         raise CoverValidationError("pi . iota is not degree * identity")
     # The transformation law needs pi ~ dagger(iota) (adjoint up to a nonzero
     # rational); both the identity and pure-scaling covers satisfy this. iota
     # is nonzero here, since pi . iota = degree * identity.
-    if not unit_multiple(cov.pi.flatten(), cov.iota.dagger_transpose().flatten()):
+    if not unit_multiple(cov.pi.coeffs, cov.iota.dagger_transpose().coeffs):
         raise CoverValidationError(
             "pi must be a nonzero rational multiple of dagger_transpose(iota)")
 
@@ -396,7 +396,7 @@ def _span_image(f, span: Subspace, base: StructureAlgebra, rows: int, cols: int,
                 ambient: int) -> Subspace:
     """span{ f(e) } for e over the basis of ``span``, each read as a
     (rows, cols) matrix over ``base``; the images live in dimension ``ambient``."""
-    return echelonize([f(DMatrix.from_flat(base, rows, cols, v)).flatten()
+    return echelonize([f(DMatrix.from_flat(base, rows, cols, v)).coeffs
                        for v in span.basis], ambient_dim=ambient)
 
 
@@ -557,7 +557,7 @@ def specialize_transform(graph: ObstructionGraph,
     return ObstructionGraph(graph.base, graph.sizes, new_edges)
 
 
-# -- helpers used by tests and the CLI ------------------------------------------
+# -- tensor powers, relabelling and the dagger of a span ------------------------
 
 
 def scale_edges(graph: ObstructionGraph, m: int) -> ObstructionGraph:

@@ -1,8 +1,9 @@
 """JSON interchange: algebra descriptors, graphs, elements, reports.
 
 Every rational travels as a string ("3", "-3/4"); there are no floats in any
-interchange format. Dictionaries are built in a fixed key order so identical
-inputs serialize byte-identically.
+interchange format. Dictionaries are built afresh, in a fixed key order, so
+identical inputs serialize byte-identically. No other module knows these
+formats.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ class SchemaError(ObstructorError, ValueError):
     """Malformed JSON payload; the message names the offending path."""
 
 
-def format_rational(q) -> str:
-    return str(ratio(q))
-
-
 def parse_rational(s, where: str = "value") -> Fraction:
     try:
         return ratio(s)
@@ -52,7 +49,7 @@ def _is_int(x) -> bool:
 
 
 def coeffs_to_json(coeffs) -> list:
-    return [format_rational(c) for c in coeffs]
+    return [str(ratio(c)) for c in coeffs]
 
 
 def coeffs_from_json(obj, where: str = "coeffs") -> tuple:
@@ -65,8 +62,16 @@ def coeffs_from_json(obj, where: str = "coeffs") -> tuple:
 
 
 def algebra_to_json(alg: StructureAlgebra) -> dict:
-    if alg.descriptor is not None:
-        return alg.descriptor
+    """A fresh descriptor of ``alg``: the kind its constructor recorded,
+    else its full table as a custom algebra."""
+    if alg.is_split_model:
+        return {"kind": "split", "g": alg.matrix_size // 2}
+    if alg.matrix_base is not None:
+        return {"kind": "matrix", "g": alg.matrix_size,
+                "base": algebra_to_json(alg.matrix_base)}
+    if alg.quaternion_params is not None:
+        a, b = alg.quaternion_params
+        return {"kind": "quaternion", "a": str(a), "b": str(b)}
     consts = [
         [coeffs_to_json(alg.mul_coeffs(alg.basis_vector(i), alg.basis_vector(j)))
          for j in range(alg.dim)]

@@ -167,8 +167,8 @@ def test_criterion_4_main_construction(g, p):
     verdict = flag_nonliftable(report, True)
     x = graph.edges[(1, 2)]
     closure = subrng_closure(end_alg, [
-        end_alg.element(x.flatten()),
-        end_alg.element(x.dagger_transpose().flatten())])
+        end_alg.element(x.coeffs),
+        end_alg.element(x.dagger_transpose().coeffs)])
     elapsed = time.perf_counter() - start
     ok = (span.dim == 4 * g * g and report.is_full
           and verdict.verdict == "OBSTRUCTED" and closure.span == span
@@ -189,13 +189,13 @@ def test_criterion_5_albert_construction():
     loop_131 = graph.hom_map(1, 3) @ graph.hom_map(3, 1)
     loop_1421 = graph.hom_map(1, 4) @ graph.hom_map(4, 2) @ graph.hom_map(2, 1)
     loop_1431 = graph.hom_map(1, 4) @ graph.hom_map(4, 3) @ graph.hom_map(3, 1)
-    ok = loop_131.flatten() == one.flatten()
-    ok &= loop_1421.flatten() == x.flatten()
-    ok &= loop_1431.flatten() == y.flatten()
+    ok = loop_131.coeffs == one.coeffs
+    ok &= loop_1421.coeffs == x.coeffs
+    ok &= loop_1431.coeffs == y.coeffs
     ok &= span.dim == 16 and span.is_full()
     ok &= corner_detect(span, end_alg).is_full
-    ok &= generates_fully(end_alg, [end_alg.one(), end_alg.element(x.flatten()),
-                                    end_alg.element(y.flatten())])
+    ok &= generates_fully(end_alg, [end_alg.one(), end_alg.element(x.coeffs),
+                                    end_alg.element(y.coeffs)])
     _report(5, ok, "four-vertex construction (g=2, p=2): loops give {1, x, y} "
                    "and the span is everything")
 

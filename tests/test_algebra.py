@@ -486,13 +486,13 @@ def test_split_model_involution_properties_random():
 def test_dmatrix_dagger_transpose_examples():
     D = quaternion_algebra(-1, -1)
     ident = DMatrix.identity(D, 3)
-    assert ident.dagger_transpose().flatten() == ident.flatten()
+    assert ident.dagger_transpose().coeffs == ident.coeffs
     i, j = D.basis_element(1), D.basis_element(2)
     m = DMatrix.from_entries(D, [[i, D.zero()], [j, D.zero()]])
     md = m.dagger_transpose()
     assert md.entries[0][0] == -i and md.entries[0][1] == -j
     assert md.entries[1][0].is_zero() and md.entries[1][1].is_zero()
-    assert md.dagger_transpose().flatten() == m.flatten()
+    assert md.dagger_transpose().coeffs == m.coeffs
 
 
 def test_dmatrix_flatten_roundtrip():
@@ -501,8 +501,8 @@ def test_dmatrix_flatten_roundtrip():
     m = DMatrix.from_entries(D, [
         [D.element(tuple(rng.randint(-3, 3) for _ in range(4))) for _ in range(3)]
         for _ in range(2)])
-    again = DMatrix.from_flat(D, 2, 3, m.flatten())
-    assert again.flatten() == m.flatten()
+    again = DMatrix.from_flat(D, 2, 3, m.coeffs)
+    assert again.coeffs == m.coeffs
     assert (m.rows, m.cols) == (2, 3)
 
 
@@ -515,12 +515,12 @@ def test_element_dmatrix_reshape_consistency():
         x = M.element(tuple(rng.randint(-3, 3) for _ in range(M.dim)))
         y = M.element(tuple(rng.randint(-3, 3) for _ in range(M.dim)))
         # algebra product and matrix composition agree entry for entry
-        assert (x * y).coeffs == (element_to_dmatrix(x) @ element_to_dmatrix(y)).flatten()
+        assert (x * y).coeffs == (element_to_dmatrix(x) @ element_to_dmatrix(y)).coeffs
         assert dmatrix_to_element(M, element_to_dmatrix(x)) == x
         # the matrix-algebra involution is the dagger-transpose, on every
         # basis element and on a random element
         for e in [M.basis_element(t) for t in range(M.dim)] + [x]:
-            assert e.dagger().coeffs == element_to_dmatrix(e).dagger_transpose().flatten()
+            assert e.dagger().coeffs == element_to_dmatrix(e).dagger_transpose().coeffs
 
 
 def test_rectangular_compose_matches_entrywise_product():
@@ -532,7 +532,7 @@ def test_rectangular_compose_matches_entrywise_product():
     for a, c, b in itertools.product((1, 2, 3), repeat=3):
         m = DMatrix.from_flat(D, a, c, [rng.randint(-3, 3) for _ in range(a * c * d)])
         n = DMatrix.from_flat(D, c, b, [rng.randint(-3, 3) for _ in range(c * b * d)])
-        mv, nv = m.flatten(), n.flatten()
+        mv, nv = m.coeffs, n.coeffs
         want = []
         for r in range(a):
             for col in range(b):
@@ -542,7 +542,7 @@ def test_rectangular_compose_matches_entrywise_product():
                     prod = D.mul_coeffs(mv[at:at + d], nv[bt:bt + d])
                     acc = [x + y for x, y in zip(acc, prod)]
                 want.extend(acc)
-        assert (m @ n).flatten() == tuple(want), (a, c, b)
+        assert (m @ n).coeffs == tuple(want), (a, c, b)
 
 
 def _dict_rule_product(rule, u, v, out_len, zero=F(0)):

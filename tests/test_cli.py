@@ -352,6 +352,39 @@ def test_corner_invalid_custom_algebra_error_line(runner, tmp_path, descriptor, 
     assert res.stderr == f"Error: {line}\n"
 
 
+_EDGE = {"i": 1, "j": 2, "matrix": [[["1", "0", "0", "0"]]]}
+_TWO_VERTICES = {"base": {"kind": "quaternion_for_prime", "p": 2}, "sizes": [1, 1]}
+_Q_PLUS_Q = {"kind": "custom", "dim": 2, "consts": _IDEMPOTENT_PAIR}
+
+
+@pytest.mark.parametrize("command, payload, line", [
+    ("obstruction", {**_TWO_VERTICES, "edges": {"1": _EDGE}},
+     "graph.edges: expected a list"),
+    ("obstruction", {**_TWO_VERTICES, "edges": [[1, 2]]},
+     "graph.edges[0]: expected an object"),
+    ("obstruction", {**_TWO_VERTICES, "edges": [_EDGE, _EDGE]},
+     "graph.edges[1]: duplicate edge (1,2)"),
+    ("corner", {**_Q_PLUS_Q, "consts": [_IDEMPOTENT_PAIR[0], [["0", "0"]]]},
+     "algebra.consts[1]: expected 2 entries"),
+    ("corner", {**_Q_PLUS_Q, "involution": {"0": ["1", "0"]}},
+     "algebra.involution: expected a list of rows"),
+], ids=["edges-not-a-list", "edge-not-an-object", "duplicate-edge",
+        "consts-row-length", "involution-not-a-list"])
+def test_loader_error_names_the_json_path(runner, tmp_path, command, payload, line):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    if command == "obstruction":
+        args = ["obstruction", "--graph", str(path), "--vertex", "1"]
+    else:
+        elems = tmp_path / "span.json"
+        elems.write_text(json.dumps([["1", "0"]]), encoding="utf-8")
+        args = ["corner", "--algebra", str(path), "--elements", str(elems)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"Error: {line}\n"
+
+
 def test_hilbert_table(runner):
     res = runner.invoke(main, ["hilbert", "--a", "-1", "--b", "-1"])
     assert res.exit_code == 0

@@ -320,7 +320,7 @@ def test_loop_oracle_matches_literal_loops_seeded():
                 val = g.hom_map(seq[0], seq[1])
                 for a, b in zip(seq[1:], seq[2:]):
                     val = val @ g.hom_map(a, b)
-                loops.append(val.flatten())
+                loops.append(val.coeffs)
             literal = echelonize(loops, ambient_dim=g.hom_ambient(v, v))
             assert loop_oracle(g, v, L) == literal, (trial, L)
 
@@ -411,7 +411,7 @@ def test_caps_keep_spans_and_rounds_of_the_plain_engine(monkeypatch):
         g = ObstructionGraph(base, sizes, edges)
         cells = {(a, b): g.hom_ambient(a, b) for a in range(1, r + 1)
                  for b in range(1, r + 1)}
-        seeds = {(a, b): [g.hom_map(a, b).flatten()] for (a, b) in cells if a != b}
+        seeds = {(a, b): [g.hom_map(a, b).coeffs] for (a, b) in cells if a != b}
         ech, rounds = _plain_fixed_point(cells, seeds, lambda a, c, b: matrix_rule(
             base, sizes[a - 1], sizes[c - 1], sizes[b - 1]), plain)
         table = path_span_table(g)
@@ -425,7 +425,7 @@ def test_caps_keep_spans_and_rounds_of_the_plain_engine(monkeypatch):
             gens = [_rational_element(base, rng, 0.3) for _ in range(1 + trial % 3)]
         else:
             alg = matrix_algebra(base, 2)
-            gens = [alg.element(_random_edge(base, rng, 2, 2, trial % 8 == 0).flatten())
+            gens = [alg.element(_random_edge(base, rng, 2, 2, trial % 8 == 0).coeffs)
                     for _ in range(2 + trial % 3)]
         ech, rounds = _plain_fixed_point({(0, 0): alg.dim}, {(0, 0): [x.coeffs for x in gens]},
                                          lambda a, c, b: alg.rule, plain)
@@ -578,8 +578,8 @@ def test_a_prime_that_misses_a_full_span_falls_back(monkeypatch):
     g = build_r3_graph(2, 2, seed=0)
     end_alg = matrix_algebra(g.base, 2)
     x = g.edges[(1, 2)]
-    gens = [end_alg.element(x.flatten()),
-            end_alg.element(x.dagger_transpose().flatten())]
+    gens = [end_alg.element(x.coeffs),
+            end_alg.element(x.dagger_transpose().coeffs)]
     calls = []
 
     def spy(real):

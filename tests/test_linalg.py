@@ -13,12 +13,10 @@ from obstructor.linalg import (
     MAX_DIGITS,
     Echelon,
     EchelonModP,
+    Subspace,
     echelonize,
-    matrix,
     ratio,
     solve_linear,
-    subspace_equal,
-    subspace_sum,
     vector,
 )
 
@@ -81,67 +79,76 @@ def test_contains_dimension_mismatch():
 @settings(max_examples=60, deadline=None)
 def test_contains_iff_sum_dim_unchanged(rows, v):
     s = echelonize(rows, ambient_dim=4)
-    grown = subspace_sum(s, echelonize([v], ambient_dim=4))
+    grown = Subspace(4, s.basis + (v,))
     assert s.contains(v) == (grown.dim == s.dim)
 
 
 def test_subspace_sum_plane():
-    s = subspace_sum(echelonize([(1, 0)]), echelonize([(0, 1)]))
+    s = Subspace(2, echelonize([(1, 0)]).basis + echelonize([(0, 1)]).basis)
     assert s.dim == 2
 
 
 def test_subspace_sum_idempotent():
     s = echelonize([(1, 1), (2, 3)])
-    assert subspace_sum(s, s) == s
+    assert Subspace(2, s.basis + s.basis) == s
 
 
 def test_subspace_sum_independent_lines():
-    assert subspace_sum(echelonize([(1, 1)]), echelonize([(1, -1)])).dim == 2
+    assert Subspace(2, echelonize([(1, 1)]).basis + echelonize([(1, -1)]).basis).dim == 2
 
 
 def test_subspace_sum_ambient_mismatch():
     with pytest.raises(DimensionMismatchError):
-        subspace_sum(echelonize([(1, 0)]), echelonize([(1, 0, 0)]))
-    with pytest.raises(DimensionMismatchError):
-        subspace_equal(echelonize([(1, 0)]), echelonize([(1, 0, 0)]))
+        Subspace(2, echelonize([(1, 0)]).basis + echelonize([(1, 0, 0)]).basis)
+    assert echelonize([(1, 0)]) != echelonize([(1, 0, 0)])
 
 
 def test_subspace_equal_is_canonical_identity():
     a = echelonize([(1, 2), (3, 4)])
     b = echelonize([(3, 4), (1, 2)])
-    assert subspace_equal(a, b)
+    assert a.basis == b.basis
     assert a == b and hash(a) == hash(b)
 
 
 def test_solve_identity():
-    a = matrix([(1, 0), (0, 1)])
+    a = ((1, 0), (0, 1))
     assert solve_linear(a, vector((7, -2))) == vector((7, -2))
 
 
 def test_solve_inconsistent():
-    assert solve_linear(matrix([(0, 0)]), vector((1,))) is None
+    assert solve_linear(((0, 0),), vector((1,))) is None
 
 
 def test_solve_back_substitution():
-    a = matrix([(1, 1), (0, 1)])
+    a = ((1, 1), (0, 1))
     assert solve_linear(a, vector((3, 1))) == vector((2, 1))
 
 
 def test_solve_underdetermined_free_vars_zero():
-    a = matrix([(1, 2, 0)])
+    a = ((1, 2, 0),)
     assert solve_linear(a, vector((4,))) == vector((4, 0, 0))
 
 
 def test_solve_shape_mismatch():
     with pytest.raises(DimensionMismatchError):
-        solve_linear(matrix([(1, 0)]), vector((1, 2)))
+        solve_linear(((1, 0),), vector((1, 2)))
+
+
+def test_solve_rejects_ragged_rows():
+    with pytest.raises(DimensionMismatchError, match="unequal lengths"):
+        solve_linear(((1, 0), (1, 0, 0)), vector((1, 2)))
+
+
+def test_echelonize_rejects_a_negative_ambient():
+    with pytest.raises(DimensionMismatchError, match="ambient dimension"):
+        echelonize([(1, 0)], ambient_dim=-1)
 
 
 @given(st.lists(st.tuples(*[rationals] * 3), min_size=1, max_size=4),
        st.tuples(*[rationals] * 3))
 @settings(max_examples=60, deadline=None)
 def test_solve_exactness_roundtrip(rows, x):
-    a = matrix(rows)
+    a = tuple(rows)
     b = tuple(sum((r * c for r, c in zip(row, x)), F(0)) for row in a)
     sol = solve_linear(a, b)
     assert sol is not None

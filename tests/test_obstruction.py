@@ -156,14 +156,14 @@ def test_path_table_certificates():
                     mu = DMatrix.from_flat(D2, g.size(a), g.size(c), u)
                     for v in right.basis:
                         mv = DMatrix.from_flat(D2, g.size(c), g.size(b), v)
-                        assert target.contains((mu @ mv).flatten())
+                        assert target.contains((mu @ mv).coeffs)
     # single edges are contained
     for a in range(1, 4):
         for b in range(1, 4):
             if a != b:
                 m = g.hom_map(a, b)
                 if not m.is_zero():
-                    assert table.spans[(a, b)].contains(m.flatten())
+                    assert table.spans[(a, b)].contains(m.coeffs)
 
 
 def test_rule_cache_holds_one_rule_per_shape():

@@ -7,7 +7,9 @@ deeper nest builds algebras of dimension 256 or more, and building one takes
 a tenth of a second or more (dimension 256 about 0.13 s, dimension 1024
 about 2.7 s), too long for a thousand examples.
 
-A graph over a custom base also makes the round trip through its JSON form.
+A graph over a custom base also makes the round trip through its JSON form,
+and the named algebras keep the descriptors they have always been written
+with.
 """
 
 import json
@@ -16,17 +18,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from obstructor.algebra import DMatrix, make_algebra
+from obstructor.algebra import (
+    DMatrix,
+    make_algebra,
+    matrix_algebra,
+    quaternion_algebra,
+    quaternion_for_prime,
+    rationals,
+    split_model,
+)
 from obstructor.errors import ObstructorError
 from obstructor.obstruction import ObstructionGraph, compute_obstruction
 from obstructor.serialize import (
     MAX_MATRIX_NESTING,
     SchemaError,
     algebra_from_json,
+    algebra_to_json,
     dump_json,
     graph_from_json,
     graph_to_json,
 )
+from obstructor.witness import build_r3_graph
 
 _FUZZ = settings(derandomize=True, max_examples=1000, deadline=None,
                  database=None, suppress_health_check=list(HealthCheck))
@@ -160,3 +172,54 @@ def test_graph_over_a_custom_base_round_trips(square):
     spans = [compute_obstruction(graph, v) for v in (1, 2, 3)]
     assert [span.dim for span in spans] == [1, 4, 1]
     assert [compute_obstruction(back, v) for v in (1, 2, 3)] == spans
+
+
+_RATIONALS = ('{"kind": "custom", "dim": 1, "consts": [[["1"]]], "unit": ["1"], '
+              '"involution": [["1"]]}')
+
+
+# The descriptors as written before the algebras stopped carrying them.
+@pytest.mark.parametrize("build, text", [
+    (rationals, _RATIONALS),
+    (lambda: quaternion_algebra("-1/2", 3),
+     '{"kind": "quaternion", "a": "-1/2", "b": "3"}'),
+    (lambda: quaternion_for_prime(2), '{"kind": "quaternion", "a": "-1", "b": "-1"}'),
+    (lambda: quaternion_for_prime(3), '{"kind": "quaternion", "a": "-1", "b": "-3"}'),
+    (lambda: quaternion_for_prime(5), '{"kind": "quaternion", "a": "-2", "b": "-5"}'),
+    (lambda: matrix_algebra(rationals(), 2),
+     '{"kind": "matrix", "g": 2, "base": ' + _RATIONALS + '}'),
+    (lambda: matrix_algebra(quaternion_for_prime(2), 2),
+     '{"kind": "matrix", "g": 2, "base": {"kind": "quaternion", "a": "-1", "b": "-1"}}'),
+    (lambda: split_model(1), '{"kind": "split", "g": 1}'),
+    (lambda: split_model(2), '{"kind": "split", "g": 2}'),
+    (lambda: matrix_algebra(split_model(1), 2),
+     '{"kind": "matrix", "g": 2, "base": {"kind": "split", "g": 1}}'),
+], ids=["Q", "quaternion", "D2", "D3", "D5", "M2(Q)", "M2(D2)", "split1", "split2",
+        "M2(split1)"])
+def test_named_algebra_descriptors(build, text):
+    assert json.dumps(algebra_to_json(build())) == text
+
+
+def test_editing_a_descriptor_leaves_the_algebra_alone():
+    d2 = quaternion_for_prime(2)
+    algebra_to_json(d2)["a"] = "5"
+    algebra_to_json(matrix_algebra(d2, 2))["base"]["b"] = "7"
+    graph_to_json(build_r3_graph(2, 3, seed=0))["base"]["a"] = "5"
+    assert algebra_to_json(d2) == {"kind": "quaternion", "a": "-1", "b": "-1"}
+    assert algebra_to_json(matrix_algebra(d2, 2))["base"] == algebra_to_json(d2)
+    assert algebra_to_json(quaternion_for_prime(3)) == {
+        "kind": "quaternion", "a": "-1", "b": "-3"}
+
+
+def test_matrix_algebra_over_a_custom_base_round_trips():
+    # Q x Q with the swap involution, a base no named constructor records.
+    base = make_algebra(2, [[(1, 0), (0, 0)], [(0, 0), (0, 1)]],
+                        unit=(1, 1), involution=((0, 1), (1, 0)))
+    alg = matrix_algebra(base, 2)
+    desc = algebra_to_json(alg)
+    assert desc["kind"] == "matrix" and desc["g"] == 2
+    assert desc["base"]["kind"] == "custom"
+    back = algebra_from_json(json.loads(dump_json(desc)))
+    assert (back.rule, back.scale, back.unit, back.inv_terms) == (
+        alg.rule, alg.scale, alg.unit, alg.inv_terms)
+    assert dump_json(algebra_to_json(back)) == dump_json(desc)

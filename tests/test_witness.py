@@ -128,8 +128,8 @@ def test_build_r3_graph_span_equals_generator_closure():
     g = build_r3_graph(2, 3, seed=0)
     end_alg = matrix_algebra(g.base, 2)
     x = g.edges[(1, 2)]
-    closure = subrng_closure(end_alg, [end_alg.element(x.flatten()),
-                                       end_alg.element(x.dagger_transpose().flatten())])
+    closure = subrng_closure(end_alg, [end_alg.element(x.coeffs),
+                                       end_alg.element(x.dagger_transpose().coeffs)])
     assert closure.span == compute_obstruction(g, 1)
 
 
@@ -157,8 +157,8 @@ def test_build_r4_graph_quaternion_case():
 def test_build_r4_graph_deterministic():
     a = build_r4_graph(2, 2, seed=5)
     b = build_r4_graph(2, 2, seed=5)
-    assert a.edges[(2, 4)].flatten() == b.edges[(2, 4)].flatten()
-    assert a.edges[(3, 4)].flatten() == b.edges[(3, 4)].flatten()
+    assert a.edges[(2, 4)].coeffs == b.edges[(2, 4)].coeffs
+    assert a.edges[(3, 4)].coeffs == b.edges[(3, 4)].coeffs
 
 
 def test_two_generator_search_includes_unit():
