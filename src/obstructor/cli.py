@@ -4,9 +4,14 @@ Subcommands: verify, obstruction, find-generator, corner, hilbert, divisor.
 All output is JSON on stdout with rationals as strings; identical invocations
 produce byte-identical output. Exit codes: 0 success, 1 verification failure,
 2 usage, parse or input error (every library ``ObstructorError``), 3 internal
-error. An error ends with one ``Error:`` line on stderr, never a traceback. The
-environment variable OBSTRUCTOR_SEED overrides the default seed wherever a
-seed applies.
+error. An error ends with one ``Error:`` line on stderr, never a traceback; a
+usage error puts the command's ``Usage:`` line before it. The environment
+variable OBSTRUCTOR_SEED overrides the default seed wherever a seed applies.
+
+The front end is a small table-driven parser over the standard library: each
+subcommand declares its ``--name`` options, and an option that takes a value
+always takes the next argument, so ``--a -1/2`` works. The package has no
+runtime dependency.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import islice
-
-import click
+from typing import Callable, NamedTuple
 
 from .algebra import (
     INF,
@@ -65,6 +69,41 @@ from .witness import (
 )
 
 
+class _UsageError(Exception):
+    """A bad command line or option value: exit 2 after the usage line."""
+
+
+class _Option(NamedTuple):
+    """One ``--name`` option. ``kind`` is ``int``, ``str`` or ``bool`` (a
+    flag); a ``multiple`` option collects every value it is given."""
+
+    flag: str
+    kind: type = str
+    required: bool = False
+    default: object = None
+    multiple: bool = False
+    help: str = ""
+
+
+class _Command(NamedTuple):
+    """A subcommand: its name, its function and its options."""
+
+    name: str
+    run: Callable
+    options: tuple
+
+
+def _command(*options: _Option):
+    """Declare a subcommand. Its function takes the option values in the
+    order declared here and returns its exit code (``None`` for 0)."""
+    def declare(run) -> _Command:
+        return _Command(run.__name__.replace("_", "-"), run, options)
+    return declare
+
+
+_HELP = _Option("--help", bool, help="Show this message and exit.")
+
+
 def _default_seed() -> int:
     env = os.environ.get("OBSTRUCTOR_SEED")
     if env is None:
@@ -72,7 +111,7 @@ def _default_seed() -> int:
     try:
         return int(env)
     except ValueError:
-        raise click.UsageError(f"OBSTRUCTOR_SEED must be an integer, got {env!r}")
+        raise _UsageError(f"OBSTRUCTOR_SEED must be an integer, got {env!r}")
 
 
 def _emit(obj) -> None:
@@ -83,7 +122,7 @@ def _parse_rat_flag(value: str, name: str) -> Fraction:
     try:
         return ratio(value)
     except (ValueError, TypeError, ZeroDivisionError):
-        raise click.UsageError(f"--{name} must be a rational like -3 or 3/4")
+        raise _UsageError(f"--{name} must be a rational like -3 or 3/4")
 
 
 def _load_json(path: str, what: str):
@@ -91,41 +130,11 @@ def _load_json(path: str, what: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:  # missing, a directory, unreadable
-        raise click.UsageError(f"{what} file {path}: {exc.strerror or exc}")
+        raise _UsageError(f"{what} file {path}: {exc.strerror or exc}")
     except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
-        raise click.UsageError(f"{what} file {path}: invalid JSON: {exc}")
+        raise _UsageError(f"{what} file {path}: invalid JSON: {exc}")
     except RecursionError:
-        raise click.UsageError(f"{what} file {path}: JSON nested too deeply")
-
-
-class _InternalError(click.ClickException):
-    """An exception the library does not declare: a fault, not bad input."""
-
-    exit_code = 3
-
-
-class _ErrorBoundary(click.Group):
-    """The one place library errors become exit codes: an ``ObstructorError``
-    is a usage error (exit 2), anything else unexpected is exit 3. Click's own
-    exceptions (``Abort`` and ``Exit`` are ``RuntimeError``s) and ``SystemExit``
-    pass through."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ObstructorError as exc:
-            raise click.UsageError(str(exc)) from exc
-        except (click.ClickException, click.Abort, click.exceptions.Exit):
-            raise
-        except Exception as exc:
-            message = " ".join(str(exc).split())  # one line
-            raise _InternalError(
-                f"internal error ({type(exc).__name__}): {message}") from exc
-
-
-@click.group(cls=_ErrorBoundary)
-def main():
-    """Exact-arithmetic engine for loop-span lifting obstructions."""
+        raise _UsageError(f"{what} file {path}: JSON nested too deeply")
 
 
 # -- verify -----------------------------------------------------------------
@@ -233,25 +242,24 @@ def _verify_failed(report, strict: bool) -> bool:
             or any(_verify_failed(v, strict) for v in report.values()))
 
 
-@main.command()
-@click.option("--g", "g", type=int, required=True, help="Vertex size (1 runs the impossibility suite).")
-@click.option("--p", "p", type=int, required=True, help="Base prime.")
-@click.option("--all", "run_all", is_flag=True, help="Run the full identity battery.")
-@click.option("--strict", is_flag=True,
-              help="Treat documented sign discrepancies as fatal.")
-@click.option("--seed", type=int, default=None, help="Seed override.")
-@click.option("--trials", type=int, default=100, show_default=True,
-              help="Trials for the g = 1 impossibility suite.")
+@_command(
+    _Option("--g", int, required=True, help="Vertex size (1 runs the impossibility suite)."),
+    _Option("--p", int, required=True, help="Base prime."),
+    _Option("--all", bool, help="Run the full identity battery."),
+    _Option("--strict", bool, help="Treat documented sign discrepancies as fatal."),
+    _Option("--seed", int, help="Seed override."),
+    _Option("--trials", int, default=100, help="Trials for the g = 1 impossibility suite."),
+)
 def verify(g, p, run_all, strict, seed, trials):
     """Run the exact identity suite and report each check."""
     if g < 1:
-        raise click.UsageError("--g must be >= 1")
+        raise _UsageError("--g must be >= 1")
     if not is_prime(p):
-        raise click.UsageError("--p must be prime")
+        raise _UsageError("--p must be prime")
     if trials < 1:
-        raise click.UsageError("--trials must be >= 1")
+        raise _UsageError("--trials must be >= 1")
     if trials > MAX_TRIES:
-        raise click.UsageError(f"--trials must be at most {MAX_TRIES}")
+        raise _UsageError(f"--trials must be at most {MAX_TRIES}")
     seed = _default_seed() if seed is None else seed
     report: dict = {"seed": seed}
     if run_all:
@@ -276,22 +284,22 @@ def verify(g, p, run_all, strict, seed, trials):
     failed = _verify_failed(report, strict)
     report["status"] = "FAIL" if failed else "PASS"
     _emit(report)
-    sys.exit(1 if failed else 0)
+    return 1 if failed else 0
 
 
 # -- obstruction ---------------------------------------------------------------
 
 
-@main.command()
-@click.option("--graph", "graph_path", type=str, required=True,
-              help="Graph descriptor JSON file.")
-@click.option("--vertex", type=int, required=True, help="Base vertex (1-based).")
-@click.option("--oracle-len", type=int, default=None,
-              help="Also span the loops of up to this many edges with the loop oracle.")
+@_command(
+    _Option("--graph", required=True, help="Graph descriptor JSON file."),
+    _Option("--vertex", int, required=True, help="Base vertex (1-based)."),
+    _Option("--oracle-len", int,
+            help="Also span the loops of up to this many edges with the loop oracle."),
+)
 def obstruction(graph_path, vertex, oracle_len):
     """Loop span, corner report, and verdict for one vertex of a graph."""
     if oracle_len is not None and oracle_len < 2:
-        raise click.UsageError("--oracle-len must be >= 2")
+        raise _UsageError("--oracle-len must be >= 2")
     graph = graph_from_json(_load_json(graph_path, "graph"))
     g = graph.size(vertex)
     # The table is needed for its rounds, so it also gives the span.
@@ -336,22 +344,22 @@ def obstruction(graph_path, vertex, oracle_len):
 # -- find-generator --------------------------------------------------------------
 
 
-@main.command("find-generator")
-@click.option("--g", "g", type=int, required=True,
-              help="Matrix size (>= 1; no x generates at g = 1, which exits 1).")
-@click.option("--p", "p", type=int, required=True, help="Base prime.")
-@click.option("--seed", type=int, default=None, help="Seed (default 0 / OBSTRUCTOR_SEED).")
-@click.option("--tries", type=int, default=200, show_default=True)
-@click.option("--bound", type=int, default=10, show_default=True,
-              help="Coefficients are sampled in [-bound, bound].")
+@_command(
+    _Option("--g", int, required=True,
+            help="Matrix size (>= 1; no x generates at g = 1, which exits 1)."),
+    _Option("--p", int, required=True, help="Base prime."),
+    _Option("--seed", int, help="Seed (default 0 / OBSTRUCTOR_SEED)."),
+    _Option("--tries", int, default=200),
+    _Option("--bound", int, default=10, help="Coefficients are sampled in [-bound, bound]."),
+)
 def find_generator(g, p, seed, tries, bound):
     """Search for x with {x, dagger(x)} generating the matrix quaternion algebra."""
     if not is_prime(p):
-        raise click.UsageError("--p must be prime")
+        raise _UsageError("--p must be prime")
     if tries < 1 or bound < 1:
-        raise click.UsageError("--tries and --bound must be >= 1")
+        raise _UsageError("--tries and --bound must be >= 1")
     if tries > MAX_TRIES:
-        raise click.UsageError(f"--tries must be at most {MAX_TRIES}")
+        raise _UsageError(f"--tries must be at most {MAX_TRIES}")
     seed = _default_seed() if seed is None else seed
     alg = matrix_algebra(quaternion_for_prime(p), g)
     search = random_rosati_generator(alg, seed=seed, max_tries=tries,
@@ -362,23 +370,23 @@ def find_generator(g, p, seed, tries, bound):
         out["element"] = coeffs_to_json(search.element.coeffs)
         out["matrix"] = dmatrix_to_json(element_to_dmatrix(search.element))
     _emit(out)
-    sys.exit(0 if search.found else 1)
+    return 0 if search.found else 1
 
 
 # -- corner -----------------------------------------------------------------------
 
 
-@main.command()
-@click.option("--algebra", "algebra_path", type=str, required=True,
-              help="Algebra descriptor JSON file.")
-@click.option("--elements", "elements_path", type=str, required=True,
-              help="JSON file: list of coefficient vectors spanning the subspace.")
+@_command(
+    _Option("--algebra", required=True, help="Algebra descriptor JSON file."),
+    _Option("--elements", required=True,
+            help="JSON file: list of coefficient vectors spanning the subspace."),
+)
 def corner(algebra_path, elements_path):
     """Corner/idempotent detection for a spanned subspace of an algebra."""
     alg = algebra_from_json(_load_json(algebra_path, "algebra"))
     span_payload = _load_json(elements_path, "elements")
     if not isinstance(span_payload, list):
-        raise click.UsageError("elements file must be a JSON list of coefficient vectors")
+        raise _UsageError("elements file must be a JSON list of coefficient vectors")
     vecs = [coeffs_from_json(v, f"elements[{t}]") for t, v in enumerate(span_payload)]
     span = echelonize(vecs, ambient_dim=alg.dim)
     report = corner_detect(span, alg)
@@ -396,17 +404,17 @@ def corner(algebra_path, elements_path):
 # -- hilbert -----------------------------------------------------------------------
 
 
-@main.command()
-@click.option("--a", "a_str", type=str, required=True)
-@click.option("--b", "b_str", type=str, required=True)
-@click.option("--place", type=str, default=None,
-              help="A prime or 'inf'; default: all places dividing 2ab plus inf.")
+@_command(
+    _Option("--a", required=True),
+    _Option("--b", required=True),
+    _Option("--place", help="A prime or 'inf'; default: all places dividing 2ab plus inf."),
+)
 def hilbert(a_str, b_str, place):
     """Local Hilbert symbols of the pair (a, b) over Q."""
     a = _parse_rat_flag(a_str, "a")
     b = _parse_rat_flag(b_str, "b")
     if not a or not b:
-        raise click.UsageError("--a and --b must be nonzero")
+        raise _UsageError("--a and --b must be nonzero")
     if place is not None:
         if place == INF:
             v = INF
@@ -414,9 +422,9 @@ def hilbert(a_str, b_str, place):
             try:
                 v = int(place)
             except ValueError:
-                raise click.UsageError("--place must be a prime or 'inf'")
+                raise _UsageError("--place must be a prime or 'inf'")
             if not is_prime(v):
-                raise click.UsageError("--place must be a prime or 'inf'")
+                raise _UsageError("--place must be a prime or 'inf'")
         _emit({"a": str(a), "b": str(b), "place": str(v),
                "symbol": hilbert_symbol(a, b, v)})
         return
@@ -436,32 +444,32 @@ def hilbert(a_str, b_str, place):
 def _parse_fiber_spec(spec: str):
     m = re.fullmatch(r"\s*([0-9]{1,9})\s*:\s*\[([^:\]]+):([^:\]]+)\]\s*", spec)
     if not m:
-        raise click.UsageError(
+        raise _UsageError(
             f"fiber spec {spec[:40]!r} must look like 1:[0:1]")
     idx = int(m.group(1))
     try:
         pt = (ratio(m.group(2).strip()), ratio(m.group(3).strip()))
     except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"fiber spec {spec[:40]!r}: coordinates must be rational")
+        raise _UsageError(f"fiber spec {spec[:40]!r}: coordinates must be rational")
     return idx, pt
 
 
-@main.command()
-@click.option("--poly", "poly_text", type=str, required=True)
-@click.option("--r", "r", type=int, required=True, help="Number of projective-line factors.")
-@click.option("--subst", type=str, default=None,
-              help="Comma-separated cover exponents, e.g. 2,2,2.")
-@click.option("--fiber", "fibers", type=str, multiple=True,
-              help="Two specs i:[a:b] selecting points in two factors.")
-@click.option("--factors", "factor_texts", type=str, multiple=True,
-              help="Exact factorization of the (substituted) polynomial.")
+@_command(
+    _Option("--poly", required=True),
+    _Option("--r", int, required=True, help="Number of projective-line factors."),
+    _Option("--subst", help="Comma-separated cover exponents, e.g. 2,2,2."),
+    _Option("--fiber", multiple=True,
+            help="Two specs i:[a:b] selecting points in two factors."),
+    _Option("--factors", multiple=True,
+            help="Exact factorization of the (substituted) polynomial."),
+)
 def divisor(poly_text, r, subst, fibers, factor_texts):
     """Multihomogeneous polynomial checks on a product of projective lines."""
     f = parse_poly(poly_text, r)
     out = {"poly": f.to_string(), "r": r, "multidegree": list(f.degrees)}
     if fibers:
         if len(fibers) != 2:
-            raise click.UsageError("--fiber must be given exactly twice")
+            raise _UsageError("--fiber must be given exactly twice")
         (i, pt_i) = _parse_fiber_spec(fibers[0])
         (j, pt_j) = _parse_fiber_spec(fibers[1])
         hit = contains_double_fiber(f, i, pt_i, j, pt_j)
@@ -475,7 +483,7 @@ def divisor(poly_text, r, subst, fibers, factor_texts):
         try:
             exps = [int(e) for e in subst.split(",")]
         except ValueError:
-            raise click.UsageError("--subst must be comma-separated integers")
+            raise _UsageError("--subst must be comma-separated integers")
         target = substitute_powers(f, exps)
         out["substituted"] = {"exponents": exps, "poly": target.to_string(),
                               "multidegree": list(target.degrees)}
@@ -483,6 +491,186 @@ def divisor(poly_text, r, subst, fibers, factor_texts):
         factors = [parse_poly(t, r) for t in factor_texts]
         out["splitting_verified"] = verify_factorization(target, factors)
     _emit(out)
+
+
+# -- front end ---------------------------------------------------------------------
+
+# In the order the help lists them.
+_COMMANDS = (corner, divisor, find_generator, hilbert, obstruction, verify)
+_WIDTH = 78  # of the help text
+
+
+def _suggest(name: str, names) -> str:
+    """`` Did you mean ...?`` for the names close to a mistyped one."""
+    from difflib import get_close_matches  # only a mistyped name needs it
+
+    close = sorted(get_close_matches(name, names))
+    if len(close) > 1:
+        return f" (Did you mean one of: {', '.join(map(repr, close))}?)"
+    return f" Did you mean {close[0]!r}?" if close else ""
+
+
+def _scan(options: tuple, args: list, stop_at_positional: bool) -> tuple[dict, list]:
+    """Split ``args`` into the raw values of each option given, in the order
+    first given, and the positional arguments. An option that takes a value
+    takes the next argument whatever it looks like. Options must be spelled
+    in full; ``--help`` is always known."""
+    known = {opt.flag: opt for opt in (*options, _HELP)}
+    raw: dict = {}
+    positional: list = []
+    rest = iter(args)
+    for arg in rest:
+        if arg == "--":
+            positional += rest
+        elif arg[:1] != "-" or arg == "-":
+            positional.append(arg)
+            if stop_at_positional:
+                positional += rest
+        elif arg[:2] != "--":
+            raise _UsageError(f"No such option {arg[:2]!r}.")
+        else:
+            flag, eq, value = arg.partition("=")
+            opt = known.get(flag)
+            if opt is None:
+                raise _UsageError(f"No such option {flag!r}." + _suggest(flag, known))
+            if opt.kind is bool:
+                if eq:
+                    raise _UsageError(f"Option {flag!r} does not take a value.")
+                value = True
+            elif not eq:
+                value = next(rest, None)
+                if value is None:
+                    raise _UsageError(f"Option {flag!r} requires an argument.")
+            raw.setdefault(flag, []).append(value)
+    return raw, positional
+
+
+def _integer(flag: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(
+            f"Invalid value for {flag!r}: {text!r} is not a valid integer.") from None
+
+
+def _values(options: tuple, raw: dict) -> list:
+    """The value of each option in declaration order. Values are converted
+    in the order first given (the last one counts unless the option is
+    ``multiple``), then a missing required option is reported."""
+    known = {opt.flag: opt for opt in options}
+    given = {}
+    for flag, texts in raw.items():
+        opt = known[flag]
+        texts = texts if opt.multiple else texts[-1:]
+        given[flag] = [_integer(flag, t) for t in texts] if opt.kind is int else texts
+    values = []
+    for opt in options:
+        if opt.flag in given:
+            values.append(tuple(given[opt.flag]) if opt.multiple else given[opt.flag][0])
+        elif opt.required:
+            raise _UsageError(f"Missing option {opt.flag!r}.")
+        else:
+            values.append(() if opt.multiple else False if opt.kind is bool else opt.default)
+    return values
+
+
+def _summary(fn) -> str:
+    return " ".join(fn.__doc__.split("\n\n")[0].split())
+
+
+def _rows(rows: list) -> str:
+    """Two indented columns; the second is wrapped to the help width."""
+    from textwrap import TextWrapper  # only --help needs it
+
+    col = max(len(left) for left, _ in rows) + 2
+    wrapper = TextWrapper(_WIDTH - col - 2, replace_whitespace=False)
+    lines = []
+    for left, text in rows:
+        first, *more = wrapper.wrap(text)
+        lines.append(f"  {left:<{col}}{first}")
+        lines += [" " * (col + 2) + line for line in more]
+    return "\n".join(lines) + "\n"
+
+
+def _help(usage: str, fn, options: tuple, commands: tuple = ()) -> str:
+    """The usage line, ``fn``'s summary, the options and any subcommands."""
+    from textwrap import fill, shorten
+
+    rows = []
+    for opt in (*options, _HELP):
+        label = opt.flag + {int: " INTEGER", str: " TEXT"}.get(opt.kind, "")
+        extra = ("  [required]" if opt.required
+                 else "" if opt.default is None else f"  [default: {opt.default}]")
+        rows.append((label, (opt.help + extra).strip()))
+    summary = fill(_summary(fn), _WIDTH, initial_indent="  ", subsequent_indent="  ")
+    text = f"Usage: {usage}\n\n{summary}\n\nOptions:\n{_rows(rows)}"
+    if commands:
+        limit = _WIDTH - 6 - max(len(c.name) for c in commands)
+        text += "\nCommands:\n" + _rows(
+            [(c.name, shorten(_summary(c.run), limit, placeholder="...")) for c in commands])
+    return text
+
+
+def _run(prog: str, args: list) -> int | None:
+    """Run the subcommand ``args`` name and return its exit code. A usage
+    error prints the usage line of the command it belongs to and gives 2."""
+    path, usage = prog, f"{prog} [OPTIONS] COMMAND [ARGS]..."
+    try:
+        raw, positional = _scan((), args, stop_at_positional=True)
+        if "--help" in raw:
+            sys.stdout.write(_help(usage, main, (), _COMMANDS))
+            return 0
+        if not positional:
+            raise _UsageError("Missing command.")
+        name, *rest = positional
+        command = next((c for c in _COMMANDS if c.name == name), None)
+        if command is None:
+            raise _UsageError(f"No such command {name!r}."
+                              + _suggest(name, [c.name for c in _COMMANDS]))
+        path = f"{prog} {name}"
+        usage = f"{path} [OPTIONS]"
+        raw, extra = _scan(command.options, rest, stop_at_positional=False)
+        if "--help" in raw:
+            sys.stdout.write(_help(usage, command.run, command.options))
+            return 0
+        values = _values(command.options, raw)
+        if extra:
+            raise _UsageError(f"Got unexpected extra argument{'s' * (len(extra) > 1)}"
+                              f" ({' '.join(extra)})")
+        return command.run(*values)
+    except _UsageError as exc:
+        sys.stderr.write(f"Usage: {usage}\nTry '{path} --help' for help.\n\nError: {exc}\n")
+        return 2
+
+
+def _prog_name() -> str:
+    """``python -m obstructor.cli`` when run as a module, else the script's name."""
+    spec = getattr(sys.modules["__main__"], "__spec__", None)
+    return f"python -m {spec.name}" if spec else os.path.basename(sys.argv[0])
+
+
+def main(args=None, prog_name: str | None = None):
+    """Exact-arithmetic engine for loop-span lifting obstructions.
+
+    Runs the subcommand that ``args`` (default ``sys.argv[1:]``) names and
+    exits with its code. This is the one place library errors become exit
+    codes: an ``ObstructorError`` is an input error (exit 2), anything else
+    unexpected an internal error (exit 3); each prints one ``Error:`` line.
+    """
+    args = sys.argv[1:] if args is None else list(args)
+    try:
+        code = _run(prog_name or _prog_name(), args)
+    except ObstructorError as exc:
+        sys.stderr.write(f"Error: {exc}\n")
+        code = 2
+    except Exception as exc:
+        message = " ".join(str(exc).split())  # one line
+        sys.stderr.write(f"Error: internal error ({type(exc).__name__}): {message}\n")
+        code = 3
+    except KeyboardInterrupt:
+        sys.stderr.write("\nAborted!\n")
+        code = 1
+    sys.exit(code or 0)
 
 
 if __name__ == "__main__":

@@ -61,14 +61,15 @@ def coeffs_from_json(obj, where: str = "coeffs") -> tuple:
 # -- algebras -----------------------------------------------------------------
 
 
-def algebra_to_json(alg: StructureAlgebra) -> dict:
+def algebra_to_json(alg: StructureAlgebra, _nesting: int = 0) -> dict:
     """A fresh descriptor of ``alg``: the kind its constructor recorded,
-    else its full table as a custom algebra."""
+    else its full table as a custom algebra. A matrix algebra nested deeper
+    than the loader accepts is written as its table at the last level."""
     if alg.is_split_model:
         return {"kind": "split", "g": alg.matrix_size // 2}
-    if alg.matrix_base is not None:
+    if alg.matrix_base is not None and _nesting < MAX_MATRIX_NESTING:
         return {"kind": "matrix", "g": alg.matrix_size,
-                "base": algebra_to_json(alg.matrix_base)}
+                "base": algebra_to_json(alg.matrix_base, _nesting + 1)}
     if alg.quaternion_params is not None:
         a, b = alg.quaternion_params
         return {"kind": "quaternion", "a": str(a), "b": str(b)}

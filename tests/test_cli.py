@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from obstructor.cli import main
 from obstructor.linalg import MAX_DIGITS
@@ -671,3 +675,94 @@ def test_exit_code_routes(runner, tmp_path, monkeypatch, argv, files, code):
         assert res.stderr.startswith("Error:") or "\nError:" in res.stderr
     if code == 3:
         assert res.stderr == "Error: internal error (RuntimeError): injected fault\n"
+
+
+# -- front end: parse errors, help, start-up -------------------------------------
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "Missing command."),
+    (["nope"], "No such command 'nope'."),
+    (["--gra"], "No such option '--gra'."),
+    (["verify", "--p", "2"], "Missing option '--g'."),
+    (["verify", "--g", "x", "--p", "2"],
+     "Invalid value for '--g': 'x' is not a valid integer."),
+    (["verify", "--g", "1", "--p", "2", "--nope", "1"], "No such option '--nope'."),
+    (["verify", "--g", "1", "--p", "2", "--tri", "3"], "No such option '--tri'."),
+    (["verify", "--g", "1", "--p"], "Option '--p' requires an argument."),
+    (["verify", "--g", "1", "--p", "2", "--all=yes"],
+     "Option '--all' does not take a value."),
+    (["verify", "-g", "1"], "No such option '-g'."),
+    (["verify", "--g", "1", "--p", "2", "extra"],
+     "Got unexpected extra argument (extra)"),
+    (["obstruction", "--vertex", "1"], "Missing option '--graph'."),
+    (["obstruction", "--graph", "g.json", "--vertex", "one"],
+     "Invalid value for '--vertex': 'one' is not a valid integer."),
+    (["obstruction", "--graph", "g.json", "--vertex", "1", "--nope", "1"],
+     "No such option '--nope'."),
+    (["obstruction", "--gra", "g.json", "--vertex", "1"], "No such option '--gra'."),
+    (["find-generator", "--g", "2"], "Missing option '--p'."),
+    (["find-generator", "--g", "two", "--p", "2"],
+     "Invalid value for '--g': 'two' is not a valid integer."),
+    (["find-generator", "--g", "2", "--p", "2", "--nope", "1"], "No such option '--nope'."),
+    (["find-generator", "--g", "2", "--p", "2", "--tri", "3"], "No such option '--tri'."),
+    (["corner", "--algebra", "a.json"], "Missing option '--elements'."),
+    (["corner", "--algebra", "a.json", "--elements", "e.json", "--nope", "1"],
+     "No such option '--nope'."),
+    (["corner", "--alg", "a.json", "--elements", "e.json"], "No such option '--alg'."),
+    (["hilbert", "--b", "1"], "Missing option '--a'."),
+    (["hilbert", "--a", "1", "--b", "1", "--nope", "1"], "No such option '--nope'."),
+    (["hilbert", "--a", "1", "--b", "1", "--pla", "3"], "No such option '--pla'."),
+    (["divisor", "--poly", "x1"], "Missing option '--r'."),
+    (["divisor", "--poly", "x1", "--r", "x"],
+     "Invalid value for '--r': 'x' is not a valid integer."),
+    (["divisor", "--poly", "x1", "--r", "1", "--nope", "1"], "No such option '--nope'."),
+    (["divisor", "--pol", "x1", "--r", "1"], "No such option '--pol'."),
+], ids=lambda v: (" ".join(v) or "no-command") if isinstance(v, list) else None)
+def test_a_parse_error_exits_2_after_the_usage_line(runner, argv, error):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2 and res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("Usage: ")
+    assert res.stderr.splitlines()[-1].startswith(f"Error: {error}")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify", ["--g", "--p", "--all", "--strict", "--seed", "--trials"]),
+    ("obstruction", ["--graph", "--vertex", "--oracle-len"]),
+    ("find-generator", ["--g", "--p", "--seed", "--tries", "--bound"]),
+    ("corner", ["--algebra", "--elements"]),
+    ("hilbert", ["--a", "--b", "--place"]),
+    ("divisor", ["--poly", "--r", "--subst", "--fiber", "--factors"]),
+])
+def test_help_names_every_option(runner, command, flags):
+    res = runner.invoke(main, [command, "--help"])
+    assert res.exit_code == 0 and res.stderr == ""
+    listed = [line.split()[0] for line in res.stdout.splitlines()
+              if line.startswith("  --")]
+    assert listed == flags + ["--help"]
+    assert command in runner.invoke(main, ["--help"]).stdout
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["hilbert", "--a", "-1/2", "--b", "-1"],
+     '{\n  "a": "-1/2",\n  "b": "-1",\n  "symbols": {\n    "2": -1,\n    "inf": -1\n'
+     '  },\n  "ramified": [\n    "2",\n    "inf"\n  ],\n  "product": 1\n}\n'),
+    (["divisor", "--poly", "-x1*y1", "--r", "1"],
+     '{\n  "poly": "-x1*y1",\n  "r": 1,\n  "multidegree": [\n    2\n  ]\n}\n'),
+], ids=["hilbert", "divisor"])
+def test_an_option_value_may_start_with_a_dash(runner, argv, stdout):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0 and res.stdout == stdout
+
+
+def test_importing_the_cli_loads_only_the_standard_library():
+    """What ``site`` loads before the import does not count."""
+    code = ("import sys; before = set(sys.modules); import obstructor.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(sys.modules[main.__module__].__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env=dict(os.environ, PYTHONPATH=path)).stdout.split()
+    assert "obstructor.cli" in loaded
+    assert [name for name in loaded if name.split(".")[0] != "obstructor"
+            and name.split(".")[0] not in sys.stdlib_module_names] == []

@@ -1,9 +1,9 @@
 """Byte-level regression of fixed CLI invocations.
 
-Each case runs one invocation through click's ``CliRunner`` and compares the
-sha256 of its stdout, and of every input file it reads, with digests recorded
-from a known-good build. Identical invocations must print identical bytes, so
-a refactor of the engines behind the CLI has to keep every digest.
+Each case runs one invocation in process through ``cli_runner`` and compares
+the sha256 of its stdout, and of every input file it reads, with digests
+recorded from a known-good build. Identical invocations must print identical
+bytes, so a refactor of the engines behind the CLI has to keep every digest.
 """
 
 import hashlib
@@ -11,7 +11,7 @@ import json
 import random
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from obstructor.algebra import split_model
 from obstructor.cli import main

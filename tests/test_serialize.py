@@ -154,6 +154,26 @@ def test_matrix_nesting_cap():
         algebra_from_json({"kind": "matrix", "g": 1, "base": desc})
 
 
+@pytest.mark.parametrize("depth", [MAX_MATRIX_NESTING, MAX_MATRIX_NESTING + 1])
+def test_the_writer_nests_no_deeper_than_the_loader_reads(depth):
+    # M_1 applied ``depth`` times over D: dimension 4 at every depth.
+    alg = quaternion_for_prime(2)
+    for _ in range(depth):
+        alg = matrix_algebra(alg, 1)
+    desc = algebra_to_json(alg)
+    node, levels = desc, 0
+    while node["kind"] == "matrix":
+        node, levels = node["base"], levels + 1
+    assert levels == MAX_MATRIX_NESTING
+    assert node["kind"] == ("quaternion" if depth == MAX_MATRIX_NESTING else "custom")
+    back = algebra_from_json(json.loads(dump_json(desc)))
+    if depth == MAX_MATRIX_NESTING:
+        assert back is alg
+    assert (back.rule, back.scale, back.unit, back.inv_terms) == (
+        alg.rule, alg.scale, alg.unit, alg.inv_terms)
+    assert algebra_to_json(back) == desc
+
+
 # Q(t) with t^2 = c and the involution t -> -t: c = -1 is Q(i) with
 # conjugation, and c = 1/2 leaves a denominator in the structure constants.
 @pytest.mark.parametrize("square", ["-1", "1/2"])
