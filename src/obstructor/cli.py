@@ -4,8 +4,9 @@ Subcommands: verify, obstruction, find-generator, corner, hilbert, divisor.
 All output is JSON on stdout with rationals as strings; identical invocations
 produce byte-identical output. Exit codes: 0 success, 1 verification failure,
 2 usage, parse or input error (every library ``ObstructorError``), 3 internal
-error. An error ends with one ``Error:`` line on stderr, never a traceback; a
-usage error puts the command's ``Usage:`` line before it. The environment
+error, 130 interrupted (Ctrl-C, 128 + SIGINT, with ``Aborted!`` on stderr).
+An error ends with one ``Error:`` line on stderr, never a traceback; a usage
+error puts the command's ``Usage:`` line before it. The environment
 variable OBSTRUCTOR_SEED overrides the default seed wherever a seed applies.
 
 The front end is a small table-driven parser over the standard library: each
@@ -26,7 +27,6 @@ from typing import Callable, NamedTuple
 
 from .algebra import (
     INF,
-    DMatrix,
     element_to_dmatrix,
     hilbert_symbol,
     is_definite_rational_quaternion,
@@ -42,10 +42,10 @@ from .divisor import contains_double_fiber, parse_poly, substitute_powers, verif
 from .errors import ObstructorError
 from .linalg import echelonize, ratio
 from .obstruction import (
-    CornerReport,
     compute_obstruction,
     corner_detect,
     flag_nonliftable,
+    loop_corner,
     loop_oracle,
     path_span_table,
 )
@@ -203,13 +203,12 @@ def _impossibility_section(p: int, seed: int, trials: int) -> dict:
 
 def _construction_section(g: int, p: int, seed: int) -> dict:
     graph = build_r3_graph(g, p, seed=seed)
-    end_alg = matrix_algebra(graph.base, g)
     span = compute_obstruction(graph, 1)
-    report = corner_detect(span, end_alg)
+    report = loop_corner(span, graph.base, g)
     verdict = flag_nonliftable(report, is_definite_rational_quaternion(graph.base))
     # build_r3_graph's search proved that {x, dagger x}, x on edge (1, 2),
-    # generates this cached end_alg, so their closure equals the span exactly
-    # when the span is full.
+    # generates M_g(D), so their closure equals the span exactly when the
+    # span is full.
     matches = span.is_full()
     expected = 4 * g * g
     ok = (span.dim == expected and report.is_full
@@ -305,17 +304,7 @@ def obstruction(graph_path, vertex, oracle_len):
     # The table is needed for its rounds, so it also gives the span.
     table = path_span_table(graph)
     span = table.spans[(vertex, vertex)]
-    if 0 < span.dim < span.ambient_dim:
-        report = corner_detect(span, matrix_algebra(graph.base, g))
-        idempotent = None if report.idempotent is None else report.idempotent.coeffs
-    else:
-        # A zero or full span is the corner of the zero or the identity
-        # matrix, which corner_detect reports without a product; M_g(D),
-        # whose build alone takes seconds at the largest sizes, is not built.
-        full = span.dim > 0
-        report = CornerReport(is_corner=True, idempotent=None, factor_dim=span.dim,
-                              is_full=full, is_zero=not full)
-        idempotent = DMatrix.scalar(graph.base, g, int(full)).coeffs
+    report = loop_corner(span, graph.base, g)
     ramified = is_definite_rational_quaternion(graph.base)
     verdict = flag_nonliftable(report, ramified)
     out = {
@@ -327,7 +316,8 @@ def obstruction(graph_path, vertex, oracle_len):
         "is_full": report.is_full,
         "is_zero": report.is_zero,
         "factor_dim": report.factor_dim,
-        "idempotent": None if idempotent is None else coeffs_to_json(idempotent),
+        "idempotent": (None if report.idempotent is None
+                       else coeffs_to_json(report.idempotent)),
         "base_ramified": ramified,
         "verdict": verdict.verdict,
         "verdict_reason": verdict.reason,
@@ -389,7 +379,7 @@ def corner(algebra_path, elements_path):
         raise _UsageError("elements file must be a JSON list of coefficient vectors")
     vecs = [coeffs_from_json(v, f"elements[{t}]") for t, v in enumerate(span_payload)]
     span = echelonize(vecs, ambient_dim=alg.dim)
-    report = corner_detect(span, alg)
+    report = corner_detect(span, alg.rule, alg.scale, alg.unit)
     _emit({
         "dim": span.dim,
         "is_corner": report.is_corner,
@@ -397,7 +387,7 @@ def corner(algebra_path, elements_path):
         "is_zero": report.is_zero,
         "factor_dim": report.factor_dim,
         "idempotent": (None if report.idempotent is None
-                       else coeffs_to_json(report.idempotent.coeffs)),
+                       else coeffs_to_json(report.idempotent)),
     })
 
 
@@ -669,7 +659,7 @@ def main(args=None, prog_name: str | None = None):
         code = 3
     except KeyboardInterrupt:
         sys.stderr.write("\nAborted!\n")
-        code = 1
+        code = 130
     sys.exit(code or 0)
 
 

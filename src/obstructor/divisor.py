@@ -25,12 +25,11 @@ from .errors import (
     PolynomialSyntaxError,
 )
 from .linalg import ratio
+# The largest number of factors r is the vertex cap of a graph, since r
+# counts the curves in the product.
+from .obstruction import MAX_VERTICES as MAX_FACTORS
 
 _ZERO = Fraction(0)
-
-# The largest number of factors r: the same cap as obstruction.MAX_VERTICES,
-# since r counts the curves in the product.
-MAX_FACTORS = 64
 
 # The bit budget of contains_double_fiber (see there).
 FIBER_BITS = 1 << 21

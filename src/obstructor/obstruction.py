@@ -36,6 +36,7 @@ from .algebra import (
     MAX_DIM,
     AlgElement,
     DMatrix,
+    Rule,
     StructureAlgebra,
     invert_element,
     matrix_rule,
@@ -51,7 +52,6 @@ from .errors import (
     MapValidationError,
 )
 from .linalg import (
-    Echelon,
     Subspace,
     Vec,
     echelonize,
@@ -220,10 +220,10 @@ def loop_oracle(graph: ObstructionGraph, vertex: int, max_len: int) -> Subspace:
 
 @dataclass(frozen=True)
 class CornerReport:
-    """Whether a subspace of a unital algebra is a corner p*A*p."""
+    """Whether a span is a corner p*A*p, with the coefficients of p if so."""
 
     is_corner: bool
-    idempotent: Optional[AlgElement]
+    idempotent: Optional[Vec]
     factor_dim: Optional[int]
     is_full: bool
     is_zero: bool
@@ -238,41 +238,41 @@ class ObstructionVerdict:
                        "generated span unchanged")
 
 
-def corner_detect(e_span: Subspace, algebra: StructureAlgebra) -> CornerReport:
-    """Decide whether ``e_span`` equals p * algebra * p for an idempotent p.
+def corner_detect(e_span: Subspace, rule: Rule, scale: int,
+                  unit: Optional[Vec]) -> CornerReport:
+    """Decide whether ``e_span`` equals p * A * p for an idempotent p of the
+    algebra A with the integer product ``rule``, its ``scale`` and ``unit``.
 
     Algorithm: the zero span is the corner of p = 0. Otherwise solve the
     linear system for a left unit e of the span; without one the span is not
     a corner. Such an e lies in the span, so it is idempotent. A corner's
     unit is two-sided, so e must also be a right unit. The two unit checks
-    give v = e * v * e for every v in the span, so the span lies in
-    e * algebra * e = span{e * b_k * e} over the algebra basis, and the
-    dimension count alone decides equality.
+    give v = e * v * e for every v in the span, so the span lies in e * A * e,
+    and the dimension count alone decides equality: x -> e * x * e is
+    idempotent, so dim(e * A * e) is its trace.
 
     All products run on the integer kernel. ``a * b`` denotes the product
-    under ``algebra.rule``, ``D = algebra.scale`` times the true one. The
-    span basis vectors u_t are taken as their primitive integer rows p_t, so
-    that u_t = l_t p_t with l_t > 0. For e = sum_s y_s p_s the left-unit
-    system reads ``sum_s y_s (p_s * p_t) = D p_t``. Writing e = z / m with z
-    integer, the right-unit check reads ``p_t * z = D m p_t``, and the
-    corner is spanned by the integer vectors ``z * (b_k * z)``.
+    under ``rule``, ``D = scale`` times the true one. The span basis vectors
+    u_t are taken as their primitive integer rows p_t, so that u_t = l_t p_t
+    with l_t > 0. For e = sum_s y_s p_s the left-unit system reads
+    ``sum_s y_s (p_s * p_t) = D p_t``. Writing e = z / m with z integer, the
+    right-unit check reads ``p_t * z = D m p_t``, and the trace reads
+    ``sum_k (z * (b_k * z))[k] = (D m)^2 dim(e * A * e)``.
     """
-    n = algebra.dim
+    if unit is None:
+        raise AlgebraValidationError("corner detection needs a unital algebra")
+    n = len(unit)
     if e_span.ambient_dim != n:
         raise DimensionMismatchError(
             f"subspace ambient {e_span.ambient_dim} does not match algebra dim {n}")
-    if algebra.unit is None:
-        raise AlgebraValidationError("corner detection needs a unital algebra")
     if e_span.dim == 0:
-        return CornerReport(is_corner=True, idempotent=algebra.zero(),
+        return CornerReport(is_corner=True, idempotent=(_ZERO,) * n,
                             factor_dim=0, is_full=False, is_zero=True)
     if e_span.is_full():
-        return CornerReport(is_corner=True, idempotent=algebra.one(),
+        return CornerReport(is_corner=True, idempotent=unit,
                             factor_dim=n, is_full=True, is_zero=False)
     not_corner = CornerReport(is_corner=False, idempotent=None, factor_dim=None,
                               is_full=False, is_zero=False)
-    rule = algebra.rule
-    scale = algebra.scale
     basis = [primitive(v) for v in e_span.basis]
     d = len(basis)
     # Solve the left-unit system only. When a two-sided unit u exists, any
@@ -300,15 +300,23 @@ def corner_detect(e_span: Subspace, algebra: StructureAlgebra) -> CornerReport:
     if any(rule_product(rule, v, z, n, 0) != tuple(dm * x for x in v)
            for v in basis):
         return not_corner
-    corner = Echelon(n)
+    trace = 0
     for k in range(n):
         bk = tuple(int(t == k) for t in range(n))
-        corner.add(rule_product(rule, z, rule_product(rule, bk, z, n, 0), n, 0))
-        if corner.dim > d:
-            return not_corner
+        trace += rule_product(rule, z, rule_product(rule, bk, z, n, 0), n, 0)[k]
+    if trace != d * dm * dm:
+        return not_corner
     # e = 1 would give the whole algebra, refused above since d < n.
-    return CornerReport(is_corner=True, idempotent=AlgElement(algebra, tuple(e)),
-                        factor_dim=d, is_full=False, is_zero=False)
+    return CornerReport(is_corner=True, idempotent=tuple(e), factor_dim=d,
+                        is_full=False, is_zero=False)
+
+
+def loop_corner(span: Subspace, base: StructureAlgebra, g: int) -> CornerReport:
+    """:func:`corner_detect` for a loop span at a vertex of size ``g``, on
+    the product rule of M_g(base) and the identity matrix, so that M_g(base)
+    itself is never built."""
+    return corner_detect(span, matrix_rule(base, g, g, g), base.scale,
+                         DMatrix.identity(base, g).coeffs)
 
 
 def flag_nonliftable(report: CornerReport, base_is_ramified: bool) -> ObstructionVerdict:

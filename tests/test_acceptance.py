@@ -43,6 +43,7 @@ from obstructor.obstruction import (
     corner_detect,
     flag_nonliftable,
     loop_oracle,
+    path_span_table,
     pullback_transform,
     specialize_transform,
     transport_span,
@@ -163,7 +164,7 @@ def test_criterion_4_main_construction(g, p):
     graph = build_r3_graph(g, p, seed=0)
     span = compute_obstruction(graph, 1)
     end_alg = matrix_algebra(graph.base, g)
-    report = corner_detect(span, end_alg)
+    report = corner_detect(span, end_alg.rule, end_alg.scale, end_alg.unit)
     verdict = flag_nonliftable(report, True)
     x = graph.edges[(1, 2)]
     closure = subrng_closure(end_alg, [
@@ -193,7 +194,7 @@ def test_criterion_5_albert_construction():
     ok &= loop_1421.coeffs == x.coeffs
     ok &= loop_1431.coeffs == y.coeffs
     ok &= span.dim == 16 and span.is_full()
-    ok &= corner_detect(span, end_alg).is_full
+    ok &= corner_detect(span, end_alg.rule, end_alg.scale, end_alg.unit).is_full
     ok &= generates_fully(end_alg, [end_alg.one(), end_alg.element(x.coeffs),
                                     end_alg.element(y.coeffs)])
     _report(5, ok, "four-vertex construction (g=2, p=2): loops give {1, x, y} "
@@ -230,15 +231,19 @@ def test_criterion_6_pullback_law():
                   for v in range(1, graph.r + 1)]
         lifted = pullback_transform(graph, covers)
         law_holds = True
+        spans = path_span_table(graph).spans
+        lifted_spans = path_span_table(lifted).spans
         for v in range(1, graph.r + 1):
-            span = compute_obstruction(graph, v)
-            lifted_span = compute_obstruction(lifted, v)
+            span = spans[(v, v)]
+            lifted_span = lifted_spans[(v, v)]
             transported = transport_span(covers[v - 1], span, graph.size(v))
             law_holds &= transported == lifted_span
-            report = corner_detect(span, matrix_algebra(base, graph.size(v)))
+            alg = matrix_algebra(base, graph.size(v))
+            report = corner_detect(span, alg.rule, alg.scale, alg.unit)
             if report.is_corner:
-                lifted_report = corner_detect(lifted_span,
-                                              matrix_algebra(base, lifted.size(v)))
+                alg = matrix_algebra(base, lifted.size(v))
+                lifted_report = corner_detect(lifted_span, alg.rule, alg.scale,
+                                              alg.unit)
                 ok &= lifted_report.is_corner
                 corners_checked += 1
         if law_holds:

@@ -386,15 +386,16 @@ def test_is_prime_exact_below_the_base_41_bound():
             factorint(n)
 
 
+# 73 is the smallest prime = 1 mod 8 at which q walks past 3 (to 7).
 @pytest.mark.parametrize("p,params", [
-    (2, (-1, -1)), (3, (-1, -3)), (5, (-2, -5)),
+    (2, (-1, -1)), (3, (-1, -3)), (5, (-2, -5)), (73, (-7, -73)),
 ])
 def test_quaternion_for_prime_standard_parameters(p, params):
     alg = quaternion_for_prime(p)
     assert alg.quaternion_params == (F(params[0]), F(params[1]))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 73])
 def test_quaternion_for_prime_ramified_exactly_there(p):
     alg = quaternion_for_prime(p)
     a, b = alg.quaternion_params

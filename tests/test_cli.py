@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from cli_runner import CliRunner
 from obstructor.cli import main
 from obstructor.linalg import MAX_DIGITS
 from obstructor.serialize import dump_json, graph_to_json
-from obstructor.witness import MAX_TRIES, build_r3_graph
+from obstructor.witness import MAX_TRIES, build_r3_graph, verify_identity_chain
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +126,7 @@ def _block_graph_json() -> str:
     return dump_json(payload)
 
 
-def test_obstruction_builds_the_matrix_algebra_only_for_a_partial_span(
+def test_obstruction_never_builds_the_matrix_algebra(
         runner, tmp_path, monkeypatch, r3_graph_file):
     import obstructor.cli as cli
 
@@ -145,7 +146,7 @@ def test_obstruction_builds_the_matrix_algebra_only_for_a_partial_span(
         assert res.exit_code == 0, res.output
         reports[name] = (json.loads(res.output), list(built))
     zero, full, block = reports["zero"], reports["full"], reports["block"]
-    assert zero[1] == [] and full[1] == [] and block[1] == [3]
+    assert zero[1] == [] and full[1] == [] and block[1] == []
     assert zero[0]["idempotent"] == ["0"] * 36 and zero[0]["factor_dim"] == 0
     assert full[0]["idempotent"] == [str(int(r == c and t == 0))
                                      for r in range(2) for c in range(2) for t in range(4)]
@@ -675,6 +676,32 @@ def test_exit_code_routes(runner, tmp_path, monkeypatch, argv, files, code):
         assert res.stderr.startswith("Error:") or "\nError:" in res.stderr
     if code == 3:
         assert res.stderr == "Error: internal error (RuntimeError): injected fault\n"
+
+
+def test_an_interrupt_exits_130(runner, monkeypatch, r3_graph_file):
+    """Ctrl-C exits 128 + SIGINT, not 1, the code of a failed verification."""
+    def interrupt(graph):
+        raise KeyboardInterrupt
+    monkeypatch.setattr("obstructor.cli.path_span_table", interrupt)
+    res = runner.invoke(main, ["obstruction", "--graph", r3_graph_file, "--vertex", "1"])
+    assert res.exit_code == 130 and res.stdout == ""
+    assert res.stderr == "\nAborted!\n"
+
+
+def test_verify_fails_on_an_undocumented_identity(runner, monkeypatch):
+    """An identity outside DOCUMENTED_DISCREPANCIES that does not hold is a
+    FAIL, and fails verify with exit 1 without --strict."""
+    def broken(g):
+        rep = verify_identity_chain(g)
+        first = replace(rep.identities[0], holds=False)
+        return replace(rep, identities=(first, *rep.identities[1:]))
+    monkeypatch.setattr("obstructor.cli.verify_identity_chain", broken)
+    res = runner.invoke(main, ["verify", "--g", "2", "--p", "2"])
+    assert res.exit_code == 1
+    report = json.loads(res.stdout)
+    statuses = {i["name"]: i["status"] for i in report["chain"]["identities"]}
+    assert statuses["x_pow_2g_minus_1"] == "FAIL" and statuses["ab"] == "PASS"
+    assert report["status"] == "FAIL"
 
 
 # -- front end: parse errors, help, start-up -------------------------------------

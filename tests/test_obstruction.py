@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from obstructor.algebra import (
-    AlgElement,
     DMatrix,
+    make_algebra,
     matrix_algebra,
     matrix_rule,
     matrix_unit,
@@ -14,7 +14,7 @@ from obstructor.algebra import (
     rationals,
     reduced_norm,
 )
-from obstructor.closure import subrng_closure
+from obstructor.closure import stabilized_word_span, subrng_closure
 from obstructor.errors import (
     AlgebraValidationError,
     CoverValidationError,
@@ -40,7 +40,13 @@ from obstructor.obstruction import (
     specialize_transform,
     transport_span,
 )
-from obstructor.witness import build_r3_graph
+from obstructor.witness import (
+    build_r3_graph,
+    build_r4_graph,
+    random_rosati_generator,
+    random_two_generators,
+    verify_identity_chain,
+)
 
 D2 = quaternion_for_prime(2)
 M2Q = matrix_algebra(rationals(), 2)
@@ -130,11 +136,20 @@ def test_edge_shape_validation():
     (lambda: ObstructionGraph(D2, (2.9, 1), {}), GraphValidationError),
     (lambda: ObstructionGraph(D2, (2, True), {}), GraphValidationError),
     (lambda: ObstructionGraph(D2, (2, "1"), {}), GraphValidationError),
-    (lambda: corner_detect(echelonize([], ambient_dim=3), M2Q),
+    (lambda: corner_detect(echelonize([], ambient_dim=3), M2Q.rule, M2Q.scale, M2Q.unit),
      DimensionMismatchError),
+    (lambda: stabilized_word_span(M2Q, [M2Q.one()], max_len=0), ValueError),
+    (lambda: verify_identity_chain(1), AlgebraValidationError),
+    (lambda: build_r3_graph(1, 2), AlgebraValidationError),
+    (lambda: build_r4_graph(0, 2), AlgebraValidationError),
+    (lambda: random_rosati_generator(make_algebra(1, [[(1,)]], unit=(1,))),
+     AlgebraValidationError),
+    (lambda: random_two_generators(make_algebra(1, [[(1,)]], involution=((1,),))),
+     AlgebraValidationError),
 ], ids=["compose-across-bases", "compose-shapes", "edge-over-another-base",
         "hom-map-to-itself", "float-size", "bool-size", "string-size",
-        "corner-ambient-mismatch"])
+        "corner-ambient-mismatch", "word-span-max-len-0", "chain-g1", "r3-g1",
+        "r4-g0", "rosati-search-without-involution", "two-generators-without-unit"])
 def test_library_guards(call, exc_type):
     with pytest.raises(exc_type) as exc:
         call()
@@ -171,8 +186,9 @@ def test_rule_cache_holds_one_rule_per_shape():
     base = graph.base
     end = matrix_algebra(base, 3)
     path_span_table(graph)
-    corner_detect(compute_obstruction(graph, 1), end)
-    corner_detect(echelonize([matrix_unit(end, 1, 1).coeffs]), end)
+    corner_detect(compute_obstruction(graph, 1), end.rule, end.scale, end.unit)
+    corner_detect(echelonize([matrix_unit(end, 1, 1).coeffs]), end.rule, end.scale,
+                  end.unit)
     assert matrix_rule(base, 3, 3, 3) is end.rule
 
 
@@ -213,44 +229,47 @@ def test_loop_oracle_requires_two_edges():
 
 def test_corner_e11():
     M2 = matrix_algebra(rationals(), 2)
-    rep = corner_detect(echelonize([matrix_unit(M2, 1, 1).coeffs]), M2)
+    rep = corner_detect(echelonize([matrix_unit(M2, 1, 1).coeffs]), M2.rule, M2.scale,
+                        M2.unit)
     assert rep.is_corner and rep.factor_dim == 1 and not rep.is_full
-    assert rep.idempotent == matrix_unit(M2, 1, 1)
+    assert rep.idempotent == matrix_unit(M2, 1, 1).coeffs
 
 
 def test_corner_e12_is_not():
     M2 = matrix_algebra(rationals(), 2)
-    rep = corner_detect(echelonize([matrix_unit(M2, 1, 2).coeffs]), M2)
+    rep = corner_detect(echelonize([matrix_unit(M2, 1, 2).coeffs]), M2.rule, M2.scale,
+                        M2.unit)
     assert not rep.is_corner and rep.idempotent is None
 
 
 def test_corner_full_algebra():
     M2 = matrix_algebra(rationals(), 2)
-    rep = corner_detect(echelonize([M2.basis_vector(t) for t in range(4)]), M2)
+    rep = corner_detect(echelonize([M2.basis_vector(t) for t in range(4)]), M2.rule,
+                        M2.scale, M2.unit)
     assert rep.is_corner and rep.is_full and rep.factor_dim == 4
 
 
 def test_corner_zero_span():
     M2 = matrix_algebra(rationals(), 2)
-    rep = corner_detect(echelonize([], ambient_dim=4), M2)
+    rep = corner_detect(echelonize([], ambient_dim=4), M2.rule, M2.scale, M2.unit)
     assert rep.is_corner and rep.is_zero and rep.factor_dim == 0
-    assert rep.idempotent.is_zero()
+    assert not any(rep.idempotent)
 
 
 def test_corner_unit_with_strictly_smaller_span():
     # span{1, i} in the quaternions has unit 1, but 1*D*1 = D is bigger:
     # equality is required, so this is not a corner.
     E = echelonize([HAMILTON.one().coeffs, HAMILTON.basis_element(1).coeffs])
-    rep = corner_detect(E, HAMILTON)
+    rep = corner_detect(E, HAMILTON.rule, HAMILTON.scale, HAMILTON.unit)
     assert not rep.is_corner
 
 
 def test_corner_two_by_two_block():
     M3 = matrix_algebra(rationals(), 3)
     vecs = [matrix_unit(M3, r, c).coeffs for r in (1, 2) for c in (1, 2)]
-    rep = corner_detect(echelonize(vecs), M3)
+    rep = corner_detect(echelonize(vecs), M3.rule, M3.scale, M3.unit)
     assert rep.is_corner and rep.factor_dim == 4 and not rep.is_full
-    assert rep.idempotent == matrix_unit(M3, 1, 1) + matrix_unit(M3, 2, 2)
+    assert rep.idempotent == (matrix_unit(M3, 1, 1) + matrix_unit(M3, 2, 2)).coeffs
 
 
 def test_corner_recovers_constructed_idempotents():
@@ -273,8 +292,8 @@ def test_corner_recovers_constructed_idempotents():
         span = echelonize(
             [M2.mul_coeffs(M2.mul_coeffs(p.coeffs, M2.basis_vector(k)), p.coeffs)
              for k in range(4)], ambient_dim=4)
-        rep = corner_detect(span, M2)
-        assert rep.is_corner and rep.idempotent == p
+        rep = corner_detect(span, M2.rule, M2.scale, M2.unit)
+        assert rep.is_corner and rep.idempotent == p.coeffs
         assert rep.factor_dim == span.dim
 
 
@@ -284,16 +303,17 @@ def test_corner_factor_dim_in_quaternionic_matrix_algebra():
     span = echelonize(
         [M2D.mul_coeffs(M2D.mul_coeffs(e11.coeffs, M2D.basis_vector(k)), e11.coeffs)
          for k in range(16)], ambient_dim=16)
-    rep = corner_detect(span, M2D)
-    assert rep.is_corner and rep.idempotent == e11 and rep.factor_dim == 4
+    rep = corner_detect(span, M2D.rule, M2D.scale, M2D.unit)
+    assert rep.is_corner and rep.idempotent == e11.coeffs and rep.factor_dim == 4
 
 
 def test_flag_verdicts():
     M2 = matrix_algebra(D2, 1)
-    full = corner_detect(echelonize([M2.basis_vector(t) for t in range(4)]), M2)
+    full = corner_detect(echelonize([M2.basis_vector(t) for t in range(4)]), M2.rule,
+                         M2.scale, M2.unit)
     assert flag_nonliftable(full, True).verdict == "OBSTRUCTED"
     assert flag_nonliftable(full, False).verdict == "NOT-OBSTRUCTED"
-    zero = corner_detect(echelonize([], ambient_dim=4), M2)
+    zero = corner_detect(echelonize([], ambient_dim=4), M2.rule, M2.scale, M2.unit)
     assert flag_nonliftable(zero, True).verdict == "NOT-OBSTRUCTED"
     non = CornerReport(is_corner=False, idempotent=None, factor_dim=None,
                        is_full=False, is_zero=False)
@@ -522,9 +542,10 @@ def test_power_scaling_invariance():
     span = compute_obstruction(g, 1)
     for m in (2, 3, 7):
         assert compute_obstruction(scale_edges(g, m), 1) == span
-    rep = corner_detect(span, matrix_algebra(D2, g.size(1)))
+    alg = matrix_algebra(D2, g.size(1))
+    rep = corner_detect(span, alg.rule, alg.scale, alg.unit)
     rep_scaled = corner_detect(compute_obstruction(scale_edges(g, 5), 1),
-                               matrix_algebra(D2, g.size(1)))
+                               alg.rule, alg.scale, alg.unit)
     assert flag_nonliftable(rep, True).verdict == \
         flag_nonliftable(rep_scaled, True).verdict
 
@@ -538,9 +559,9 @@ def _reference_corner(e_span, algebra):
     with span{e * b_k * e}."""
     n = algebra.dim
     if e_span.dim == 0:
-        return CornerReport(True, algebra.zero(), 0, False, True)
+        return CornerReport(True, algebra.zero().coeffs, 0, False, True)
     if e_span.is_full():
-        return CornerReport(True, algebra.one(), n, True, False)
+        return CornerReport(True, algebra.unit, n, True, False)
     no = CornerReport(False, None, None, False, False)
     basis = e_span.basis
     mulc = algebra.mul_coeffs
@@ -560,7 +581,7 @@ def _reference_corner(e_span, algebra):
                          for k in range(n)], ambient_dim=n)
     if corner != e_span:
         return no
-    return CornerReport(True, AlgElement(algebra, e), e_span.dim,
+    return CornerReport(True, e, e_span.dim,
                         e == algebra.unit, False)
 
 
@@ -670,7 +691,7 @@ def _corner_cases():
 def test_corner_detect_matches_fraction_kernel_seeded():
     outcomes = []
     for t, (span, alg) in enumerate(_corner_cases()):
-        rep = corner_detect(span, alg)
+        rep = corner_detect(span, alg.rule, alg.scale, alg.unit)
         assert rep == _reference_corner(span, alg), t
         outcomes.append((rep.is_corner, rep.is_zero, rep.is_full))
     assert len(outcomes) >= 200

@@ -119,7 +119,7 @@ def test_build_r3_graph_full_obstruction():
     span = compute_obstruction(g, 1)
     assert span.dim == 16
     end_alg = matrix_algebra(g.base, 2)
-    rep = corner_detect(span, end_alg)
+    rep = corner_detect(span, end_alg.rule, end_alg.scale, end_alg.unit)
     assert rep.is_full
     assert flag_nonliftable(rep, True).verdict == "OBSTRUCTED"
 
@@ -145,7 +145,8 @@ def test_build_r4_graph_full_for_g2():
     g = build_r4_graph(2, 2, seed=0)
     span = compute_obstruction(g, 1)
     assert span.dim == 16
-    rep = corner_detect(span, matrix_algebra(g.base, 2))
+    alg = matrix_algebra(g.base, 2)
+    rep = corner_detect(span, alg.rule, alg.scale, alg.unit)
     assert rep.is_full
 
 
