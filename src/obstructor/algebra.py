@@ -18,7 +18,6 @@ over a quaternion algebra (``DMatrix``) with the dagger-transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -299,18 +298,35 @@ class StructureAlgebra:
         return f"StructureAlgebra(dim={self.dim})"
 
 
-@dataclass(frozen=True)
+def _refuse_assignment(self, name, *_):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+
 class AlgElement:
-    """Element of a :class:`StructureAlgebra` as a coefficient vector."""
+    """Element of a :class:`StructureAlgebra` as a coefficient vector.
 
-    algebra: StructureAlgebra
-    coeffs: Vec
+    Immutable; equal to another element of the same algebra (by identity)
+    with the same coefficients, and hashed to match.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.algebra.dim:
+    __slots__ = ("algebra", "coeffs")
+
+    def __init__(self, algebra: StructureAlgebra, coeffs: Vec):
+        if len(coeffs) != algebra.dim:
             raise DimensionMismatchError(
-                f"{len(self.coeffs)} coefficients in a dim-{self.algebra.dim} algebra"
-            )
+                f"{len(coeffs)} coefficients in a dim-{algebra.dim} algebra")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgElement):
+            return NotImplemented
+        return self.algebra is other.algebra and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.algebra, self.coeffs))
 
     def _require_same(self, other: "AlgElement"):
         if self.algebra is not other.algebra:
@@ -690,7 +706,6 @@ def matrix_unit(alg: StructureAlgebra, r: int, c: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DMatrix:
     """Rectangular matrix over an involutive base algebra.
 
@@ -698,21 +713,37 @@ class DMatrix:
     n-factor object to the m-factor one. ``coeffs`` is the row-major
     flattening with the base coefficients innermost, the layout of
     :func:`matrix_rule`, so composition is one :func:`rule_product` call.
+    Immutable and compared by value like :class:`AlgElement`.
     """
 
-    base: StructureAlgebra
-    rows: int
-    cols: int
-    coeffs: Vec
+    __slots__ = ("base", "rows", "cols", "coeffs")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, base: StructureAlgebra, rows: int, cols: int, coeffs: Vec):
+        if rows < 1 or cols < 1:
             raise DimensionMismatchError("DMatrix needs at least one row and column")
-        d = self.base.dim
-        if len(self.coeffs) != self.rows * self.cols * d:
+        d = base.dim
+        if len(coeffs) != rows * cols * d:
             raise DimensionMismatchError(
-                f"flat length {len(self.coeffs)} does not match "
-                f"({self.rows},{self.cols}) over dim-{d} base")
+                f"flat length {len(coeffs)} does not match "
+                f"({rows},{cols}) over dim-{d} base")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if not isinstance(other, DMatrix):
+            return NotImplemented
+        return (self.base is other.base and self.rows == other.rows
+                and self.cols == other.cols and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.base, self.rows, self.cols, self.coeffs))
+
+    def __repr__(self):
+        return f"DMatrix(rows={self.rows}, cols={self.cols}, base_dim={self.base.dim})"
 
     def _entry(self, r: int, c: int) -> Vec:
         d = self.base.dim
@@ -763,7 +794,8 @@ class DMatrix:
 
     def __mul__(self, other) -> "DMatrix":
         c = ratio(other)
-        return replace(self, coeffs=tuple(a * c for a in self.coeffs))
+        return DMatrix(self.base, self.rows, self.cols,
+                       tuple(a * c for a in self.coeffs))
 
     def __matmul__(self, other: "DMatrix") -> "DMatrix":
         if self.base is not other.base:

@@ -75,9 +75,8 @@ not full proves nothing, and the caller falls back to the exact path:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import AlgElement, Rule, StructureAlgebra, rule_product
 from .errors import AlgebraValidationError
@@ -352,8 +351,7 @@ def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
     return ech, length
 
 
-@dataclass(frozen=True)
-class SubrngResult:
+class SubrngResult(NamedTuple):
     """Outcome of a subrng closure: the span, the generators, and the number
     of product rounds that enlarged the span."""
 

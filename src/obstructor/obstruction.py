@@ -27,10 +27,9 @@ the paths from the vertex edge by edge and reads off the loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebra import (
     MAX_DIM,
@@ -151,8 +150,7 @@ class ObstructionGraph:
                 f"edges={sorted(self.edges)})")
 
 
-@dataclass(frozen=True)
-class PathSpanTable:
+class PathSpanTable(NamedTuple):
     """Least fixed point of the path-span iteration.
 
     ``spans[(a, b)]`` is the subspace of the (g_a, g_b) hom coefficient space
@@ -218,8 +216,7 @@ def loop_oracle(graph: ObstructionGraph, vertex: int, max_len: int) -> Subspace:
 # -- corner detection and verdicts --------------------------------------------
 
 
-@dataclass(frozen=True)
-class CornerReport:
+class CornerReport(NamedTuple):
     """Whether a span is a corner p*A*p, with the coefficients of p if so."""
 
     is_corner: bool
@@ -229,8 +226,7 @@ class CornerReport:
     is_zero: bool
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(NamedTuple):
     verdict: str  # OBSTRUCTED | NOT-OBSTRUCTED | INCONCLUSIVE
     reason: str
     power_note: str = ("every positive tensor power shares this verdict: "
@@ -238,10 +234,12 @@ class ObstructionVerdict:
                        "generated span unchanged")
 
 
-def corner_detect(e_span: Subspace, rule: Rule, scale: int,
-                  unit: Optional[Vec]) -> CornerReport:
+def corner_detect(e_span: Subspace, rule: Union[Rule, Callable[[], Rule]],
+                  scale: int, unit: Optional[Vec]) -> CornerReport:
     """Decide whether ``e_span`` equals p * A * p for an idempotent p of the
     algebra A with the integer product ``rule``, its ``scale`` and ``unit``.
+    ``rule`` may also be a function of no arguments that builds the rule: it
+    is called only for a partial span, the one case that takes products.
 
     Algorithm: the zero span is the corner of p = 0. Otherwise solve the
     linear system for a left unit e of the span; without one the span is not
@@ -271,6 +269,8 @@ def corner_detect(e_span: Subspace, rule: Rule, scale: int,
     if e_span.is_full():
         return CornerReport(is_corner=True, idempotent=unit,
                             factor_dim=n, is_full=True, is_zero=False)
+    if callable(rule):
+        rule = rule()
     not_corner = CornerReport(is_corner=False, idempotent=None, factor_dim=None,
                               is_full=False, is_zero=False)
     basis = [primitive(v) for v in e_span.basis]
@@ -314,8 +314,8 @@ def corner_detect(e_span: Subspace, rule: Rule, scale: int,
 def loop_corner(span: Subspace, base: StructureAlgebra, g: int) -> CornerReport:
     """:func:`corner_detect` for a loop span at a vertex of size ``g``, on
     the product rule of M_g(base) and the identity matrix, so that M_g(base)
-    itself is never built."""
-    return corner_detect(span, matrix_rule(base, g, g, g), base.scale,
+    itself is never built. The rule is built only for a partial span."""
+    return corner_detect(span, lambda: matrix_rule(base, g, g, g), base.scale,
                          DMatrix.identity(base, g).coeffs)
 
 
@@ -345,8 +345,7 @@ def flag_nonliftable(report: CornerReport, base_is_ramified: bool) -> Obstructio
 # -- pullback ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(NamedTuple):
     """Cover datum at one vertex: iota (g' x g), pi (g x g'), degree >= 1 with
     pi @ iota = degree * identity and pi proportional to dagger(iota)."""
 

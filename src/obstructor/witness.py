@@ -17,8 +17,7 @@ it, and the graph builders consume what they find.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .algebra import (
     AlgElement,
@@ -57,8 +56,7 @@ def _unit_sum(model: StructureAlgebra, positions, sign=1) -> AlgElement:
     return out
 
 
-@dataclass(frozen=True)
-class ChainIdentity:
+class ChainIdentity(NamedTuple):
     name: str
     holds: bool
     computed: str
@@ -66,8 +64,7 @@ class ChainIdentity:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     g: int
     identities: tuple[ChainIdentity, ...]
     generation: SubrngResult  # closure of {x, dagger(x)} in the split model
@@ -140,8 +137,7 @@ def verify_identity_chain(g: int) -> ChainReport:
 MAX_TRIES = 10_000
 
 
-@dataclass(frozen=True)
-class GeneratorSearch:
+class GeneratorSearch(NamedTuple):
     element: Optional[AlgElement]
     tries: int
     seed: int

@@ -6,6 +6,7 @@ import pytest
 
 from obstructor.algebra import (
     INF,
+    AlgElement,
     DMatrix,
     element_to_dmatrix,
     dmatrix_to_element,
@@ -522,6 +523,56 @@ def test_element_dmatrix_reshape_consistency():
         # basis element and on a random element
         for e in [M.basis_element(t) for t in range(M.dim)] + [x]:
             assert e.dagger().coeffs == element_to_dmatrix(e).dagger_transpose().coeffs
+
+
+def test_elements_compare_by_algebra_identity_and_coefficients():
+    D = quaternion_for_prime(3)
+    x, y = D.element((1, 2, 0, -1)), D.element((1, 2, 0, -1))
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x != D.element((1, 2, 0, 1))
+    # The same coefficients in another algebra of the same dimension differ,
+    # even when both algebras have the same constants.
+    assert x != quaternion_for_prime(2).element((1, 2, 0, -1))
+    q1, q2 = (make_algebra(1, [[(1,)]], unit=(1,)) for _ in range(2))
+    assert q1 is not q2 and q1.one() != q2.one()
+    assert (x == x.coeffs) is False and (x == 1) is False
+
+
+def test_dmatrices_compare_by_value():
+    D = quaternion_for_prime(3)
+    m = DMatrix.from_flat(D, 1, 2, range(8))
+    assert m == DMatrix.from_flat(D, 1, 2, range(8))
+    assert hash(m) == hash(DMatrix.from_flat(D, 1, 2, range(8)))
+    assert m != DMatrix.from_flat(D, 2, 1, range(8))
+    assert m * 2 == DMatrix.from_flat(D, 1, 2, range(0, 16, 2))
+    assert m != m.coeffs
+    assert repr(m) == "DMatrix(rows=1, cols=2, base_dim=4)"
+
+
+@pytest.mark.parametrize("value", [
+    lambda D: D.element((1, 0, 0, 0)),
+    lambda D: DMatrix.identity(D, 2),
+])
+def test_elements_and_dmatrices_refuse_assignment(value):
+    D = quaternion_for_prime(3)
+    v = value(D)
+    for name in v.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(v, name, getattr(v, name))
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    with pytest.raises(AttributeError):
+        v.extra = 1
+
+
+def test_wrong_coefficient_counts_are_refused():
+    D = quaternion_for_prime(3)
+    with pytest.raises(DimensionMismatchError):
+        AlgElement(D, (F(1),) * 3)
+    with pytest.raises(DimensionMismatchError):
+        DMatrix(D, 2, 2, (F(0),) * 15)
+    with pytest.raises(DimensionMismatchError):
+        DMatrix(D, 0, 2, ())
 
 
 def test_rectangular_compose_matches_entrywise_product():

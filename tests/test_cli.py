@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -693,8 +692,8 @@ def test_verify_fails_on_an_undocumented_identity(runner, monkeypatch):
     FAIL, and fails verify with exit 1 without --strict."""
     def broken(g):
         rep = verify_identity_chain(g)
-        first = replace(rep.identities[0], holds=False)
-        return replace(rep, identities=(first, *rep.identities[1:]))
+        first = rep.identities[0]._replace(holds=False)
+        return rep._replace(identities=(first, *rep.identities[1:]))
     monkeypatch.setattr("obstructor.cli.verify_identity_chain", broken)
     res = runner.invoke(main, ["verify", "--g", "2", "--p", "2"])
     assert res.exit_code == 1
@@ -793,3 +792,17 @@ def test_importing_the_cli_loads_only_the_standard_library():
     assert "obstructor.cli" in loaded
     assert [name for name in loaded if name.split(".")[0] != "obstructor"
             and name.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_importing_the_cli_skips_the_slow_standard_modules():
+    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``,
+    most of the package's start-up; records are ``NamedTuple``s instead."""
+    code = ("import sys; before = set(sys.modules); import obstructor.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(sys.modules[main.__module__].__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env=dict(os.environ, PYTHONPATH=path)).stdout.split()
+    assert "obstructor.cli" in loaded
+    slow = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert slow.isdisjoint(loaded)

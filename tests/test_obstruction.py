@@ -22,16 +22,18 @@ from obstructor.errors import (
     GraphValidationError,
     MapValidationError,
 )
-from obstructor.linalg import echelonize, solve_linear
+from obstructor.linalg import Subspace, echelonize, solve_linear
 from obstructor.obstruction import (
     CornerReport,
     Cover,
     ObstructionGraph,
+    ObstructionVerdict,
     SpecializationMap,
     compute_obstruction,
     corner_detect,
     dagger_span,
     flag_nonliftable,
+    loop_corner,
     loop_oracle,
     path_span_table,
     pullback_transform,
@@ -318,6 +320,26 @@ def test_flag_verdicts():
     non = CornerReport(is_corner=False, idempotent=None, factor_dim=None,
                        is_full=False, is_zero=False)
     assert flag_nonliftable(non, True).verdict == "INCONCLUSIVE"
+
+
+def test_a_verdict_carries_the_power_note_by_default():
+    verdict = ObstructionVerdict(verdict="INCONCLUSIVE", reason="r")
+    assert verdict.power_note.startswith("every positive tensor power shares")
+    assert verdict.power_note == flag_nonliftable(
+        corner_detect(Subspace(4), M2Q.rule, M2Q.scale, M2Q.unit), True).power_note
+
+
+def test_loop_corner_builds_the_rule_only_for_a_partial_span(monkeypatch):
+    def refuse(*shape):
+        raise AssertionError("matrix_rule built")
+    monkeypatch.setattr("obstructor.obstruction.matrix_rule", refuse)
+    zero = loop_corner(Subspace(16), D2, 2)
+    assert zero.is_corner and zero.is_zero and not any(zero.idempotent)
+    full = loop_corner(Subspace.full(16), D2, 2)
+    assert full.is_corner and full.is_full and full.factor_dim == 16
+    assert full.idempotent == DMatrix.identity(D2, 2).coeffs
+    with pytest.raises(AssertionError, match="matrix_rule built"):
+        loop_corner(echelonize([matrix_unit(matrix_algebra(D2, 2), 1, 1).coeffs]), D2, 2)
 
 
 # -- pullback ----------------------------------------------------------------------
