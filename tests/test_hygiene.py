@@ -1,13 +1,25 @@
-"""Source hygiene that no installed linter checks: every module-level import
-in the package and the tests is used, every module-level private name of
-the package is referenced somewhere besides its definition, and the package
+"""Source hygiene that no installed linter checks: every file parses at the
+oldest Python that ``pyproject.toml`` admits, every module-level import in
+the package and the tests is used, every module-level private name of the
+package is referenced somewhere besides its definition, and the package
 keeps no mutable module state."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*ROOT.glob("src/obstructor/*.py"), *ROOT.glob("tests/*.py")])
+
+
+def test_every_file_parses_at_the_python_floor():
+    # tomllib needs Python 3.11, above the floor itself, so read it by regex.
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()
+    assert len(FILES) > 10
+    for path in FILES:
+        ast.parse(path.read_text(), filename=str(path),
+                  feature_version=(int(major), int(minor)))
 
 
 def _unused_imports(source: str) -> list[tuple[int, str]]:

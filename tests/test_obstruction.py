@@ -5,6 +5,8 @@ import pytest
 
 from obstructor.algebra import (
     DMatrix,
+    dmatrix_to_element,
+    element_to_dmatrix,
     make_algebra,
     matrix_algebra,
     matrix_rule,
@@ -15,11 +17,13 @@ from obstructor.algebra import (
     reduced_norm,
 )
 from obstructor.closure import stabilized_word_span, subrng_closure
+from obstructor.divisor import MultiHomogPoly
 from obstructor.errors import (
     AlgebraValidationError,
     CoverValidationError,
     DimensionMismatchError,
     GraphValidationError,
+    InhomogeneousTermError,
     MapValidationError,
 )
 from obstructor.linalg import Subspace, echelonize, solve_linear
@@ -126,6 +130,11 @@ def test_edge_shape_validation():
         ObstructionGraph(D2, (1, 1), {(2, 1): DMatrix.identity(D2, 1)})
 
 
+_ONE_EDGE = ObstructionGraph(D2, (1, 1), {(1, 2): DMatrix.identity(D2, 1)})
+_D2_COVER = Cover(DMatrix.identity(D2, 1), DMatrix.identity(D2, 1), 1)
+_Q_COVER = Cover(DMatrix.identity(rationals(), 1), DMatrix.identity(rationals(), 1), 1)
+
+
 @pytest.mark.parametrize("call, exc_type", [
     (lambda: DMatrix.identity(D2, 1) @ DMatrix.identity(rationals(), 1),
      AlgebraValidationError),
@@ -148,10 +157,73 @@ def test_edge_shape_validation():
      AlgebraValidationError),
     (lambda: random_two_generators(make_algebra(1, [[(1,)]], involution=((1,),))),
      AlgebraValidationError),
+    (lambda: ObstructionGraph(make_algebra(1, [[(1,)]], involution=((1,),)), (1, 1), {}),
+     GraphValidationError),
+    (lambda: ObstructionGraph(make_algebra(1, [[(1,)]], unit=(1,)), (1, 1), {}),
+     GraphValidationError),
+    (lambda: pullback_transform(_ONE_EDGE, [_Q_COVER, _Q_COVER]), CoverValidationError),
+    (lambda: pullback_transform(_ONE_EDGE, [
+        Cover(DMatrix.zero(D2, 2, 1), DMatrix.zero(D2, 1, 3), 1), _D2_COVER]),
+     CoverValidationError),
+    (lambda: SpecializationMap.base_linear(D2, [[1, 0, 0]] * 4), MapValidationError),
+    (lambda: SpecializationMap.base_linear(
+        D2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]),
+     MapValidationError),
+    # Conjugation of M_2(Q) by [[1, 1], [0, 1]] is an automorphism, but not
+    # of the transpose involution.
+    (lambda: SpecializationMap.base_linear(
+        M2Q, [[1, -1, 0, 0], [0, 1, 0, 0], [1, -1, 1, -1], [0, 1, 0, 1]]),
+     MapValidationError),
+    (lambda: SpecializationMap.base_conjugation(D2.zero()), MapValidationError),
+    (lambda: SpecializationMap.vertex_conjugation(D2, [DMatrix.identity(rationals(), 1)]),
+     MapValidationError),
+    (lambda: SpecializationMap.vertex_conjugation(D2, [DMatrix.zero(D2, 1, 2)]),
+     MapValidationError),
+    (lambda: specialize_transform(_ONE_EDGE, SpecializationMap.base_conjugation(
+        quaternion_for_prime(3).one())), MapValidationError),
+    (lambda: specialize_transform(_ONE_EDGE, SpecializationMap.vertex_conjugation(
+        D2, [DMatrix.identity(D2, 1)])), MapValidationError),
+    (lambda: specialize_transform(_ONE_EDGE, SpecializationMap.vertex_conjugation(
+        D2, [DMatrix.identity(D2, 1), DMatrix.identity(D2, 2)])), MapValidationError),
+    (lambda: relabel_vertices(_ONE_EDGE, [1, 1]), GraphValidationError),
+    (lambda: make_algebra(0, []), AlgebraValidationError),
+    (lambda: make_algebra(2, {(2, 0): ((0, 1),)}), DimensionMismatchError),
+    (lambda: make_algebra(2, [[(1, 0), (0, 1)]]), DimensionMismatchError),
+    (lambda: make_algebra(2, [[(1, 0)], [(0, 1)]]), DimensionMismatchError),
+    (lambda: make_algebra(1, [[(1,)]], involution=((1,), (1,))), DimensionMismatchError),
+    (lambda: matrix_unit(D2, 1, 1), AlgebraValidationError),
+    (lambda: matrix_unit(M2Q, 1, 3), DimensionMismatchError),
+    (lambda: DMatrix.from_entries(D2, []), DimensionMismatchError),
+    (lambda: DMatrix.from_entries(D2, [[D2.one()], [D2.one(), D2.one()]]),
+     DimensionMismatchError),
+    (lambda: DMatrix.from_entries(D2, [[rationals().one()]]), AlgebraValidationError),
+    (lambda: element_to_dmatrix(D2.one()), AlgebraValidationError),
+    (lambda: dmatrix_to_element(M2Q, DMatrix.identity(rationals(), 3)),
+     AlgebraValidationError),
+    (lambda: D2.one() + quaternion_for_prime(3).one(), AlgebraValidationError),
+    (lambda: D2.one() ** 0, ValueError),
+    (lambda: MultiHomogPoly(1, {((1, 0),): 1, ((2, 0),): 1}), InhomogeneousTermError),
+    (lambda: MultiHomogPoly(1, {((1, 0),): 1}) + MultiHomogPoly(1, {((2, 0),): 1}),
+     InhomogeneousTermError),
+    (lambda: MultiHomogPoly.constant(1, 1) * MultiHomogPoly.constant(2, 1),
+     DimensionMismatchError),
 ], ids=["compose-across-bases", "compose-shapes", "edge-over-another-base",
         "hom-map-to-itself", "float-size", "bool-size", "string-size",
         "corner-ambient-mismatch", "word-span-max-len-0", "chain-g1", "r3-g1",
-        "r4-g0", "rosati-search-without-involution", "two-generators-without-unit"])
+        "r4-g0", "rosati-search-without-involution", "two-generators-without-unit",
+        "graph-base-without-unit", "graph-base-without-involution",
+        "cover-over-another-base", "cover-pi-iota-shapes", "base-map-not-square",
+        "base-map-not-multiplicative", "base-map-breaks-involution",
+        "conjugate-by-non-invertible", "vertex-unit-over-another-base",
+        "vertex-unit-not-square", "specialize-another-base",
+        "specialize-unit-count", "specialize-unit-size", "relabel-non-permutation",
+        "algebra-dim-0", "algebra-index-out-of-range", "algebra-row-count",
+        "algebra-row-length", "algebra-involution-rows", "matrix-unit-no-structure",
+        "matrix-unit-position", "dmatrix-no-rows", "dmatrix-ragged-rows",
+        "dmatrix-entry-outside-base", "element-to-dmatrix-no-structure",
+        "dmatrix-to-element-mismatch", "elements-across-algebras", "power-0",
+        "poly-inhomogeneous-terms", "poly-sum-across-degrees",
+        "poly-product-across-r"])
 def test_library_guards(call, exc_type):
     with pytest.raises(exc_type) as exc:
         call()
