@@ -51,8 +51,19 @@ Place = Union[int, str]
 MAX_DIM = 1024
 
 
-def _sparse(v: Vec) -> Terms:
+def sparse(v: Vec) -> Terms:
     return tuple((k, c) for k, c in enumerate(v) if c)
+
+
+def linear_image(rows: tuple[Terms, ...], x: Vec) -> Vec:
+    """Image of ``x`` under the linear map whose sparse row ``j`` lists the
+    ``(k, c)`` of the image of ``b_j``, such as an algebra's involution."""
+    out = [_ZERO] * len(rows)
+    for j, xj in enumerate(x):
+        if xj:
+            for k, c in rows[j]:
+                out[k] += xj * c
+    return tuple(out)
 
 
 def _coeffs(v, dim: int) -> Vec:
@@ -100,6 +111,10 @@ def _integral_rows(rows) -> tuple[tuple, int]:
                        for t in row) for row in rows), den
 
 
+def _refuse_assignment(self, name, *_):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+
 class StructureAlgebra:
     """Associative Q-algebra with basis ``b_0 .. b_{n-1}`` and exact constants.
 
@@ -110,9 +125,9 @@ class StructureAlgebra:
     It always checks associativity, the unit law and the involution axioms.
     :func:`make_algebra` parses the public layouts into these forms.
 
-    Instances are immutable after construction and compare by identity, so
-    they can key caches; elements carry a reference to their algebra. The
-    named constructors record what they built: ``quaternion_params``,
+    Instances refuse assignment and compare by identity, so they can key
+    caches; elements carry a reference to their algebra. The named
+    constructors record what they built: ``quaternion_params``,
     ``matrix_base`` with ``matrix_size``, and ``is_split_model``.
     """
 
@@ -121,28 +136,32 @@ class StructureAlgebra:
         "quaternion_params", "matrix_base", "matrix_size", "is_split_model",
     )
 
-    def __init__(self, dim: int, rule: Rule, scale: int, unit: Optional[Vec] = None,
-                 inv_terms: Optional[tuple[Terms, ...]] = None, basis_labels=None):
-        self.dim = dim
+    def __init__(self, dim: int, rule: Rule, scale: int, unit: Optional[Vec],
+                 inv_terms: Optional[tuple[Terms, ...]], basis_labels, *,
+                 quaternion_params, matrix_base, matrix_size, is_split_model):
         if basis_labels is None:
             basis_labels = tuple(f"b{t}" for t in range(dim))
         basis_labels = tuple(basis_labels)
         if len(basis_labels) != dim:
             raise DimensionMismatchError("label count does not match dimension")
-        self.basis_labels = basis_labels
-        self.rule = rule
-        self.scale = scale
-        self.unit = unit
-        self.inv_terms = inv_terms
-        self.quaternion_params = None
-        self.matrix_base = None
-        self.matrix_size = None
-        self.is_split_model = False
+        put = object.__setattr__
+        put(self, "dim", dim)
+        put(self, "basis_labels", basis_labels)
+        put(self, "rule", rule)
+        put(self, "scale", scale)
+        put(self, "unit", unit)
+        put(self, "inv_terms", inv_terms)
+        put(self, "quaternion_params", quaternion_params)
+        put(self, "matrix_base", matrix_base)
+        put(self, "matrix_size", matrix_size)
+        put(self, "is_split_model", is_split_model)
         self._check_associativity()
         if unit is not None:
             self._check_unit()
         if inv_terms is not None:
             self._check_involution()
+
+    __setattr__ = __delattr__ = _refuse_assignment
 
     @property
     def involution(self) -> Optional[tuple[Vec, ...]]:
@@ -161,13 +180,7 @@ class StructureAlgebra:
     def involution_coeffs(self, x: Vec) -> Vec:
         if self.inv_terms is None:
             raise AlgebraValidationError("algebra has no involution")
-        out = [_ZERO] * self.dim
-        for j, xj in enumerate(x):
-            if not xj:
-                continue
-            for k, c in self.inv_terms[j]:
-                out[k] += xj * c
-        return tuple(out)
+        return linear_image(self.inv_terms, x)
 
     # -- validation ------------------------------------------------------------
 
@@ -209,7 +222,7 @@ class StructureAlgebra:
         # u' = U u is integral, so u' b_j and b_j u' under the rule
         # are U D times u b_j and b_j u; both must be U D b_j. Entry (j, q)
         # of each table holds the coefficient of b_q, less U D when q = j.
-        (u,), den = _integral_rows((_sparse(self.unit),))
+        (u,), den = _integral_rows((sparse(self.unit),))
         want = den * self.scale
         n = self.dim
         rule = self.rule
@@ -296,10 +309,6 @@ class StructureAlgebra:
 
     def __repr__(self):
         return f"StructureAlgebra(dim={self.dim})"
-
-
-def _refuse_assignment(self, name, *_):
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
 
 
 class AlgElement:
@@ -407,15 +416,17 @@ def make_algebra(dim, struct_consts, unit=None, involution=None,
             if len(row) != dim:
                 raise DimensionMismatchError("structure constants must be dim x dim")
             for j, cv in enumerate(row):
-                rule[i].extend((j, k, c) for k, c in _sparse(_coeffs(cv, dim)))
+                rule[i].extend((j, k, c) for k, c in sparse(_coeffs(cv, dim)))
     if unit is not None:
         unit = _coeffs(unit, dim)
     if involution is not None:
-        involution = tuple(_sparse(_coeffs(r, dim)) for r in involution)
+        involution = tuple(sparse(_coeffs(r, dim)) for r in involution)
         if len(involution) != dim:
             raise DimensionMismatchError("involution must have one row per basis element")
     rule, scale = _integral_rows(rule)
-    return StructureAlgebra(dim, rule, scale, unit, involution, basis_labels)
+    return StructureAlgebra(dim, rule, scale, unit, involution, basis_labels,
+                            quaternion_params=None, matrix_base=None,
+                            matrix_size=None, is_split_model=False)
 
 
 # ---------------------------------------------------------------------------
@@ -444,27 +455,17 @@ def quaternion_algebra(a, b) -> StructureAlgebra:
 
 @cache
 def _quaternion_algebra(a: Fraction, b: Fraction, /) -> StructureAlgebra:
-    one, i, j, k = 0, 1, 2, 3
-    sc = {
-        (one, one): ((one, _ONE),), (one, i): ((i, _ONE),),
-        (one, j): ((j, _ONE),), (one, k): ((k, _ONE),),
-        (i, one): ((i, _ONE),), (j, one): ((j, _ONE),),
-        (k, one): ((k, _ONE),),
-        (i, i): ((one, a),),
-        (i, j): ((k, _ONE),),
-        (i, k): ((j, a),),
-        (j, i): ((k, -_ONE),),
-        (j, j): ((one, b),),
-        (j, k): ((i, -b),),
-        (k, i): ((j, -a),),
-        (k, j): ((i, b),),
-        (k, k): ((one, -a * b),),
-    }
-    inv = ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
-    alg = make_algebra(4, sc, unit=(1, 0, 0, 0), involution=inv,
-                       basis_labels=("1", "i", "j", "k"))
-    alg.quaternion_params = (a, b)
-    return alg
+    # Row t lists the (j, k, c) with b_t b_j = c b_k in the basis 1, i, j, k.
+    rule, scale = _integral_rows((
+        ((0, 0, _ONE), (1, 1, _ONE), (2, 2, _ONE), (3, 3, _ONE)),
+        ((0, 1, _ONE), (1, 0, a), (2, 3, _ONE), (3, 2, a)),
+        ((0, 2, _ONE), (1, 3, -_ONE), (2, 0, b), (3, 1, -b)),
+        ((0, 3, _ONE), (1, 2, -a), (2, 1, b), (3, 0, -a * b)),
+    ))
+    inv = (((0, _ONE),), ((1, -_ONE),), ((2, -_ONE),), ((3, -_ONE),))
+    return StructureAlgebra(4, rule, scale, (_ONE, _ZERO, _ZERO, _ZERO), inv,
+                            ("1", "i", "j", "k"), quaternion_params=(a, b),
+                            matrix_base=None, matrix_size=None, is_split_model=False)
 
 
 def reduced_trace(x: AlgElement) -> Fraction:
@@ -621,6 +622,17 @@ def matrix_rule(base: StructureAlgebra, ga: int, gc: int, gb: int, /) -> Rule:
         for p in range(ga) for s in range(gc) for t1 in range(d))
 
 
+def _matrix_labels(base: StructureAlgebra, g: int) -> list[str]:
+    """Basis labels of M_g(base); first refuses a dimension above :data:`MAX_DIM`."""
+    d = base.dim
+    if g * g * d > MAX_DIM:
+        raise AlgebraValidationError(
+            f"M_{g} over a dim-{d} base has dimension {g * g * d}, above the cap {MAX_DIM}")
+    plain = d == 1 and base.basis_labels[0] == "1"
+    return [f"e[{r + 1},{c + 1}]" + ("" if plain else f"*{t}")
+            for r in range(g) for c in range(g) for t in base.basis_labels]
+
+
 @cache
 def matrix_algebra(base: StructureAlgebra, g: int, /) -> StructureAlgebra:
     """M_g(base) with the involution (m_rc) -> (dagger of m_cr).
@@ -634,25 +646,14 @@ def matrix_algebra(base: StructureAlgebra, g: int, /) -> StructureAlgebra:
         raise AlgebraValidationError("matrix size must be positive")
     if base.unit is None or base.inv_terms is None:
         raise AlgebraValidationError("matrix_algebra needs a unital base with involution")
+    labels = _matrix_labels(base, g)
     d = base.dim
-    dim = g * g * d
-    if dim > MAX_DIM:
-        raise AlgebraValidationError(
-            f"M_{g} over a dim-{d} base has dimension {dim}, above the cap {MAX_DIM}")
     inv = tuple(tuple((matrix_index(d, g, c, r, k), cf) for k, cf in terms)
                 for r in range(g) for c in range(g) for terms in base.inv_terms)
-    labels = []
-    plain = d == 1 and base.basis_labels[0] == "1"
-    for r in range(g):
-        for c in range(g):
-            for t in range(d):
-                e = f"e[{r + 1},{c + 1}]"
-                labels.append(e if plain else f"{e}*{base.basis_labels[t]}")
-    alg = StructureAlgebra(dim, matrix_rule(base, g, g, g), base.scale,
-                           DMatrix.identity(base, g).coeffs, inv, labels)
-    alg.matrix_base = base
-    alg.matrix_size = g
-    return alg
+    return StructureAlgebra(g * g * d, matrix_rule(base, g, g, g), base.scale,
+                            DMatrix.identity(base, g).coeffs, inv, labels,
+                            quaternion_params=None, matrix_base=base, matrix_size=g,
+                            is_split_model=False)
 
 
 @cache
@@ -660,14 +661,15 @@ def split_model(g: int, /) -> StructureAlgebra:
     """M_2g(Q) with the block involution sending the 2x2 block (a b; c d) at
     block position (I, J) to (d -b; -c a) at (J, I).
 
-    The structure constants are rational, so the model is built over Q on
-    the rule of M_2g(Q); like every construction it runs all three checks.
-    Built once per g.
+    The structure constants are rational, so the model is built on the rule
+    of M_2g(Q) and its identity, without building M_2g(Q) itself; like every
+    construction it runs all three checks. Built once per g.
     """
     if g < 1:
         raise AlgebraValidationError("split model needs g >= 1")
     n = 2 * g
-    plain = matrix_algebra(rationals(), n)
+    q = rationals()
+    labels = _matrix_labels(q, n)
     inv = []
     for r in range(n):
         for c in range(n):
@@ -675,12 +677,10 @@ def split_model(g: int, /) -> StructureAlgebra:
             bj, be = divmod(c, 2)
             target = matrix_index(1, n, 2 * bj + (1 - be), 2 * bi + (1 - al))
             inv.append(((target, -_ONE if (al + be) % 2 else _ONE),))
-    alg = StructureAlgebra(n * n, plain.rule, plain.scale, plain.unit, tuple(inv),
-                           plain.basis_labels)
-    alg.matrix_base = rationals()
-    alg.matrix_size = n
-    alg.is_split_model = True
-    return alg
+    return StructureAlgebra(n * n, matrix_rule(q, n, n, n), q.scale,
+                            DMatrix.identity(q, n).coeffs, tuple(inv), labels,
+                            quaternion_params=None, matrix_base=q, matrix_size=n,
+                            is_split_model=True)
 
 
 def matrix_unit(alg: StructureAlgebra, r: int, c: int,

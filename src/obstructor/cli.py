@@ -42,6 +42,7 @@ from .divisor import contains_double_fiber, parse_poly, substitute_powers, verif
 from .errors import ObstructorError
 from .linalg import echelonize, ratio
 from .obstruction import (
+    CornerReport,
     compute_obstruction,
     corner_detect,
     flag_nonliftable,
@@ -289,6 +290,18 @@ def verify(g, p, run_all, strict, seed, trials):
 # -- obstruction ---------------------------------------------------------------
 
 
+def _corner_json(report: CornerReport) -> dict:
+    """The corner fields of the ``obstruction`` and ``corner`` reports."""
+    return {
+        "is_corner": report.is_corner,
+        "is_full": report.is_full,
+        "is_zero": report.is_zero,
+        "factor_dim": report.factor_dim,
+        "idempotent": (None if report.idempotent is None
+                       else coeffs_to_json(report.idempotent)),
+    }
+
+
 @_command(
     _Option("--graph", required=True, help="Graph descriptor JSON file."),
     _Option("--vertex", int, required=True, help="Base vertex (1-based)."),
@@ -312,12 +325,7 @@ def obstruction(graph_path, vertex, oracle_len):
         "e_dim": span.dim,
         "rounds": table.rounds,
         "basis": subspace_basis_json(span),
-        "is_corner": report.is_corner,
-        "is_full": report.is_full,
-        "is_zero": report.is_zero,
-        "factor_dim": report.factor_dim,
-        "idempotent": (None if report.idempotent is None
-                       else coeffs_to_json(report.idempotent)),
+        **_corner_json(report),
         "base_ramified": ramified,
         "verdict": verdict.verdict,
         "verdict_reason": verdict.reason,
@@ -382,12 +390,7 @@ def corner(algebra_path, elements_path):
     report = corner_detect(span, alg.rule, alg.scale, alg.unit)
     _emit({
         "dim": span.dim,
-        "is_corner": report.is_corner,
-        "is_full": report.is_full,
-        "is_zero": report.is_zero,
-        "factor_dim": report.factor_dim,
-        "idempotent": (None if report.idempotent is None
-                       else coeffs_to_json(report.idempotent)),
+        **_corner_json(report),
     })
 
 

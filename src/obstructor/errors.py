@@ -16,34 +16,25 @@ class AlgebraValidationError(ObstructorError, ValueError):
 class AssociativityError(AlgebraValidationError):
     """Multiplication table is not associative; ``triple`` names the witnesses."""
 
-    def __init__(self, triple, detail=""):
+    def __init__(self, triple, detail):
         self.triple = triple
-        msg = f"associativity fails on basis triple {triple}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"associativity fails on basis triple {triple}: {detail}")
 
 
 class UnitError(AlgebraValidationError):
     """The claimed unit does not act as a two-sided identity."""
 
-    def __init__(self, label, detail=""):
+    def __init__(self, label):
         self.label = label
-        msg = f"unit law fails on basis element {label}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"unit law fails on basis element {label}")
 
 
 class InvolutionError(AlgebraValidationError):
     """The claimed involution is not involutive or not anti-multiplicative."""
 
-    def __init__(self, witnesses, detail=""):
+    def __init__(self, witnesses, detail):
         self.witnesses = witnesses
-        msg = f"involution axiom fails on {witnesses}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"involution axiom fails on {witnesses}: {detail}")
 
 
 class GraphValidationError(ObstructorError, ValueError):
@@ -73,12 +64,9 @@ class PolynomialSyntaxError(PolynomialError):
 class InhomogeneousTermError(PolynomialError):
     """A parsed term does not match the polynomial's multidegree."""
 
-    def __init__(self, term, detail=""):
+    def __init__(self, term, detail):
         self.term = term
-        msg = f"term {term} breaks multihomogeneity"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"term {term} breaks multihomogeneity: {detail}")
 
 
 class FactoringError(ObstructorError, ArithmeticError):

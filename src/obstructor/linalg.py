@@ -90,6 +90,12 @@ def primitive(v) -> tuple[int, ...]:
     return tuple(x // g for x in w) if g > 1 else tuple(w)
 
 
+def _check_length(v, ambient: int):
+    if len(v) != ambient:
+        raise DimensionMismatchError(
+            f"vector length {len(v)} does not match ambient {ambient}")
+
+
 class Echelon:
     """Mutable reduced row-echelon accumulator of a Q-span, kept over the
     integers in fraction-free Gauss-Jordan form.
@@ -143,10 +149,7 @@ class Echelon:
     def _residual(self, v) -> tuple[list[int], list[int]]:
         """The integer form ``w`` of ``v`` (denominators cleared) and its
         residual against the rows, in the ``free`` columns."""
-        if len(v) != self.ambient:
-            raise DimensionMismatchError(
-                f"vector length {len(v)} does not match ambient {self.ambient}"
-            )
+        _check_length(v, self.ambient)
         scale = lcm(*(c.denominator for c in v))
         w = ([c.numerator * (scale // c.denominator) for c in v] if scale > 1
              else [c.numerator for c in v])
@@ -318,10 +321,7 @@ class EchelonModP:
         and the bits of its coordinate slots that may be nonzero. With
         ``coordinates`` the residual is marked 1 in the coordinate slot of
         the next row."""
-        if len(v) != self.ambient:
-            raise DimensionMismatchError(
-                f"vector length {len(v)} does not match ambient {self.ambient}"
-            )
+        _check_length(v, self.ambient)
         p, nb, zero = self.p, self.nbytes, bytes(self.nbytes)
         w = int.from_bytes(b"".join([(x % p).to_bytes(nb, "little") if x else zero
                                      for x in v]), "little")
@@ -456,10 +456,7 @@ class Subspace:
         return len(self.basis) == self.ambient_dim
 
     def contains(self, v) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"vector length {len(v)} does not match ambient {self.ambient_dim}"
-            )
+        _check_length(v, self.ambient_dim)
         w = list(v)
         for pc, row in zip(self.pivots, self.basis):
             c = w[pc]

@@ -38,8 +38,10 @@ from .algebra import (
     Rule,
     StructureAlgebra,
     invert_element,
+    linear_image,
     matrix_rule,
     rule_product,
+    sparse,
     unit_multiple,
 )
 from .closure import fixed_point, full_mod_p, spin
@@ -342,7 +344,15 @@ def flag_nonliftable(report: CornerReport, base_is_ramified: bool) -> Obstructio
         reason="nonzero corner over a ramified base")
 
 
-# -- pullback ------------------------------------------------------------------
+# -- transformation laws --------------------------------------------------------
+
+
+def _map_edges(graph: ObstructionGraph, sizes: Sequence[int],
+               edge: Callable[[int, int, DMatrix], DMatrix]) -> ObstructionGraph:
+    """The graph over the same base with vertex ``sizes`` whose (i, j) edge
+    is ``edge(i, j, m)`` for each edge m of ``graph``."""
+    return ObstructionGraph(graph.base, sizes, {
+        (i, j): edge(i, j, m) for (i, j), m in graph.edges.items()})
 
 
 class Cover(NamedTuple):
@@ -392,11 +402,8 @@ def pullback_transform(graph: ObstructionGraph,
             f"need one cover per vertex ({graph.r}), got {len(covers)}")
     for v, cov in enumerate(covers, start=1):
         _validate_cover(cov, graph.size(v), graph.base)
-    new_sizes = [cov.iota.rows for cov in covers]
-    new_edges = {}
-    for (i, j), m in graph.edges.items():
-        new_edges[(i, j)] = covers[j - 1].iota @ m @ covers[i - 1].pi
-    return ObstructionGraph(graph.base, new_sizes, new_edges)
+    return _map_edges(graph, [cov.iota.rows for cov in covers],
+                      lambda i, j, m: covers[j - 1].iota @ m @ covers[i - 1].pi)
 
 
 def _span_image(f, span: Subspace, base: StructureAlgebra, rows: int, cols: int,
@@ -417,17 +424,6 @@ def transport_span(cov: Cover, span: Subspace, g: int) -> Subspace:
 # -- specialization -------------------------------------------------------------
 
 
-def _linear_image(rows: tuple, v: Vec) -> Vec:
-    """Image of ``v`` under the linear map whose row j is the image of b_j."""
-    out = [_ZERO] * len(rows)
-    for j, c in enumerate(v):
-        if c:
-            for k, rc in enumerate(rows[j]):
-                if rc:
-                    out[k] += c * rc
-    return tuple(out)
-
-
 class SpecializationMap:
     """Injective multiplicative map applied componentwise to a graph.
 
@@ -437,14 +433,16 @@ class SpecializationMap:
     m -> U_a m U_b^(-1) by similitudes, U^dagger U = s * identity with one
     shared nonzero rational s (which makes the map commute with the
     dagger-transpose). Then U^(-1) = U^dagger / s, over any unital base with
-    involution.
+    involution, and the map moves edges as a pullback along the degree-1
+    covers (U_v, U_v^dagger / s) does. ``apply_hom(a, b, m)`` is the image of
+    a component from factor b to factor a; a base map has no ``units``.
     """
 
-    def __init__(self, base: StructureAlgebra, kind: str, base_rows=None,
-                 units=None, inverses=None):
+    def __init__(self, base: StructureAlgebra,
+                 apply_hom: Callable[[int, int, DMatrix], DMatrix],
+                 units: Optional[list], inverses: Optional[list]):
         self.base = base
-        self.kind = kind
-        self.base_rows = base_rows
+        self.apply_hom = apply_hom
         self.units = units
         self.inverses = inverses
 
@@ -454,29 +452,33 @@ class SpecializationMap:
     def base_linear(cls, base: StructureAlgebra, rows) -> "SpecializationMap":
         """Entrywise map of the base given by images of the basis elements."""
         rows = tuple(tuple(ratio(c) for c in r) for r in rows)
-        if len(rows) != base.dim or any(len(r) != base.dim for r in rows):
+        d = base.dim
+        if len(rows) != d or any(len(r) != d for r in rows):
             raise MapValidationError("map matrix must be dim x dim")
-        rank = echelonize(rows, ambient_dim=base.dim).dim
-        if rank != base.dim:
+        rank = echelonize(rows, ambient_dim=d).dim
+        if rank != d:
             raise MapValidationError("map is not injective")
-        if base.unit is not None and _linear_image(rows, base.unit) != base.unit:
+        terms = tuple(map(sparse, rows))
+        if base.unit is not None and linear_image(terms, base.unit) != base.unit:
             raise MapValidationError("map does not fix the unit")
-        for i in range(base.dim):
-            for j in range(base.dim):
-                lhs = _linear_image(rows, base.mul_coeffs(base.basis_vector(i),
+        for i in range(d):
+            for j in range(d):
+                lhs = linear_image(terms, base.mul_coeffs(base.basis_vector(i),
                                                           base.basis_vector(j)))
                 rhs = base.mul_coeffs(rows[i], rows[j])
                 if lhs != rhs:
                     raise MapValidationError(
                         f"map is not multiplicative on basis pair ({i},{j})")
         if base.inv_terms is not None:
-            for j in range(base.dim):
-                lhs = _linear_image(rows, base.involution_coeffs(base.basis_vector(j)))
+            for j in range(d):
+                lhs = linear_image(terms, base.involution_coeffs(base.basis_vector(j)))
                 rhs = base.involution_coeffs(rows[j])
                 if lhs != rhs:
                     raise MapValidationError(
                         f"map does not commute with the involution on basis {j}")
-        return cls(base, "base", base_rows=rows)
+        return cls(base, lambda a, b, m: DMatrix(base, m.rows, m.cols, tuple(
+            x for at in range(0, len(m.coeffs), d)
+            for x in linear_image(terms, m.coeffs[at:at + d]))), None, None)
 
     @classmethod
     def base_conjugation(cls, u: AlgElement) -> "SpecializationMap":
@@ -518,21 +520,10 @@ class SpecializationMap:
                 raise MapValidationError(
                     "conjugating matrices have different similitude scalars")
             inverses.append(u_dag * (1 / s))
-        return cls(base, "vertex", units=units, inverses=inverses)
+        return cls(base, lambda a, b, m: units[a - 1] @ m @ inverses[b - 1],
+                   units, inverses)
 
     # -- application --
-
-    def apply_hom(self, a: int, b: int, m: DMatrix) -> DMatrix:
-        """Image of a component from factor b to factor a (1-based vertices)."""
-        if self.kind == "base":
-            d = self.base.dim
-            v = m.coeffs
-            return DMatrix(self.base, m.rows, m.cols, tuple(
-                x for at in range(0, len(v), d)
-                for x in _linear_image(self.base_rows, v[at:at + d])))
-        ua = self.units[a - 1]
-        ub_inv = self.inverses[b - 1]
-        return ua @ m @ ub_inv
 
     def apply_subspace(self, a: int, b: int, span: Subspace,
                        rows_: int, cols_: int) -> Subspace:
@@ -549,7 +540,7 @@ def specialize_transform(graph: ObstructionGraph,
     """
     if h.base is not graph.base:
         raise MapValidationError("map base does not match the graph base")
-    if h.kind == "vertex":
+    if h.units is not None:
         if len(h.units) != graph.r:
             raise MapValidationError(
                 f"need one conjugating matrix per vertex ({graph.r})")
@@ -558,10 +549,7 @@ def specialize_transform(graph: ObstructionGraph,
                 raise MapValidationError(
                     f"conjugating matrix at vertex {v} has size {u.rows}, "
                     f"expected {graph.size(v)}")
-    new_edges = {}
-    for (i, j), m in graph.edges.items():
-        new_edges[(i, j)] = h.apply_hom(j, i, m)
-    return ObstructionGraph(graph.base, graph.sizes, new_edges)
+    return _map_edges(graph, graph.sizes, lambda i, j, m: h.apply_hom(j, i, m))
 
 
 # -- tensor powers, relabelling and the dagger of a span ------------------------
@@ -569,8 +557,7 @@ def specialize_transform(graph: ObstructionGraph,
 
 def scale_edges(graph: ObstructionGraph, m: int) -> ObstructionGraph:
     """The graph of the m-th tensor power: every component scaled by m."""
-    return ObstructionGraph(graph.base, graph.sizes,
-                            {k: e * m for k, e in graph.edges.items()})
+    return _map_edges(graph, graph.sizes, lambda i, j, e: e * m)
 
 
 def relabel_vertices(graph: ObstructionGraph, perm: Sequence[int]) -> ObstructionGraph:

@@ -187,6 +187,8 @@ def graph_from_json(obj) -> ObstructionGraph:
     if not isinstance(sizes, list) or not all(_is_int(g) for g in sizes):
         raise SchemaError("graph.sizes: expected a list of integers")
     r = obj.get("r", len(sizes))
+    if not _is_int(r):
+        raise SchemaError("graph.r: expected an integer")
     if r != len(sizes):
         raise SchemaError(f"graph.r: {r} does not match {len(sizes)} sizes")
     edges = {}

@@ -42,11 +42,7 @@ def shift_witness(g: int) -> AlgElement:
     """
     if g < 2:
         raise AlgebraValidationError("the witness needs g >= 2")
-    model = split_model(g)
-    x = model.zero()
-    for t in range(1, 2 * g):
-        x = x + matrix_unit(model, t, t + 1)
-    return x
+    return _unit_sum(split_model(g), [(t, t + 1) for t in range(1, 2 * g)])
 
 
 def _unit_sum(model: StructureAlgebra, positions, sign=1) -> AlgElement:

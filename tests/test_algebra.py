@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from obstructor import algebra
 from obstructor.algebra import (
     INF,
     AlgElement,
@@ -475,6 +476,23 @@ def test_split_model_g1_involution_formula():
     assert (m + m.dagger()) == M.one() * 5
 
 
+def test_split_model_builds_no_matrix_algebra(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("split_model built M_2g(Q)")
+
+    cached = split_model(3)
+    monkeypatch.setattr(algebra, "matrix_algebra", refuse)
+    fresh = split_model.__wrapped__(3)
+    assert fresh is not cached
+    for name in ("dim", "basis_labels", "rule", "scale", "unit", "inv_terms",
+                 "matrix_base", "matrix_size", "is_split_model"):
+        assert getattr(fresh, name) == getattr(cached, name), name
+    # Above the cap it refuses before building any product rule.
+    monkeypatch.setattr(algebra, "matrix_rule", refuse)
+    with pytest.raises(AlgebraValidationError, match="dimension 1156, above the cap"):
+        split_model.__wrapped__(17)
+
+
 def test_split_model_involution_properties_random():
     rng = random.Random(3)
     M = split_model(2)
@@ -552,6 +570,7 @@ def test_dmatrices_compare_by_value():
 @pytest.mark.parametrize("value", [
     lambda D: D.element((1, 0, 0, 0)),
     lambda D: DMatrix.identity(D, 2),
+    lambda D: matrix_algebra(D, 2),
 ])
 def test_elements_and_dmatrices_refuse_assignment(value):
     D = quaternion_for_prime(3)

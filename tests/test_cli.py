@@ -372,8 +372,12 @@ _Q_PLUS_Q = {"kind": "custom", "dim": 2, "consts": _IDEMPOTENT_PAIR}
      "algebra.consts[1]: expected 2 entries"),
     ("corner", {**_Q_PLUS_Q, "involution": {"0": ["1", "0"]}},
      "algebra.involution: expected a list of rows"),
+    ("obstruction", {**_TWO_VERTICES, "r": 2.0, "edges": []},
+     "graph.r: expected an integer"),
+    ("obstruction", {**_TWO_VERTICES, "r": True, "edges": []},
+     "graph.r: expected an integer"),
 ], ids=["edges-not-a-list", "edge-not-an-object", "duplicate-edge",
-        "consts-row-length", "involution-not-a-list"])
+        "consts-row-length", "involution-not-a-list", "float-r", "bool-r"])
 def test_loader_error_names_the_json_path(runner, tmp_path, command, payload, line):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
