@@ -38,7 +38,6 @@ from .algebra import (
 )
 from .arith import is_prime
 from .closure import stabilized_word_span, subrng_closure
-from .divisor import contains_double_fiber, parse_poly, substitute_powers, verify_factorization
 from .errors import ObstructorError
 from .linalg import echelonize, ratio
 from .obstruction import (
@@ -221,6 +220,9 @@ def _construction_section(g: int, p: int, seed: int) -> dict:
 
 
 def _divisor_section() -> dict:
+    from .divisor import (  # only this section and the divisor command need it
+        contains_double_fiber, parse_poly, substitute_powers, verify_factorization)
+
     f = parse_poly("x1*x2*x3 - y1*y2*y3", 3)
     hit = contains_double_fiber(f, 1, ("0", "1"), 2, ("1", "0"))
     lifted = substitute_powers(f, (2, 2, 2))
@@ -458,6 +460,9 @@ def _parse_fiber_spec(spec: str):
 )
 def divisor(poly_text, r, subst, fibers, factor_texts):
     """Multihomogeneous polynomial checks on a product of projective lines."""
+    from .divisor import (  # only this command and verify --all need it
+        contains_double_fiber, parse_poly, substitute_powers, verify_factorization)
+
     f = parse_poly(poly_text, r)
     out = {"poly": f.to_string(), "r": r, "multidegree": list(f.degrees)}
     if fibers:

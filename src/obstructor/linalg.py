@@ -62,11 +62,15 @@ def ratio(value: Union[int, str, Fraction]) -> Fraction:
         m = _RATIONAL.fullmatch(value)
         if m is None:
             raise ValueError(f"not a rational like -3 or 3/4: {value[:40]!r}")
-        if any(part is not None and len(part) > MAX_DIGITS for part in m.groups()):
+        num, den = m.groups()
+        if len(num) > MAX_DIGITS or den is not None and len(den) > MAX_DIGITS:
             raise ValueError(f"rational with more than {MAX_DIGITS} digits in a part")
-        if m.group(2) is not None and not m.group(2).lstrip("0"):
+        d = 1 if den is None else int(den)
+        if not d:
             raise ZeroDivisionError("zero denominator")
-        return Fraction(value)
+        # Built from the matched digits, so the string is parsed once.
+        n = int(num)
+        return Fraction(-n if value[0] == "-" else n, d)
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 

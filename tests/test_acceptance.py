@@ -35,18 +35,20 @@ from obstructor.divisor import (
     substitute_powers,
     verify_factorization,
 )
-from obstructor.obstruction import (
+from obstructor.laws import (
     Cover,
-    ObstructionGraph,
     SpecializationMap,
+    pullback_transform,
+    specialize_transform,
+    transport_span,
+)
+from obstructor.obstruction import (
+    ObstructionGraph,
     compute_obstruction,
     corner_detect,
     flag_nonliftable,
     loop_oracle,
     path_span_table,
-    pullback_transform,
-    specialize_transform,
-    transport_span,
 )
 from obstructor.witness import (
     build_r3_graph,

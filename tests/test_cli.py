@@ -785,14 +785,20 @@ def test_an_option_value_may_start_with_a_dash(runner, argv, stdout):
     assert res.exit_code == 0 and res.stdout == stdout
 
 
-def test_importing_the_cli_loads_only_the_standard_library():
-    """What ``site`` loads before the import does not count."""
-    code = ("import sys; before = set(sys.modules); import obstructor.cli; "
-            "print(*sorted(set(sys.modules) - before))")
+def _loaded_by(statement: str) -> list:
+    """The modules that ``statement`` loads in a fresh interpreter, sorted;
+    what ``site`` loads before it does not count."""
+    code = ("import sys\nbefore = set(sys.modules)\n" + statement
+            + "\nprint(*sorted(set(sys.modules) - before))")
     src = str(Path(sys.modules[main.__module__].__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True, env=dict(os.environ, PYTHONPATH=path)).stdout.split()
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    return out.splitlines()[-1].split()
+
+
+def test_importing_the_cli_loads_only_the_standard_library():
+    loaded = _loaded_by("import obstructor.cli")
     assert "obstructor.cli" in loaded
     assert [name for name in loaded if name.split(".")[0] != "obstructor"
             and name.split(".")[0] not in sys.stdlib_module_names] == []
@@ -801,12 +807,24 @@ def test_importing_the_cli_loads_only_the_standard_library():
 def test_importing_the_cli_skips_the_slow_standard_modules():
     """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``,
     most of the package's start-up; records are ``NamedTuple``s instead."""
-    code = ("import sys; before = set(sys.modules); import obstructor.cli; "
-            "print(*sorted(set(sys.modules) - before))")
-    src = str(Path(sys.modules[main.__module__].__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True, env=dict(os.environ, PYTHONPATH=path)).stdout.split()
+    loaded = _loaded_by("import obstructor.cli")
     assert "obstructor.cli" in loaded
     slow = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     assert slow.isdisjoint(loaded)
+
+
+def test_importing_the_cli_skips_the_modules_no_common_command_uses():
+    """Every child compiles what it imports. ``divisor`` serves one command
+    and ``verify --all``, and no command uses ``laws``; the modules that the
+    benchmark's tracer wraps (``perfbench/layers.TARGETS``) must stay loaded."""
+    loaded = _loaded_by("import obstructor.cli")
+    traced = ["serialize", "algebra", "linalg", "closure", "obstruction", "witness"]
+    assert [f"obstructor.{m}" for m in traced if f"obstructor.{m}" not in loaded] == []
+    assert {"obstructor.divisor", "obstructor.laws"}.isdisjoint(loaded)
+
+
+def test_the_divisor_command_loads_the_divisor_module():
+    loaded = _loaded_by("from obstructor.cli import main\n"
+                        "try:\n    main(['divisor', '--poly', 'x1*y1', '--r', '1'])\n"
+                        "except SystemExit as exc:\n    assert exc.code == 0")
+    assert "obstructor.divisor" in loaded and "obstructor.laws" not in loaded

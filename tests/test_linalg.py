@@ -184,6 +184,26 @@ def test_ratio_grammar_edges():
     assert ratio("9" * MAX_DIGITS) == 10 ** MAX_DIGITS - 1
 
 
+def test_ratio_of_a_string_matches_fraction_seeded():
+    """``ratio`` builds the Fraction from its own match; ``Fraction(s)``
+    parses the string again, and both must give the same reduced value."""
+    rng = random.Random(0)
+
+    def part(low=0):
+        return "0" * rng.randrange(3) + str(rng.randrange(low, 10 ** rng.randrange(1, 30)))
+
+    texts = ["0", "-0", "-000", "0/7", "-0/7", "-6/4", "12/18", "-007/010",
+             "9" * MAX_DIGITS, "1/" + "7" * MAX_DIGITS,
+             "-" + "9" * MAX_DIGITS + "/" + "0" * (MAX_DIGITS - 1) + "6"]
+    for _ in range(2000):
+        text = "-" * rng.randrange(2) + part()
+        texts.append(text + "/" + part(low=1) if rng.randrange(2) else text)
+    for text in texts:
+        got, want = ratio(text), F(text)
+        assert type(got) is F and (got.numerator, got.denominator) == (
+            want.numerator, want.denominator), text
+
+
 # -- differential test of Echelon against plain Gauss-Jordan -------------------
 
 

@@ -26,25 +26,27 @@ from obstructor.errors import (
     InhomogeneousTermError,
     MapValidationError,
 )
-from obstructor.linalg import Subspace, echelonize, solve_linear
-from obstructor.obstruction import (
-    CornerReport,
+from obstructor.laws import (
     Cover,
-    ObstructionGraph,
-    ObstructionVerdict,
     SpecializationMap,
-    compute_obstruction,
-    corner_detect,
     dagger_span,
-    flag_nonliftable,
-    loop_corner,
-    loop_oracle,
-    path_span_table,
     pullback_transform,
     relabel_vertices,
     scale_edges,
     specialize_transform,
     transport_span,
+)
+from obstructor.linalg import Subspace, echelonize, solve_linear
+from obstructor.obstruction import (
+    CornerReport,
+    ObstructionGraph,
+    ObstructionVerdict,
+    compute_obstruction,
+    corner_detect,
+    flag_nonliftable,
+    loop_corner,
+    loop_oracle,
+    path_span_table,
 )
 from obstructor.witness import (
     build_r3_graph,
