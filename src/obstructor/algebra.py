@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .arith import factorint, is_prime, legendre, unit_part_mod, valuation
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     InvolutionError,
     UnitError,
 )
-from .linalg import Vec, ratio, vector, zero_vector
+from .linalg import Vec, integral, ratio, vector, zero_vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -74,18 +74,15 @@ def _coeffs(v, dim: int) -> Vec:
     return out
 
 
-def rule_product(rule: Rule, u: Vec, v: Vec, out_len: int, zero=_ZERO) -> Vec:
-    """The product of coefficient vectors ``u`` and ``v`` under ``rule``.
+def rule_product(rule: Rule, u: Sequence[int], v: Sequence[int],
+                 out_len: int) -> tuple[int, ...]:
+    """The product of integer coefficient vectors ``u`` and ``v`` under ``rule``.
 
     This is the one bilinear kernel: algebra multiplication, the composition
     of hom-space coefficient vectors and the fixed-point engine all run
     through it. The result is the true product times the rule's scale.
-    Each term is added in place into a list of ``zero``, so an entry is
-    ``zero`` plus its terms in the order of ``u``: with int vectors and
-    ``zero=0`` every entry is an int, and with the default Fraction zero
-    every entry is a Fraction.
     """
-    res = [zero] * out_len
+    res = [0] * out_len
     for i, a in enumerate(u):
         if not a:
             continue
@@ -96,11 +93,14 @@ def rule_product(rule: Rule, u: Vec, v: Vec, out_len: int, zero=_ZERO) -> Vec:
     return tuple(res)
 
 
-def _unscale(v: Vec, scale: int) -> Vec:
-    """A product under a rule of the given scale, divided back to the true one."""
-    if scale == 1:
-        return v
-    return tuple(c / scale for c in v)
+def _rational_product(rule: Rule, scale: int, u: Vec, v: Vec, out_len: int) -> Vec:
+    """The true product of rational vectors under an integer rule of the
+    given scale, each factor scaled to integers once; every entry a Fraction."""
+    iu, du = integral(u)
+    iv, dv = integral(v)
+    den = du * dv * scale
+    return tuple(Fraction(c, den) if c else _ZERO
+                 for c in rule_product(rule, iu, iv, out_len))
 
 
 def _integral_rows(rows) -> tuple[tuple, int]:
@@ -175,7 +175,7 @@ class StructureAlgebra:
     # -- raw coefficient arithmetic -------------------------------------------
 
     def mul_coeffs(self, x: Vec, y: Vec) -> Vec:
-        return _unscale(rule_product(self.rule, x, y, self.dim), self.scale)
+        return _rational_product(self.rule, self.scale, x, y, self.dim)
 
     def involution_coeffs(self, x: Vec) -> Vec:
         if self.inv_terms is None:
@@ -284,9 +284,6 @@ class StructureAlgebra:
             if bad:
                 raise InvolutionError((labels[i], labels[min(bad)]),
                                       "sigma(xy) != sigma(y)sigma(x)")
-        if self.unit is not None:
-            if self.involution_coeffs(self.unit) != self.unit:
-                raise InvolutionError("1", "sigma(1) != 1")
 
     # -- element factory --------------------------------------------------------
 
@@ -806,9 +803,9 @@ class DMatrix:
                 f"({other.rows},{other.cols})")
         base = self.base
         rule = matrix_rule(base, self.rows, self.cols, other.cols)
-        return DMatrix(base, self.rows, other.cols, _unscale(rule_product(
-            rule, self.coeffs, other.coeffs, self.rows * other.cols * base.dim),
-            base.scale))
+        return DMatrix(base, self.rows, other.cols, _rational_product(
+            rule, base.scale, self.coeffs, other.coeffs,
+            self.rows * other.cols * base.dim))
 
     def dagger_transpose(self) -> "DMatrix":
         inv = self.base.involution_coeffs

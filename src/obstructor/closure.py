@@ -140,7 +140,7 @@ def fixed_point(cells: Mapping[tuple, int],
             for x in range(n1):
                 u = us[x]
                 for y in range(m2 if x < m1 else 0, n2):
-                    prod = rule_product(r, u, vs[y], target.ambient, 0)
+                    prod = rule_product(r, u, vs[y], target.ambient)
                     if target.add(prod):
                         changed = True
                     elif misses is not None:
@@ -251,10 +251,6 @@ def _rational(x: int, m: int, bound: int) -> Optional[tuple[int, int]]:
     """A fraction n/d with n = d*x (mod m), |n| <= bound and 0 < d <= bound,
     by the half extended Euclidean algorithm (Wang, Guy and Davenport 1982),
     or None."""
-    if x <= bound:
-        return x, 1
-    if m - x <= bound:
-        return x - m, 1
     r0, r1, t0, t1 = m, x, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -313,12 +309,13 @@ def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
     most sum(cells) + 1 lengths, or at ``max_len`` letters. Returns
     ``({cell: Echelon}, last length built)``.
 
-    With a prime ``modulus`` p, the seeds (made primitive) and the products
-    are reduced mod p and each cell is an :class:`EchelonModP`, so the
+    The seeds are made primitive. With a prime ``modulus`` p, they and the
+    products are reduced mod p and each cell is an :class:`EchelonModP`, so the
     spans are those of the words reduced mod p. A cell full mod p proves
     the words' Q-span full (see the module docstring); a partial one
     proves nothing.
     """
+    seeds = {cell: [primitive(v) for v in vs] for cell, vs in seeds.items()}
     if modulus is None:
         new, norm = Echelon, primitive
     else:
@@ -327,8 +324,6 @@ def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
 
         def norm(v):
             return [x % modulus for x in v]
-
-        seeds = {cell: [primitive(v) for v in vs] for cell, vs in seeds.items()}
     steps = [((a, b), (c, b), rule(a, c, b), primitive(x))
              for a, c, b in _triples(letters, cells) for x in letters[(a, c)]]
     ech, fresh = {}, {}
@@ -343,7 +338,7 @@ def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
             for w in fresh[source]:
                 if span.is_full():
                     break
-                prod = rule_product(r, x, w, span.ambient, 0)
+                prod = rule_product(r, x, w, span.ambient)
                 if span.add(prod):
                     grown[target].append(norm(prod))
         fresh = grown

@@ -6,7 +6,7 @@ representation canonical: two subspaces are equal exactly when their basis
 tuples are identical. There is no floating point anywhere in this module and
 no tolerance in any comparison.
 
-Spans are accumulated in :class:`Echelon` over the integers, in
+Spans are accumulated in :class:`Echelon` from integer vectors, in
 fraction-free Gauss-Jordan form: integer rows over one shared denominator,
 which divided by it are the canonical reduced row-echelon basis. The
 ``Fraction`` basis is built only when it is read.
@@ -82,14 +82,22 @@ def zero_vector(n: int) -> Vec:
     return (_ZERO,) * n
 
 
+def integral(v) -> tuple[list[int], int]:
+    """``(den * v, den)`` for ``den`` the least common denominator of the
+    entries of ``v``, ints or Fractions: the one place where denominators
+    are cleared before a vector enters an integer kernel."""
+    den = lcm(*(c.denominator for c in v))
+    return ([c.numerator * (den // c.denominator) for c in v] if den > 1
+            else [c.numerator for c in v]), den
+
+
 def primitive(v) -> tuple[int, ...]:
     """The primitive integer vector on the line of ``v``.
 
     Entries may be ints or Fractions. Denominators are cleared and the
     content is divided out, keeping the sign; the zero vector stays zero.
     """
-    den = lcm(*(c.denominator for c in v))
-    w = [c.numerator * (den // c.denominator) for c in v]
+    w, _ = integral(v)
     g = gcd(*w)
     return tuple(x // g for x in w) if g > 1 else tuple(w)
 
@@ -110,10 +118,10 @@ class Echelon:
     reduced row-echelon basis. Only the non-pivot columns ``free`` are
     stored: ``rows[i][j]`` is row ``i`` in column ``free[j]``.
 
-    ``add`` forms the residual ``den*w - sum(w[pc]*row)`` of the integer
-    vector ``w`` on the input's line in one pass, with no gcd; it is zero
-    exactly when ``w`` is in the span. Its first nonzero entry ``a``, made
-    positive, lies in the new pivot column ``q``.
+    ``add`` takes an integer vector ``w``, as :func:`integral` makes one,
+    and forms its residual ``den*w - sum(w[pc]*row)`` in one pass, with no
+    gcd; it is zero exactly when ``w`` is in the span. Its first nonzero
+    entry ``a``, made positive, lies in the new pivot column ``q``.
 
     While ``sylvester`` holds, ``den`` is the absolute determinant of the
     primitive vectors that grew the span on the pivot columns, ``a`` is the
@@ -150,25 +158,22 @@ class Echelon:
     def is_full(self) -> bool:
         return len(self.rows) == self.ambient
 
-    def _residual(self, v) -> tuple[list[int], list[int]]:
-        """The integer form ``w`` of ``v`` (denominators cleared) and its
-        residual against the rows, in the ``free`` columns."""
-        _check_length(v, self.ambient)
-        scale = lcm(*(c.denominator for c in v))
-        w = ([c.numerator * (scale // c.denominator) for c in v] if scale > 1
-             else [c.numerator for c in v])
+    def _residual(self, w: Sequence[int]) -> list[int]:
+        """The residual of the integer vector ``w`` against the rows, in the
+        ``free`` columns."""
+        _check_length(w, self.ambient)
         den, free = self.den, self.free
         res = [den * w[k] for k in free] if den > 1 else [w[k] for k in free]
         for pc, row in zip(self.piv_cols, self.rows):
             c = w[pc]
             if c:
                 res = [x - c * y for x, y in zip(res, row)]
-        return w, res
+        return res
 
-    def add(self, v) -> bool:
-        """Insert ``v`` (ints or Fractions) into the span. Returns True when
+    def add(self, w: Sequence[int]) -> bool:
+        """Insert the integer vector ``w`` into the span. Returns True when
         the dimension grew."""
-        w, res = self._residual(v)
+        res = self._residual(w)
         j = next((j for j, x in enumerate(res) if x), None)
         if j is None:
             return False
@@ -432,7 +437,7 @@ class Subspace:
     def __init__(self, ambient_dim: int, rows: Iterable[Iterable] = ()):
         ech = Echelon(ambient_dim)
         for r in rows:
-            ech.add(vector(r))
+            ech.add(integral(vector(r))[0])
         self.ambient_dim = ambient_dim
         self.basis = ech.basis_vectors()
         self.pivots = tuple(ech.piv_cols)
@@ -515,7 +520,7 @@ def solve_linear(a: Mat, b: Vec) -> Optional[Vec]:
     for row, rhs in zip(a, b):
         if len(row) != n:
             raise DimensionMismatchError("matrix rows have unequal lengths")
-        ech.add(tuple(row) + (rhs,))
+        ech.add(integral((*row, rhs))[0])
     # A pivot in the augmented column certifies inconsistency.
     if n in ech.piv_cols:
         return None

@@ -31,7 +31,6 @@ The maps that transform a graph, with their laws on loop spans, are in
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebra import (
@@ -48,7 +47,7 @@ from .errors import (
     DimensionMismatchError,
     GraphValidationError,
 )
-from .linalg import Subspace, Vec, primitive, solve_linear
+from .linalg import Subspace, Vec, integral, primitive, solve_linear
 
 _ZERO = Fraction(0)
 
@@ -272,34 +271,33 @@ def corner_detect(e_span: Subspace, rule: Union[Rule, Callable[[], Rule]],
     rows = []
     rhs = []
     for v in basis:
-        left = [rule_product(rule, u, v, n, 0) for u in basis]
+        left = [rule_product(rule, u, v, n) for u in basis]
         for c in range(n):
             rows.append(tuple(left[t][c] for t in range(d)))
             rhs.append(scale * v[c])
     sol = solve_linear(tuple(rows), tuple(rhs))
     if sol is None:
         return not_corner
-    e = [_ZERO] * n
-    for t, y in enumerate(sol):
+    ys, m = integral(sol)
+    z = [0] * n
+    for t, y in enumerate(ys):
         if y:
             for c, bc in enumerate(basis[t]):
                 if bc:
-                    e[c] += y * bc
-    m = lcm(*(c.denominator for c in e))
-    z = tuple(c.numerator * (m // c.denominator) for c in e)
+                    z[c] += y * bc
     dm = scale * m
-    if any(rule_product(rule, v, z, n, 0) != tuple(dm * x for x in v)
+    if any(rule_product(rule, v, z, n) != tuple(dm * x for x in v)
            for v in basis):
         return not_corner
     trace = 0
     for k in range(n):
         bk = tuple(int(t == k) for t in range(n))
-        trace += rule_product(rule, z, rule_product(rule, bk, z, n, 0), n, 0)[k]
+        trace += rule_product(rule, z, rule_product(rule, bk, z, n), n)[k]
     if trace != d * dm * dm:
         return not_corner
     # e = 1 would give the whole algebra, refused above since d < n.
-    return CornerReport(is_corner=True, idempotent=tuple(e), factor_dim=d,
-                        is_full=False, is_zero=False)
+    return CornerReport(is_corner=True, idempotent=tuple(Fraction(c, m) for c in z),
+                        factor_dim=d, is_full=False, is_zero=False)
 
 
 def loop_corner(span: Subspace, base: StructureAlgebra, g: int) -> CornerReport:

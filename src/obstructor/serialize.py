@@ -99,20 +99,17 @@ def algebra_from_json(obj, where: str = "algebra",
         if not _is_int(p) or not is_prime(p):
             raise SchemaError(f"{where}.p: expected an integer prime")
         return quaternion_for_prime(p)
-    if kind == "matrix":
+    if kind in ("matrix", "split"):
         g = obj.get("g")
         if not _is_int(g) or g < 1:
             raise SchemaError(f"{where}.g: expected a positive integer")
+        if kind == "split":
+            return split_model(g)
         if _nesting == MAX_MATRIX_NESTING:
             raise SchemaError(f"{where}: matrix descriptors nested more than "
                               f"{MAX_MATRIX_NESTING} deep")
         base = algebra_from_json(obj.get("base"), f"{where}.base", _nesting + 1)
         return matrix_algebra(base, g)
-    if kind == "split":
-        g = obj.get("g")
-        if not _is_int(g) or g < 1:
-            raise SchemaError(f"{where}.g: expected a positive integer")
-        return split_model(g)
     if kind == "custom":
         dim = obj.get("dim")
         if not _is_int(dim) or dim < 1:

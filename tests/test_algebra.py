@@ -35,6 +35,7 @@ from obstructor.errors import (
     InvolutionError,
     UnitError,
 )
+from obstructor.linalg import integral
 
 
 def test_make_algebra_rationals():
@@ -659,15 +660,63 @@ def test_rule_product_matches_the_dict_kernel_seeded():
         assert len(rule) == len_u
         for _ in range(40):
             fraction = rng.random() < 0.5
-            u = draw(len_u, rng.choice(("dense", "sparse", "zero", "signs")), fraction)
-            v = draw(len_v, rng.choice(("dense", "sparse", "signs")), fraction)
-            zeros = (F(0),) if fraction else (0, F(0))
-            for zero in zeros:
-                got = rule_product(rule, u, v, out_len, zero)
-                want = _dict_rule_product(rule, u, v, out_len, zero)
-                assert got == want
-                assert [type(x) for x in got] == [type(x) for x in want]
+            u = integral(draw(len_u, rng.choice(("dense", "sparse", "zero", "signs")),
+                              fraction))[0]
+            v = integral(draw(len_v, rng.choice(("dense", "sparse", "signs")),
+                              fraction))[0]
+            got = rule_product(rule, u, v, out_len)
+            want = _dict_rule_product(rule, u, v, out_len, 0)
+            assert got == want
+            assert [type(x) for x in got] == [type(x) for x in want]
             terms = {k for i, a in enumerate(u) if a
                      for j, k, _ in rule[i] if v[j]}
+            cancelled += sum(1 for k in terms if not want[k])
+    assert cancelled >= 20, cancelled
+
+
+def test_rational_products_match_the_fraction_kernel_seeded():
+    # mul_coeffs and DMatrix @ clear each factor's denominators once and run
+    # the integer kernel: the reference is the Fraction kernel over the scale.
+    rng = random.Random(84)
+
+    def composition(base, a, c, b):
+        def mul(u, v):
+            m, n = DMatrix.from_flat(base, a, c, u), DMatrix.from_flat(base, c, b, v)
+            return (m @ n).coeffs
+
+        d = base.dim
+        return matrix_rule(base, a, c, b), base.scale, a * c * d, c * b * d, a * b * d, mul
+
+    def multiplication(alg):
+        return alg.rule, alg.scale, alg.dim, alg.dim, alg.dim, alg.mul_coeffs
+
+    q = quaternion_for_prime(2)
+    half = quaternion_algebra(F(-1, 2), -3)
+    assert half.scale == 2
+    cases = [composition(rationals(), 1, 2, 1), composition(rationals(), 2, 3, 2),
+             composition(q, 1, 2, 2), composition(q, 2, 2, 2),
+             multiplication(matrix_algebra(q, 2)), multiplication(split_model(2)),
+             composition(half, 2, 1, 2), multiplication(half)]
+
+    def draw(length, kind):
+        if kind == "zero":
+            return (F(0),) * length
+        if kind == "signs":  # +-1 over one denominator: sums often cancel
+            den = rng.randint(1, 10**12)
+            return tuple(F(rng.choice((-1, 1)), den) for _ in range(length))
+        share = 1.0 if kind == "dense" else 0.2
+        return tuple(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**12))
+                     if rng.random() < share else F(0) for _ in range(length))
+
+    cancelled = 0
+    for rule, scale, len_u, len_v, out_len, mul in cases:
+        for _ in range(40):
+            u = draw(len_u, rng.choice(("dense", "sparse", "zero", "signs")))
+            v = draw(len_v, rng.choice(("dense", "sparse", "signs")))
+            want = tuple(x / scale for x in _dict_rule_product(rule, u, v, out_len))
+            got = mul(u, v)
+            assert got == want
+            assert all(type(x) is F for x in got)
+            terms = {k for i, x in enumerate(u) if x for j, k, _ in rule[i] if v[j]}
             cancelled += sum(1 for k in terms if not want[k])
     assert cancelled >= 20, cancelled

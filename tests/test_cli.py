@@ -376,8 +376,14 @@ _Q_PLUS_Q = {"kind": "custom", "dim": 2, "consts": _IDEMPOTENT_PAIR}
      "graph.r: expected an integer"),
     ("obstruction", {**_TWO_VERTICES, "r": True, "edges": []},
      "graph.r: expected an integer"),
+    ("corner", {"kind": "split", "g": 0},
+     "algebra.g: expected a positive integer"),
+    ("corner", {"kind": "matrix", "g": True,
+                "base": {"kind": "quaternion_for_prime", "p": 2}},
+     "algebra.g: expected a positive integer"),
 ], ids=["edges-not-a-list", "edge-not-an-object", "duplicate-edge",
-        "consts-row-length", "involution-not-a-list", "float-r", "bool-r"])
+        "consts-row-length", "involution-not-a-list", "float-r", "bool-r",
+        "split-g-zero", "matrix-g-bool"])
 def test_loader_error_names_the_json_path(runner, tmp_path, command, payload, line):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload), encoding="utf-8")

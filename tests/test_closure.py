@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -334,7 +335,7 @@ def _plain_fixed_point(cells, seeds, rule, counter):
     ech, spanning = {}, {}
     for cell, ambient in cells.items():
         ech[cell] = target = Echelon(ambient)
-        spanning[cell] = [primitive(v) for v in seeds.get(cell, ()) if target.add(v)]
+        spanning[cell] = [s for s in map(primitive, seeds.get(cell, ())) if target.add(s)]
     triples = [(a, c, b) for (a, c) in cells for (c2, b) in cells
                if c2 == c and (a, b) in cells]
     marks, rounds, changed = {}, 0, True
@@ -354,7 +355,7 @@ def _plain_fixed_point(cells, seeds, rule, counter):
             for x in range(n1):
                 for y in range(m2 if x < m1 else 0, n2):
                     counter[0] += 1
-                    prod = rule_product(r, us[x], vs[y], target.ambient, 0)
+                    prod = rule_product(r, us[x], vs[y], target.ambient)
                     if target.add(prod):
                         spanning[(a, b)].append(primitive(prod))
                         changed = True
@@ -655,6 +656,29 @@ def test_every_certification_path_keeps_spans_and_rounds(monkeypatch):
         assert (res.span, res.rounds) == (ech[(0, 0)].to_subspace(), rounds), trial
     assert calls["lifted"] >= 1 and calls["lift"] > calls["lifted"], calls
     assert calls["exact"] > calls["demoted"] >= 1, calls
+
+
+@pytest.mark.parametrize("m", [10007, 101 ** 2])
+def test_rational_reconstruction_matches_a_brute_force_search(m):
+    # Every residue, at a prime and at a p^2 modulus, as _Cell._lift uses
+    # both: n/d with n = d*x (mod m) and |n|, d <= bound is unique when it
+    # exists, since 2 * bound^2 < m.
+    bound = isqrt(m // 2)
+    assert 2 * bound * bound < m
+    for x in range(m):
+        want = None
+        for d in range(1, bound + 1):
+            n = d * x % m
+            n = n - m if n > m // 2 else n
+            if abs(n) <= bound:
+                want = F(n, d)
+                break
+        got = closure._rational(x, m, bound)
+        if got is not None:
+            n, d = got
+            assert abs(n) <= bound and 0 < d <= bound and (n - d * x) % m == 0, x
+            got = F(n, d)
+        assert got == want, x
 
 
 def test_full_tables_certify_every_non_growth_mod_p(monkeypatch):

@@ -13,9 +13,11 @@ import random
 import pytest
 from cli_runner import CliRunner
 
+from obstructor import algebra, closure, obstruction
 from obstructor.algebra import split_model
 from obstructor.cli import main
 from obstructor.closure import subrng_closure
+from obstructor.linalg import Echelon
 from obstructor.serialize import dump_json, graph_to_json
 from obstructor.witness import build_r3_graph, build_r4_graph, shift_witness
 
@@ -228,3 +230,49 @@ def test_shift_witness_closure_rounds():
         x = shift_witness(g)
         rounds.append(subrng_closure(split_model(g), [x, x.dagger()]).rounds)
     assert tuple(rounds) == (3, 3, 4, 4)
+
+
+def test_kernels_take_only_ints(monkeypatch, tmp_path):
+    # Denominators are cleared once, at the edge: every entry that reaches
+    # rule_product or Echelon.add is an int, on integer and Fraction inputs.
+    bad, seen = [], set()
+    real_product, real_add = algebra.rule_product, Echelon.add
+
+    def guard(where, *vectors):
+        seen.add(where)
+        bad.extend((where, x) for v in vectors for x in v if type(x) is not int)
+
+    def guarded_product(module):
+        def product(rule, u, v, *rest):
+            guard(f"{module.__name__}.rule_product", u, v)
+            return real_product(rule, u, v, *rest)
+        return product
+
+    def guarded_add(self, w):
+        guard("Echelon.add", w)
+        return real_add(self, w)
+
+    for module in (algebra, closure, obstruction):
+        monkeypatch.setattr(module, "rule_product", guarded_product(module))
+    monkeypatch.setattr(Echelon, "add", guarded_add)
+    algebra_text, elements_text = _scaled_m2_corner()
+    inputs = {"small": _small_graph(), "half": _half_integral_graph(),
+              "algebra": algebra_text, "elements": elements_text}
+    paths = {}
+    for key, text in inputs.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(text, encoding="utf-8")
+        paths[key] = str(path)
+    runs = [["verify", "--g", "2", "--p", "2"],
+            ["find-generator", "--g", "2", "--p", "2"],
+            ["obstruction", "--graph", "{small}", "--vertex", "1"],
+            ["obstruction", "--graph", "{half}", "--vertex", "1", "--oracle-len", "4"],
+            ["corner", "--algebra", "{algebra}", "--elements", "{elements}"]]
+    for argv in runs:
+        res = CliRunner().invoke(main, [a.format(**paths) for a in argv],
+                                 env={"OBSTRUCTOR_SEED": None})
+        assert res.exit_code == 0, (argv, res.output)
+    assert not bad, sorted({where for where, _ in bad})
+    assert seen == {"Echelon.add", "obstructor.algebra.rule_product",
+                    "obstructor.closure.rule_product",
+                    "obstructor.obstruction.rule_product"}, seen
