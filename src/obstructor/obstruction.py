@@ -31,6 +31,7 @@ The maps that transform a graph, with their laws on loop spans, are in
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebra import (
@@ -216,6 +217,10 @@ class CornerReport(NamedTuple):
     is_zero: bool
 
 
+_NOT_CORNER = CornerReport(is_corner=False, idempotent=None, factor_dim=None,
+                           is_full=False, is_zero=False)
+
+
 class ObstructionVerdict(NamedTuple):
     verdict: str  # OBSTRUCTED | NOT-OBSTRUCTED | INCONCLUSIVE
     reason: str
@@ -231,21 +236,25 @@ def corner_detect(e_span: Subspace, rule: Union[Rule, Callable[[], Rule]],
     ``rule`` may also be a function of no arguments that builds the rule: it
     is called only for a partial span, the one case that takes products.
 
-    Algorithm: the zero span is the corner of p = 0. Otherwise solve the
-    linear system for a left unit e of the span; without one the span is not
-    a corner. Such an e lies in the span, so it is idempotent. A corner's
-    unit is two-sided, so e must also be a right unit. The two unit checks
-    give v = e * v * e for every v in the span, so the span lies in e * A * e,
-    and the dimension count alone decides equality: x -> e * x * e is
-    idempotent, so dim(e * A * e) is its trace.
+    Algorithm: the zero span is the corner of p = 0. Otherwise solve for a
+    left unit e of the span on its d pivot columns alone. A corner is closed
+    under products and a vector of the span is fixed by its pivot entries,
+    so on a corner this d^2-row system is equivalent to the full left-unit
+    system and has its unique solution, and an inconsistent one proves that
+    no left unit exists. On every other span, a solution that is not a true
+    two-sided unit fails the full left and right checks. A checked e lies
+    in the span, so it is idempotent, and v = e * v * e for every v in the
+    span, so the span lies in e * A * e. The dimension count alone decides
+    equality: x -> e * x * e is idempotent, so dim(e * A * e) is its trace.
 
     All products run on the integer kernel. ``a * b`` denotes the product
     under ``rule``, ``D = scale`` times the true one. The span basis vectors
     u_t are taken as their primitive integer rows p_t, so that u_t = l_t p_t
-    with l_t > 0. For e = sum_s y_s p_s the left-unit system reads
-    ``sum_s y_s (p_s * p_t) = D p_t``. Writing e = z / m with z integer, the
-    right-unit check reads ``p_t * z = D m p_t``, and the trace reads
-    ``sum_k (z * (b_k * z))[k] = (D m)^2 dim(e * A * e)``.
+    with l_t > 0. For e = sum_s y_s p_s the pivot system reads
+    ``sum_s y_s (p_s * p_t)[c] = D p_t[c]`` for the pivot columns c, with
+    the products taken on the sub-rule of the terms that land there. Writing
+    e = z / m with z integer, the unit checks read ``z * p_t = p_t * z =
+    D m p_t``, and the trace ``sum_k (z * (b_k * z))[k] = (D m)^2 dim(e * A * e)``.
     """
     if unit is None:
         raise AlgebraValidationError("corner detection needs a unital algebra")
@@ -261,23 +270,19 @@ def corner_detect(e_span: Subspace, rule: Union[Rule, Callable[[], Rule]],
                             factor_dim=n, is_full=True, is_zero=False)
     if callable(rule):
         rule = rule()
-    not_corner = CornerReport(is_corner=False, idempotent=None, factor_dim=None,
-                              is_full=False, is_zero=False)
     basis = [primitive(v) for v in e_span.basis]
     d = len(basis)
-    # Solve the left-unit system only. When a two-sided unit u exists, any
-    # left unit e satisfies e = e*u = u, so verifying the right side on the
-    # solution loses nothing and halves the system.
+    at = {c: t for t, c in enumerate(e_span.pivots)}
+    sub = tuple(tuple((j, at[k], c) for j, k, c in terms if k in at)
+                for terms in rule)
     rows = []
     rhs = []
     for v in basis:
-        left = [rule_product(rule, u, v, n) for u in basis]
-        for c in range(n):
-            rows.append(tuple(left[t][c] for t in range(d)))
-            rhs.append(scale * v[c])
+        rows += zip(*[rule_product(sub, u, v, d) for u in basis])
+        rhs += [scale * v[c] for c in e_span.pivots]
     sol = solve_linear(tuple(rows), tuple(rhs))
     if sol is None:
-        return not_corner
+        return _NOT_CORNER
     ys, m = integral(sol)
     z = [0] * n
     for t, y in enumerate(ys):
@@ -286,15 +291,16 @@ def corner_detect(e_span: Subspace, rule: Union[Rule, Callable[[], Rule]],
                 if bc:
                     z[c] += y * bc
     dm = scale * m
-    if any(rule_product(rule, v, z, n) != tuple(dm * x for x in v)
-           for v in basis):
-        return not_corner
+    for v in basis:
+        dv = tuple(dm * x for x in v)
+        if rule_product(rule, z, v, n) != dv or rule_product(rule, v, z, n) != dv:
+            return _NOT_CORNER
     trace = 0
     for k in range(n):
         bk = tuple(int(t == k) for t in range(n))
         trace += rule_product(rule, z, rule_product(rule, bk, z, n), n)[k]
     if trace != d * dm * dm:
-        return not_corner
+        return _NOT_CORNER
     # e = 1 would give the whole algebra, refused above since d < n.
     return CornerReport(is_corner=True, idempotent=tuple(Fraction(c, m) for c in z),
                         factor_dim=d, is_full=False, is_zero=False)
@@ -303,7 +309,24 @@ def corner_detect(e_span: Subspace, rule: Union[Rule, Callable[[], Rule]],
 def loop_corner(span: Subspace, base: StructureAlgebra, g: int) -> CornerReport:
     """:func:`corner_detect` for a loop span at a vertex of size ``g``, on
     the product rule of M_g(base) and the identity matrix, so that M_g(base)
-    itself is never built. The rule is built only for a partial span."""
+    itself is never built. The rule is built only for a partial span whose
+    dimension allows a corner: over Q, a quaternion algebra or matrices over
+    either, M_g(base) is M_k(Delta) for a division algebra Delta of dimension
+    1 or 4 (Artin-Wedderburn), so a corner, some M_j(Delta), has dimension
+    j^2 dim(Delta), a square. corner_detect decides every other span
+    exactly: on a closed span its pivot system is equivalent to the full
+    one, and any other span meets the full unit checks.
+    """
+    d = span.dim
+    root = base
+    while root.matrix_base is not None:
+        root = root.matrix_base
+    params = root.quaternion_params
+    if 0 < d < span.ambient_dim and (root.dim == 1 or params is not None):
+        r = isqrt(d)
+        # A definite (a, b), a, b < 0, is Delta itself: d = (2j)^2.
+        if r * r != d or r % 2 and params is not None and max(params) < 0:
+            return _NOT_CORNER
     return corner_detect(span, lambda: matrix_rule(base, g, g, g), base.scale,
                          DMatrix.identity(base, g).coeffs)
 

@@ -101,6 +101,28 @@ def _scaled_m2_corner() -> tuple[str, str]:
     return alg, json.dumps([["1", "2", "0", "0"]])
 
 
+def _one_edge_graph(n: int) -> str:
+    """Two vertices of size n over the prime-2 quaternions joined by one edge
+    whose entries come from ``random.Random(0)`` in -2..2, row by row, four
+    coefficients per entry. Its loop span at vertex 1 is partial and not a
+    corner: of dimension 4 at n = 4 and 8 at n = 8."""
+    rng = random.Random(0)
+    return json.dumps({
+        "base": {"kind": "quaternion_for_prime", "p": 2},
+        "r": 2,
+        "sizes": [n, n],
+        "edges": [{"i": 1, "j": 2, "matrix": [
+            [[str(rng.randint(-2, 2)) for _ in range(4)] for _ in range(n)]
+            for _ in range(n)]}],
+    })
+
+
+def _unclosed_m2_span() -> tuple[str, str]:
+    """M_2(Q), as the split model at g = 1, and the span of e11 - e12 - e22,
+    whose square e11 + e22 leaves the span."""
+    return json.dumps({"kind": "split", "g": 1}), json.dumps([["1", "-1", "0", "-1"]])
+
+
 def _r3_graph() -> str:
     return dump_json(graph_to_json(build_r3_graph(2, 2, 0)))
 
@@ -160,6 +182,18 @@ CASES = {
         {"graph": (_half_integral_graph, "4fcb35348125f1083c0a342722cd9a4f"
                                          "ed6739a72ce0a3da60c8c48d5150a1d4")},
         "a89f07aede00851d0bd92c3dc2d2842f6769ef77a2589ee81617e68ab507d46f"),
+    # A square span dimension, decided by the pivot system, and a non-square
+    # one, decided before any product.
+    "obstruction-one-edge-4": (
+        ["obstruction", "--graph", "{graph}", "--vertex", "1"],
+        {"graph": (lambda: _one_edge_graph(4), "1035d80e91ea45f557bba54bde7e8e19"
+                                                "1b5eb23a8c724c41d61a4b80c1f687eb")},
+        "4c0c3797f70f6a9823dfd070d79b6e45e7d9b7b02bc216131761aba7950a731d"),
+    "obstruction-one-edge-8": (
+        ["obstruction", "--graph", "{graph}", "--vertex", "1"],
+        {"graph": (lambda: _one_edge_graph(8), "c2a7806a11398b3c8571aecf5301ff5c"
+                                                "4200dcb8ee85f6aae35605a28e368e63")},
+        "4b5e7208198be70e6774218b000fe1ab179a2cd12c374debdee296d81ff2f347"),
     "find-generator-g2-p2": (
         ["find-generator", "--g", "2", "--p", "2"], {},
         "1324d2567050e18f215156abab1661b83cd73fa283ffb4b018441a0acc62d57a"),
@@ -190,6 +224,15 @@ CASES = {
                       "10f01fc397ad755ab4a1b6a23d2ced62"
                       "e514980c2cfb668cb1289296dbdffa64")},
         "98cb2ae7262991de7edc84e68cec015dfaaa890788fbf3eae86c1b8f307165a5"),
+    "corner-unclosed-span": (
+        ["corner", "--algebra", "{algebra}", "--elements", "{elements}"],
+        {"algebra": (lambda: _unclosed_m2_span()[0],
+                     "176ad2e952339f90eb7398f6972949d4"
+                     "cef981d06cc537253485afa92a95bc5f"),
+         "elements": (lambda: _unclosed_m2_span()[1],
+                      "596d1d399ed1c097c19c7715c72c2946"
+                      "22527a41a3b37355ee4c4d9eeb80abc4")},
+        "a8657c30797fc67d8e0b1795ea47b094d7a5e06aea41b452b90b7baf22183cbe"),
     "verify-all-g2-p2": (
         ["verify", "--g", "2", "--p", "2", "--all"], {},
         "a0135a0ed92a2fdfc8a8654bdf098f4322dd2e9d08e45d32d9ac04319fb1c43b"),

@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
+from obstructor import obstruction
 from obstructor.algebra import (
     DMatrix,
     dmatrix_to_element,
@@ -15,6 +18,7 @@ from obstructor.algebra import (
     quaternion_for_prime,
     rationals,
     reduced_norm,
+    split_model,
 )
 from obstructor.closure import stabilized_word_span, subrng_closure
 from obstructor.divisor import MultiHomogPoly
@@ -48,6 +52,7 @@ from obstructor.obstruction import (
     loop_oracle,
     path_span_table,
 )
+from obstructor.serialize import graph_from_json
 from obstructor.witness import (
     build_r3_graph,
     build_r4_graph,
@@ -403,17 +408,81 @@ def test_a_verdict_carries_the_power_note_by_default():
         corner_detect(Subspace(4), M2Q.rule, M2Q.scale, M2Q.unit), True).power_note
 
 
+def _refuse_rule(*shape):
+    raise AssertionError("matrix_rule built")
+
+
 def test_loop_corner_builds_the_rule_only_for_a_partial_span(monkeypatch):
-    def refuse(*shape):
-        raise AssertionError("matrix_rule built")
-    monkeypatch.setattr("obstructor.obstruction.matrix_rule", refuse)
+    monkeypatch.setattr("obstructor.obstruction.matrix_rule", _refuse_rule)
     zero = loop_corner(Subspace(16), D2, 2)
     assert zero.is_corner and zero.is_zero and not any(zero.idempotent)
     full = loop_corner(Subspace.full(16), D2, 2)
     assert full.is_corner and full.is_full and full.factor_dim == 16
     assert full.idempotent == DMatrix.identity(D2, 2).coeffs
+    # Dimension 1 is no 4 j^2, the dimension of a corner over definite D2.
+    m2 = matrix_algebra(D2, 2)
+    assert not loop_corner(echelonize([matrix_unit(m2, 1, 1).coeffs]), D2, 2).is_corner
+    block = echelonize([matrix_unit(m2, 1, 1, D2.basis_element(t)).coeffs
+                        for t in range(4)])
     with pytest.raises(AssertionError, match="matrix_rule built"):
-        loop_corner(echelonize([matrix_unit(matrix_algebra(D2, 2), 1, 1).coeffs]), D2, 2)
+        loop_corner(block, D2, 2)
+
+
+def _leading_span(n, d):
+    """The span of the first ``d`` basis vectors of an n-dimensional space."""
+    return echelonize([tuple(int(k == t) for k in range(n)) for t in range(d)],
+                      ambient_dim=n)
+
+
+def test_loop_corner_refuses_a_non_square_dimension_without_the_rule(monkeypatch):
+    monkeypatch.setattr("obstructor.obstruction.matrix_rule", _refuse_rule)
+    split = quaternion_algebra(1, 1)
+    # (base, g, the dimensions a corner of M_g(base) can have)
+    for base, g, corner_dims in ((D2, 2, {4}), (quaternion_for_prime(3), 2, {4}),
+                                 (split, 2, {1, 4, 9}), (rationals(), 4, {1, 4, 9}),
+                                 (M2Q, 2, {1, 4, 9}), (split_model(1), 2, {1, 4, 9}),
+                                 (matrix_algebra(D2, 1), 2, {4})):
+        n = base.dim * g * g
+        for d in range(1, n):
+            span = _leading_span(n, d)
+            if d in corner_dims:
+                with pytest.raises(AssertionError, match="matrix_rule built"):
+                    loop_corner(span, base, g)
+            else:
+                assert loop_corner(span, base, g) == (False, None, None, False, False)
+
+
+def test_loop_corner_takes_no_certificate_over_a_custom_base(monkeypatch):
+    monkeypatch.setattr("obstructor.obstruction.matrix_rule", _refuse_rule)
+    q_times_q = make_algebra(2, {(0, 0): ((0, 1),), (1, 1): ((1, 1),)},
+                             unit=(1, 1), involution=((1, 0), (0, 1)))
+    basis = [HAMILTON.basis_vector(t) for t in range(4)]
+    hamilton_table = make_algebra(4, [[HAMILTON.mul_coeffs(u, v) for v in basis]
+                                      for u in basis],
+                                  unit=HAMILTON.unit, involution=HAMILTON.involution)
+    for base in (q_times_q, hamilton_table):
+        n = base.dim * 4
+        for d in (2, 3, 5):
+            with pytest.raises(AssertionError, match="matrix_rule built"):
+                loop_corner(_leading_span(n, d), base, 2)
+
+
+def test_reference_corners_over_simple_bases_have_square_dimension():
+    """Artin-Wedderburn, cross-checked on the seeded cases: over Q or a
+    quaternion base every corner has dimension j^2, and 4 j^2 over a definite
+    quaternion base; loop_corner, certificate included, agrees."""
+    checked = 0
+    for span, alg in _corner_cases():
+        root = alg.matrix_base
+        if root is None or not (root.dim == 1 or root.quaternion_params):
+            continue
+        ref = _reference_corner(span, alg)
+        assert loop_corner(span, alg.matrix_base, alg.matrix_size) == ref
+        if ref.is_corner:
+            q = 4 if root.quaternion_params and max(root.quaternion_params) < 0 else 1
+            assert span.dim % q == 0 and isqrt(span.dim // q) ** 2 == span.dim // q
+            checked += not (ref.is_zero or ref.is_full)
+    assert checked >= 40
 
 
 # -- pullback ----------------------------------------------------------------------
@@ -795,3 +864,73 @@ def test_corner_detect_matches_fraction_kernel_seeded():
     assert outcomes.count((True, False, False)) >= 50
     assert outcomes.count((False, False, False)) >= 50
     assert (True, True, False) in outcomes and (True, False, True) in outcomes
+
+
+def _decide_with_branch(span, alg):
+    """corner_detect on ``span`` and the step that decided it. After the
+    pivot solve the checks form full products in a fixed order, a left and
+    a right one per basis vector of the span, then two per basis vector of
+    the algebra for the trace, so their count names the check that failed."""
+    full, solved = [], []
+    real_product, real_solve = obstruction.rule_product, obstruction.solve_linear
+
+    def product(rule, u, v, out_len):
+        full.append(out_len == alg.dim)
+        return real_product(rule, u, v, out_len)
+
+    def solve(a, b):
+        solved.append(real_solve(a, b))
+        return solved[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(obstruction, "rule_product", product)
+        mp.setattr(obstruction, "solve_linear", solve)
+        rep = corner_detect(span, alg.rule, alg.scale, alg.unit)
+    count = sum(full)
+    if solved == [None]:
+        return rep, "pivot system"
+    if rep.is_corner:
+        return rep, "corner"
+    if count == 2 * (span.dim + alg.dim):
+        return rep, "trace"
+    return rep, "left check" if count % 2 else "right check"
+
+
+def _block_graph(a, b):
+    """build_r3_graph(a, 2, seed=0) zero-padded into three size-b vertices:
+    its loop span at vertex 1 is the corner of the top-left a x a block."""
+    return ObstructionGraph(D2, (b, b, b), {
+        k: DMatrix.from_entries(D2, [
+            [m.entries[r][c] if r < a and c < a else D2.zero() for c in range(b)]
+            for r in range(b)])
+        for k, m in build_r3_graph(a, 2, seed=0).edges.items()})
+
+
+def test_corner_detect_matches_the_reference_on_every_branch():
+    from test_golden import _one_edge_graph
+
+    m2, m3 = matrix_algebra(rationals(), 2), matrix_algebra(rationals(), 3)
+    e11, e12 = matrix_unit(m2, 1, 1).coeffs, matrix_unit(m2, 1, 2).coeffs
+    cases = [
+        ("pivot system", echelonize([e12]), m2),
+        # e11 - e12 - e22 squares to e11 + e22: the pivot entry fits, the rest not.
+        ("left check", echelonize([(1, -1, 0, -1)]), m2),
+        # e11 + e22 is a right unit of span{e11, e12, e21 + e31, e22}, whose
+        # corner has its dimension, 4: only e * (e21 + e31) = e21 rejects it.
+        ("left check", echelonize([matrix_unit(m3, r, c).coeffs
+                                   for r, c in ((1, 1), (1, 2), (2, 2))]
+                                  + [(0, 0, 0, 1, 0, 0, 1, 0, 0)]), m3),
+        ("right check", echelonize([e11, e12]), m2),
+        ("trace", echelonize([HAMILTON.unit, HAMILTON.basis_vector(1)]), HAMILTON),
+    ]
+    for a, b in ((2, 3), (3, 4), (3, 5)):
+        cases.append(("corner", compute_obstruction(_block_graph(a, b), 1),
+                      matrix_algebra(D2, b)))
+    # A loop span is closed and here has a unit, but is no corner.
+    for n in (4, 8):
+        graph = graph_from_json(json.loads(_one_edge_graph(n)))
+        cases.append(("trace", compute_obstruction(graph, 1),
+                      matrix_algebra(D2, n)))
+    for want, span, alg in cases:
+        rep, branch = _decide_with_branch(span, alg)
+        assert (branch, rep) == (want, _reference_corner(span, alg)), (want, span)
