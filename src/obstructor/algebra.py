@@ -31,7 +31,7 @@ from .errors import (
     InvolutionError,
     UnitError,
 )
-from .linalg import Vec, integral, ratio, vector, zero_vector
+from .linalg import Vec, integral, ratio, refuse_assignment, vector, zero_vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -111,10 +111,6 @@ def _integral_rows(rows) -> tuple[tuple, int]:
                        for t in row) for row in rows), den
 
 
-def _refuse_assignment(self, name, *_):
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-
 class StructureAlgebra:
     """Associative Q-algebra with basis ``b_0 .. b_{n-1}`` and exact constants.
 
@@ -161,7 +157,7 @@ class StructureAlgebra:
         if inv_terms is not None:
             self._check_involution()
 
-    __setattr__ = __delattr__ = _refuse_assignment
+    __setattr__ = __delattr__ = refuse_assignment
 
     @property
     def involution(self) -> Optional[tuple[Vec, ...]]:
@@ -324,7 +320,7 @@ class AlgElement:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", coeffs)
 
-    __setattr__ = __delattr__ = _refuse_assignment
+    __setattr__ = __delattr__ = refuse_assignment
 
     def __eq__(self, other):
         if not isinstance(other, AlgElement):
@@ -728,7 +724,7 @@ class DMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "coeffs", coeffs)
 
-    __setattr__ = __delattr__ = _refuse_assignment
+    __setattr__ = __delattr__ = refuse_assignment
 
     def __eq__(self, other):
         if not isinstance(other, DMatrix):

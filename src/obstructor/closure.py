@@ -38,15 +38,17 @@ decision is proven (see ``_Cell``):
   rank_p(S) = |S| = rank_Q(S), so a product v outside span_p(S) has
   rank_Q[S; v] >= |S| + 1;
 * a non-growth, by an exact identity: v's coordinates in S mod p, or mod
-  p^2 after one p-adic lifting step (Dixon 1982), are rationally
-  reconstructed (Wang, Guy and Davenport 1982) to y, and d*v = sum (d*y_j)
-  s_j is checked in integers. When that fails, an exact :class:`Echelon`
-  over S decides, and a growth it finds demotes the cell to exact
-  arithmetic for the rest of the call;
+  p^2, p^3 or p^4 after up to three p-adic lifting steps (Dixon 1982), are
+  rationally reconstructed (Wang, Guy and Davenport 1982) to y, and
+  d*v = sum (d*y_j) s_j is checked in integers. When that fails, an exact
+  :class:`Echelon` over S decides, and a growth it finds demotes the cell
+  to exact arithmetic for the rest of the call. The lift is tried only
+  while that echelon lags S: once it has caught up, its exact residual
+  decides directly, until S grows again;
 * the result: a cell full mod p is full over Q, with the identity as its
-  canonical basis, and a partial cell's basis is the RREF of the exact
-  echelon the caps' spin built for it, or else of one exact ``Echelon``
-  pass over S.
+  canonical basis, and keeps neither echelon; a partial cell's basis is
+  the RREF of the exact echelon the caps' spin built for it, or else of
+  one exact ``Echelon`` pass over S.
 
 So the decisions, the ``rounds`` and the spans are the exact engine's.
 
@@ -83,8 +85,12 @@ from .errors import AlgebraValidationError
 from .linalg import Echelon, EchelonModP, Subspace, Vec, primitive
 
 # The one prime of the engine's cells and of the mod-p fullness certificate,
-# fixed so that every run takes the same path.
-MODULUS = 2**61 - 1
+# fixed so that every run takes the same path: the largest prime below 2^30,
+# so that a residue or a pivot multiplier is one 30-bit digit of a CPython
+# int and a packed slot of :class:`EchelonModP` takes 9 bytes at ambients
+# 15 to 4094. Three lift digits reconstruct from p^4 ~ 2^120 (see
+# ``_Cell._lift``).
+MODULUS = 2**30 - 35
 
 _CELL = (0, 0)  # the one cell of a subrng closure's table
 
@@ -166,11 +172,15 @@ class _Cell:
     the Q-span, since rank_Q[S; v] >= rank_p[S; v] = |S| + 1; that keeps
     the invariant, and the decision is proven mod p alone. A vector inside
     span_p(S) is only claimed to lie in span_Q(S). The claim stands when
-    its coordinates mod p, or else mod p^2 (:meth:`_lift`), combine S to
-    it exactly (:func:`_combines`). Otherwise the exact echelon catches up
-    with S and decides (:meth:`_exact`); if it finds a growth, the prime
-    missed one, and the cell is demoted to its exact echelon for the rest
-    of the call. A cell full mod p is full over Q.
+    its coordinates mod p, or else mod p^2, p^3 or p^4 (:meth:`_lift`),
+    combine S to it exactly (:func:`_combines`). Otherwise the exact
+    echelon catches up with S and decides (:meth:`_exact`); if it finds a
+    growth, the prime missed one, and the cell is demoted to its exact
+    echelon for the rest of the call. The lift is skipped while the exact
+    echelon holds all of S, whose residual then decides at once.
+
+    A cell with |S| = ambient is full over Q. It takes no more vectors and
+    drops both echelons, which only decided membership.
     """
 
     __slots__ = ("ambient", "grown", "modp", "exact", "synced")
@@ -189,34 +199,51 @@ class _Cell:
     def add(self, v: Sequence[int]) -> bool:
         """Insert the integer vector ``v``. Returns True when the span
         grew."""
+        grown = self.grown
+        if len(grown) == self.ambient:
+            return False
         g = gcd(*v)
         s = tuple(x // g for x in v) if g > 1 else tuple(v)
-        if self.modp is None:
+        modp = self.modp
+        if modp is None:
             return self._exact(s)
-        x = self.modp.insert(s)
+        x = modp.insert(s)
         if x is None:
-            self.grown.append(s)
+            grown.append(s)
+            if len(grown) == self.ambient:
+                self.modp = self.exact = None
             return True
-        if _combines(s, self.grown, x, self.modp.p) or self._lift(s, x):
+        if _combines(s, grown, x, modp.p) or (
+                self.synced < len(grown) and self._lift(s, x)):
             return False
         return self._exact(s)
 
     def _lift(self, s: tuple[int, ...], x: list[int]) -> bool:
         """True when ``s``, whose coordinates mod p are ``x``, is proven to
-        lie in span_Q(S) by its coordinates mod p^2, after one p-adic
-        lifting step (Dixon 1982). With x in [0, p), s - sum x_j s_j is p
-        times an integer vector, whose coordinates mod p are the next
-        p-adic digits. If s lies in span_Q(S), its coordinates have no p
-        in their denominators, because S has a |S|-minor that is nonzero
-        mod p."""
-        grown, p = self.grown, self.modp.p
-        r = s
-        for c, v in zip(x, grown):
-            if c:
-                r = [a - c * b for a, b in zip(r, v)]
-        digits = self.modp.solve([a // p for a in r])
-        return digits is not None and _combines(
-            s, grown, [a + p * b for a, b in zip(x, digits)], p * p)
+        lie in span_Q(S) by its coordinates mod p^2, p^3 or p^4, after up
+        to three p-adic lifting steps (Dixon 1982), each followed by a
+        reconstruction try. With the digits so far in [0, p), s minus their
+        combination of S is p^k times an integer vector, whose coordinates
+        mod p are the next digits. If s lies in span_Q(S), its coordinates
+        have no p in their denominators, because S has a |S|-minor that is
+        nonzero mod p. The last modulus, p^4 ~ 2^120, reconstructs
+        numerators and denominators up to about 2^59."""
+        grown, modp = self.grown, self.modp
+        p = m = modp.p
+        r, digits, y = s, x, x
+        for _ in range(3):
+            for c, v in zip(digits, grown):
+                if c:
+                    r = [a - c * b for a, b in zip(r, v)]
+            r = [a // p for a in r]
+            digits = modp.solve(r)
+            if digits is None:
+                return False
+            y = [a + m * b for a, b in zip(y, digits)]
+            m *= p
+            if _combines(s, grown, y, m):
+                return True
+        return False
 
     def _exact(self, s: tuple[int, ...]) -> bool:
         """Decide ``s`` on the exact echelon, caught up with S. A growth
@@ -236,10 +263,10 @@ class _Cell:
         self.synced = len(self.grown)
 
     def span(self, final: Optional[Echelon] = None) -> Subspace:
-        """The canonical span: the identity when full mod p, else the RREF
-        of ``final``, an exact echelon of the same span when the caps' spin
+        """The canonical span: the identity when full, else the RREF of
+        ``final``, an exact echelon of the same span when the caps' spin
         has built one, or of the exact echelon over S."""
-        if self.modp is not None and self.modp.is_full():
+        if len(self.grown) == self.ambient:
             return Subspace.full(self.ambient)
         if final is None:
             self._catch_up()
@@ -309,8 +336,8 @@ def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
     most sum(cells) + 1 lengths, or at ``max_len`` letters. Returns
     ``({cell: Echelon}, last length built)``.
 
-    The seeds are made primitive. With a prime ``modulus`` p, they and the
-    products are reduced mod p and each cell is an :class:`EchelonModP`, so the
+    The seeds are made primitive. With a prime ``modulus`` p < 2^32, they and
+    the products are reduced mod p and each cell is an :class:`EchelonModP`, so the
     spans are those of the words reduced mod p. A cell full mod p proves
     the words' Q-span full (see the module docstring); a partial one
     proves nothing.
@@ -319,11 +346,15 @@ def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
     if modulus is None:
         new, norm = Echelon, primitive
     else:
+        from array import array  # only the mod-p spin needs it
+
         def new(ambient):
             return EchelonModP(ambient, modulus)
 
         def norm(v):
-            return [x % modulus for x in v]
+            # Four bytes a residue while p < 2^32, where an int object takes
+            # 28 or more; each factor is unpacked to a list once per product.
+            return array("I", [x % modulus for x in v])
     steps = [((a, b), (c, b), rule(a, c, b), primitive(x))
              for a, c, b in _triples(letters, cells) for x in letters[(a, c)]]
     ech, fresh = {}, {}
@@ -338,7 +369,7 @@ def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
             for w in fresh[source]:
                 if span.is_full():
                     break
-                prod = rule_product(r, x, w, span.ambient)
+                prod = rule_product(r, x, list(w), span.ambient)
                 if span.add(prod):
                     grown[target].append(norm(prod))
         fresh = grown

@@ -102,6 +102,11 @@ def primitive(v) -> tuple[int, ...]:
     return tuple(x // g for x in w) if g > 1 else tuple(w)
 
 
+def refuse_assignment(self, name, *_):
+    """``__setattr__`` and ``__delattr__`` of the immutable classes."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+
 def _check_length(v, ambient: int):
     if len(v) != ambient:
         raise DimensionMismatchError(
@@ -275,9 +280,10 @@ class EchelonModP:
     slot x = h * 2^e + l becomes l + delta * h = x - h * p until every h
     is 0, and then p is subtracted from the slots x >= p, which bit e of
     x + delta marks. No slot carries, as delta <= 2^(e - 1) gives
-    l + delta * h < 2^e + 2^(S - 1) <= 2^S. Under p = 2^61 - 1 (delta = 1)
-    a slot below (ambient + 1) * p^2 takes at most 3 rounds while ambient
-    < 2^59. The row is then multiplied by the inverse of its first nonzero
+    l + delta * h < 2^e + 2^(S - 1) <= 2^S. Under p = 2^30 - 35
+    (delta = 35) a slot below (ambient + 1) * p^2 takes at most 3 rounds
+    while 35^2 * (ambient + 1) + 35 < 2^30, so for every ambient below
+    2^19. The row is then multiplied by the inverse of its first nonzero
     entry, its slots staying below p^2, and folded again; bit e of
     x + 2^e - 1 marks the nonzero slots x for ``right`` and ``spread``.
     The width is read from ``p``, so any prime works.
@@ -430,7 +436,9 @@ class EchelonModP:
 
 
 class Subspace:
-    """Immutable Q-subspace with a canonical reduced row-echelon basis."""
+    """Immutable Q-subspace with a canonical reduced row-echelon basis.
+    Instances refuse assignment: a span handed to several readers must not
+    change under them."""
 
     __slots__ = ("ambient_dim", "basis", "pivots")
 
@@ -438,16 +446,20 @@ class Subspace:
         ech = Echelon(ambient_dim)
         for r in rows:
             ech.add(integral(vector(r))[0])
-        self.ambient_dim = ambient_dim
-        self.basis = ech.basis_vectors()
-        self.pivots = tuple(ech.piv_cols)
+        self._put(ambient_dim, ech.basis_vectors(), tuple(ech.piv_cols))
+
+    def _put(self, ambient: int, basis: Mat, pivots: tuple) -> None:
+        put = object.__setattr__
+        put(self, "ambient_dim", ambient)
+        put(self, "basis", basis)
+        put(self, "pivots", pivots)
+
+    __setattr__ = __delattr__ = refuse_assignment
 
     @classmethod
     def _from_echelon(cls, ambient: int, basis: Mat, pivots: tuple) -> "Subspace":
         out = object.__new__(cls)
-        out.ambient_dim = ambient
-        out.basis = basis
-        out.pivots = pivots
+        out._put(ambient, basis, pivots)
         return out
 
     @classmethod

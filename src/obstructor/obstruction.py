@@ -278,8 +278,13 @@ def corner_detect(e_span: Subspace, rule: Union[Rule, Callable[[], Rule]],
     rows = []
     rhs = []
     for v in basis:
-        rows += zip(*[rule_product(sub, u, v, d) for u in basis])
-        rhs += [scale * v[c] for c in e_span.pivots]
+        # A row 0 = 0 says nothing; 0 = b != 0 proves there is no left unit.
+        for row, c in zip(zip(*[rule_product(sub, u, v, d) for u in basis]),
+                          e_span.pivots):
+            b = scale * v[c]
+            if b or any(row):
+                rows.append(row)
+                rhs.append(b)
     sol = solve_linear(tuple(rows), tuple(rhs))
     if sol is None:
         return _NOT_CORNER

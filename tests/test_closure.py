@@ -683,7 +683,7 @@ def test_rational_reconstruction_matches_a_brute_force_search(m):
 
 def test_full_tables_certify_every_non_growth_mod_p(monkeypatch):
     # On a full table every non-growth is certified from its coordinates
-    # mod p or mod p^2, so the exact echelon never runs: a silent fall back
+    # mod p or a p-adic lift, so the exact echelon never runs: a silent fall back
     # to the exact path fails here rather than only slowing the benchmark.
     exact_adds, claims = [0], [0]
     real_add, real_insert = Echelon.add, closure.EchelonModP.insert
@@ -702,3 +702,77 @@ def test_full_tables_certify_every_non_growth_mod_p(monkeypatch):
     table = path_span_table(build_r4_graph(3, 5, seed=0))
     assert all(s.is_full() for s in table.spans.values())
     assert exact_adds[0] == 0 and claims[0] >= 100, (exact_adds, claims)
+
+
+def test_a_full_cell_keeps_neither_echelon(monkeypatch):
+    cell = closure._Cell(3, closure.MODULUS)
+    assert cell.add((1, 2, 3)) and cell.add((0, 1, 0)) and not cell.add((2, 4, 6))
+    assert cell.modp is not None and cell.exact is not None
+    assert cell.add((0, 0, 5))
+    assert cell.modp is None and cell.exact is None
+    assert not cell.add((1, 1, 1)) and cell.dim == 3
+    assert cell.span() == Subspace.full(3)
+    # In the engine: every cell of a full table drops both echelons, and
+    # every cell of a block table is partial and keeps them.
+    seen = []
+    real_span = closure._Cell.span
+
+    def span(cell, final=None):
+        seen.append(cell)
+        return real_span(cell, final)
+
+    monkeypatch.setattr(closure._Cell, "span", span)
+    table = path_span_table(build_r3_graph(3, 2, seed=0))
+    assert all(s == Subspace.full(36) for s in table.spans.values())
+    assert len(seen) == 9 and all(c.modp is c.exact is None for c in seen)
+    seen.clear()
+    table = path_span_table(_block_graph(build_r3_graph(2, 2, seed=0), 3))
+    assert table.spans[(1, 1)].dim == 16
+    assert len(seen) == 9 and all(c.dim < c.ambient and c.modp is not None
+                                  for c in seen)
+
+
+def test_the_lift_certifies_a_non_growth_on_its_third_digit(monkeypatch):
+    # s = (n/d) * (d, 0, 0) + (0, 1, 0) with d = 3^30 ~ 2^47.5 and n ~ 2^50:
+    # its coordinates reconstruct mod p^4 ~ 2^120, not mod p^3 ~ 2^90.
+    p = closure.MODULUS
+    tried, exact = [], []
+    real_combines = closure._combines
+
+    def combines(s, grown, x, m):
+        out = real_combines(s, grown, x, m)
+        tried.append((m, out))
+        return out
+
+    monkeypatch.setattr(closure, "_combines", combines)
+    monkeypatch.setattr(closure._Cell, "_exact", lambda cell, s: exact.append(s))
+    cell = closure._Cell(3, p)
+    assert cell.add((3**30, 0, 0)) and cell.add((0, 1, 0))
+    assert not cell.add((2**50 + 1, 1, 0))
+    assert tried == [(p, False), (p**2, False), (p**3, False), (p**4, True)]
+    assert exact == [] and cell.dim == 2
+
+
+def test_a_synced_exact_echelon_decides_without_the_lift(monkeypatch):
+    lifts = []
+    real_lift = closure._Cell._lift
+
+    def lift(cell, s, x):
+        out = real_lift(cell, s, x)
+        lifts.append(out)
+        return out
+
+    monkeypatch.setattr(closure._Cell, "_lift", lift)
+    cell = closure._Cell(4, closure.MODULUS)
+    assert cell.add((1, 0, 0, 0)) and cell.add((0, 1, 0, 0))
+    # Coordinates of 200 bits: no lift reconstructs them, so the exact
+    # echelon catches up with S and decides.
+    big = (2**200 + 1, 2**200 + 3, 0, 0)
+    assert not cell.add(big)
+    assert lifts == [False] and cell.synced == 2
+    assert not cell.add((2**201 + 1, 5, 0, 0)) and not cell.add(big)
+    assert lifts == [False]
+    # A growth mod p leaves the exact echelon behind S, and the lift returns.
+    assert cell.add((0, 0, 1, 0))
+    assert not cell.add(big)
+    assert lifts == [False, False] and cell.synced == 3

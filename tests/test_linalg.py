@@ -111,6 +111,20 @@ def test_subspace_equal_is_canonical_identity():
     assert a == b and hash(a) == hash(b)
 
 
+def test_subspaces_refuse_assignment():
+    # Spans are shared (engine tables, Subspace.full), so none may change.
+    for span in (echelonize([(1, 2, 3)]), Subspace.full(2), echelonize([], ambient_dim=2)):
+        before = (span.ambient_dim, span.basis, span.pivots)
+        for name in Subspace.__slots__:
+            with pytest.raises(AttributeError, match="Subspace is immutable"):
+                setattr(span, name, ())
+            with pytest.raises(AttributeError, match="Subspace is immutable"):
+                delattr(span, name)
+        with pytest.raises(AttributeError):
+            span.extra = 1
+        assert (span.ambient_dim, span.basis, span.pivots) == before
+
+
 def test_solve_identity():
     a = ((1, 0), (0, 1))
     assert solve_linear(a, vector((7, -2))) == vector((7, -2))
@@ -475,7 +489,7 @@ def test_echelon_mod_p_coordinates_combine_to_every_non_growth():
     rng = random.Random(67)
     non_growths = 0
     for trial in range(150):
-        p = (5, 7, 2**61 - 1)[trial % 3]
+        p = (5, 7, 2**61 - 1, MODULUS)[trial % 4]
         n = rng.randint(1, 9)
         ech, grown = EchelonModP(n, p, coordinates=True), []
         for _ in range(rng.randint(1, 2 * n + 2)):
@@ -520,15 +534,17 @@ def test_echelon_mod_p_slots_never_carry_at_ambient_1024():
     # each of the 1023 updates adds (p - 1)^2 to every later slot: the last
     # slot reaches 1023 * (p - 1)^2 + p, the worst case the slot width is
     # sized for. A carry into a neighbour would break the zero residual or
-    # the coordinates.
-    p, n = 2**61 - 1, 1024
-    ech = EchelonModP(n, p, coordinates=True)
-    for i in range(n):
-        assert ech.add([0] * i + [1] + [p - 1] * (n - i - 1))
-    assert ech.is_full()
-    assert ech.solve([(1 - k) % p for k in range(n)]) == [1] * n
-    assert ech.solve([p - 1] * n) == [(p - 2**(k % 61)) % p for k in range(n)]
-    assert all(q == i and row[i] == 1 for i, (q, row) in enumerate(ech.unpacked_rows()))
+    # the coordinates. The coordinates of (-1, ..., -1) are -2^k.
+    n = 1024
+    for p in (2**61 - 1, MODULUS):
+        ech = EchelonModP(n, p, coordinates=True)
+        for i in range(n):
+            assert ech.add([0] * i + [1] + [p - 1] * (n - i - 1))
+        assert ech.is_full()
+        assert ech.solve([(1 - k) % p for k in range(n)]) == [1] * n
+        assert ech.solve([p - 1] * n) == [-pow(2, k, p) % p for k in range(n)]
+        assert all(q == i and row[i] == 1
+                   for i, (q, row) in enumerate(ech.unpacked_rows()))
 
 
 # -- folding packed slots ---------------------------------------------------------
@@ -618,14 +634,15 @@ class _CountedDelta(int):
         return int(self) * other
 
 
-def test_modulus_is_mersenne_and_folds_a_worst_residual_in_three_rounds():
-    # Every growth folds twice; a prime with a large delta, or a small one,
-    # would make each fold take many more rounds.
+def test_modulus_is_a_prime_below_2_30_and_folds_a_worst_residual_in_three_rounds():
+    # Below 2^30 a residue is one digit of a CPython int, and a slot at
+    # ambient 1024 takes 9 bytes. Every growth folds twice; a prime with a
+    # large delta, or a small one, would make each fold take many more rounds.
     p, n = MODULUS, 1024
-    assert p == 2 ** p.bit_length() - 1
+    assert is_prime(p) and p < 2**30 and p.bit_length() == 30
     ech = EchelonModP(n, p, coordinates=True)
-    assert ech.delta == 1
-    ech.delta = _CountedDelta(1)
+    assert ech.delta == 2**30 - p < 64 and ech.nbytes == 9
+    ech.delta = _CountedDelta(ech.delta)
     rng = random.Random(79)
     worst = (n + 1) * p * p - 1
     for slots in ([worst] * 2 * n, [worst - rng.randrange(p * p) for _ in range(2 * n)],

@@ -906,6 +906,29 @@ def _block_graph(a, b):
         for k, m in build_r3_graph(a, 2, seed=0).edges.items()})
 
 
+def test_corner_detect_solves_no_pivot_row_reading_0_eq_0(monkeypatch):
+    seen = []
+
+    def solve(a, b):
+        seen.append((a, b))
+        return solve_linear(a, b)
+
+    monkeypatch.setattr(obstruction, "solve_linear", solve)
+    # On a block corner many pivot rows read 0 = 0 (128 of 256 here), and
+    # none reaches the solve.
+    span, alg = compute_obstruction(_block_graph(2, 3), 1), matrix_algebra(D2, 3)
+    rep = corner_detect(span, alg.rule, alg.scale, alg.unit)
+    assert rep.is_corner and rep == _reference_corner(span, alg)
+    (a, b), = seen
+    assert all(any(row) or rhs for row, rhs in zip(a, b))
+    assert span.dim ** 2 == 256 and len(a) == 128, len(a)
+    # e12 * e12 = 0: its one row reads 0 = D and proves there is no left unit.
+    seen.clear()
+    m2 = matrix_algebra(rationals(), 2)
+    span = echelonize([matrix_unit(m2, 1, 2).coeffs])
+    assert not corner_detect(span, m2.rule, m2.scale, m2.unit).is_corner
+    assert seen == [(((0,),), (m2.scale,))]
+
 def test_corner_detect_matches_the_reference_on_every_branch():
     from test_golden import _one_edge_graph
 
