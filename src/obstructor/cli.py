@@ -650,14 +650,17 @@ def _prog_name() -> str:
 def main(args=None, prog_name: str | None = None):
     """Exact-arithmetic engine for loop-span lifting obstructions.
 
-    Runs the subcommand that ``args`` (default ``sys.argv[1:]``) names and
-    exits with its code. This is the one place library errors become exit
-    codes: an ``ObstructorError`` is an input error (exit 2), anything else
-    unexpected an internal error (exit 3); each prints one ``Error:`` line.
+    Runs the subcommand that ``args`` (default ``sys.argv[1:]``) names,
+    flushes stdout and raises ``SystemExit`` with its code, so a caller in
+    the same process gets the code back. This is the one place library
+    errors become exit codes: an ``ObstructorError`` is an input error (exit
+    2), anything else unexpected, a failed write of the output included, an
+    internal error (exit 3); each prints one ``Error:`` line.
     """
     args = sys.argv[1:] if args is None else list(args)
     try:
         code = _run(prog_name or _prog_name(), args)
+        sys.stdout.flush()  # a failed write is an error here, not at teardown
     except ObstructorError as exc:
         sys.stderr.write(f"Error: {exc}\n")
         code = 2
@@ -671,5 +674,25 @@ def main(args=None, prog_name: str | None = None):
     sys.exit(code or 0)
 
 
+def run() -> None:
+    """The process entry of ``obstructor`` and ``python -m obstructor.cli``.
+
+    Runs :func:`main`, flushes stderr and ends the process with the exit
+    code, skipping the interpreter's teardown: the CLI writes no file and
+    registers no ``atexit`` handler, and ``main`` has flushed stdout. Under
+    a tracer or profiler (cProfile, trace, coverage) the ``SystemExit``
+    propagates instead, so the process exits normally and the tool reports.
+    """
+    try:
+        main()
+    except SystemExit as exc:
+        monitoring = getattr(sys, "monitoring", None)  # cProfile's hook from 3.12
+        if sys.gettrace() or sys.getprofile() or monitoring and any(
+                map(monitoring.get_tool, range(6))):
+            raise
+        sys.stderr.flush()
+        os._exit(exc.code)
+
+
 if __name__ == "__main__":
-    main()
+    run()

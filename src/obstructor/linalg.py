@@ -435,6 +435,12 @@ class EchelonModP:
         return out
 
 
+@cache
+def _identity(n: int, /) -> Mat:
+    """The n x n identity, shared by every full span of ambient n."""
+    return tuple(tuple(_ONE if k == i else _ZERO for k in range(n)) for i in range(n))
+
+
 class Subspace:
     """Immutable Q-subspace with a canonical reduced row-echelon basis.
     Instances refuse assignment: a span handed to several readers must not
@@ -465,9 +471,7 @@ class Subspace:
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
         """The whole space, whose canonical basis is the identity."""
-        basis = tuple(tuple(_ONE if k == i else _ZERO for k in range(ambient))
-                      for i in range(ambient))
-        return cls._from_echelon(ambient, basis, tuple(range(ambient)))
+        return cls._from_echelon(ambient, _identity(ambient), tuple(range(ambient)))
 
     @property
     def dim(self) -> int:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -791,15 +792,23 @@ def test_an_option_value_may_start_with_a_dash(runner, argv, stdout):
     assert res.exit_code == 0 and res.stdout == stdout
 
 
+def _spawn(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` on this tree's package, as text, with stderr
+    captured and ``PYTHONUNBUFFERED`` unset, so that stdout is
+    block-buffered unless it is a terminal."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(sys.modules[main.__module__].__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, text=True,
+                          stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, **kwargs)
+
+
 def _loaded_by(statement: str) -> list:
     """The modules that ``statement`` loads in a fresh interpreter, sorted;
     what ``site`` loads before it does not count."""
     code = ("import sys\nbefore = set(sys.modules)\n" + statement
             + "\nprint(*sorted(set(sys.modules) - before))")
-    src = str(Path(sys.modules[main.__module__].__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    out = _spawn("-c", code, stdout=subprocess.PIPE, check=True).stdout
     return out.splitlines()[-1].split()
 
 
@@ -834,3 +843,45 @@ def test_the_divisor_command_loads_the_divisor_module():
                         "try:\n    main(['divisor', '--poly', 'x1*y1', '--r', '1'])\n"
                         "except SystemExit as exc:\n    assert exc.code == 0")
     assert "obstructor.divisor" in loaded and "obstructor.laws" not in loaded
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_of_the_output_exits_3_with_one_error_line():
+    with open("/dev/full", "w") as full:
+        res = _spawn("-m", "obstructor.cli", "hilbert", "--a", "-1", "--b", "-1",
+                     stdout=full)
+    assert res.returncode == 3
+    assert res.stderr == ("Error: internal error (OSError): "
+                          "[Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--g", "2", "--p", "2"], 0),
+    (["verify", "--g", "2", "--p", "2", "--strict"], 1),
+    (["verify", "--g", "2"], 2),
+], ids=["pass", "strict-failure", "usage-error"])
+def test_a_process_prints_what_main_prints_in_process(runner, argv, code):
+    """The process ends without interpreter teardown, so this holds only if
+    the output reaches the block-buffered pipe before it ends."""
+    prog = "python -m obstructor.cli"
+    want = runner.invoke(lambda args, prog_name: main(args, prog), argv)
+    got = _spawn("-m", "obstructor.cli", *argv, stdout=subprocess.PIPE)
+    assert want.exit_code == code
+    assert (got.returncode, got.stdout, got.stderr) == (code, want.stdout, want.stderr)
+
+
+def test_a_profiled_run_exits_normally_and_prints_the_profile():
+    res = _spawn("-m", "cProfile", "-m", "obstructor.cli",
+                 "hilbert", "--a", "-1", "--b", "-1", stdout=subprocess.PIPE)
+    assert res.returncode == 0 and res.stderr == ""
+    assert res.stdout.startswith('{\n  "a": "-1",') and "function calls" in res.stdout
+
+
+def test_the_console_script_and_the_module_share_one_entry():
+    # tomllib needs Python 3.11, above the floor, so both are matched as text.
+    root = Path(__file__).resolve().parent.parent
+    script = re.search(r'^obstructor = "obstructor\.cli:(\w+)"$',
+                       (root / "pyproject.toml").read_text(), re.M)
+    module = re.search(r'^if __name__ == "__main__":\n    (\w+)\(\)$',
+                       Path(sys.modules[main.__module__].__file__).read_text(), re.M)
+    assert script and module and script.group(1) == module.group(1) != "main"

@@ -347,6 +347,13 @@ def test_echelon_full_rank_basis_is_identity():
         tuple(F(int(i == k)) for k in range(3)) for i in range(3))
 
 
+def test_full_spans_share_one_identity_basis():
+    a, b = Subspace.full(5), Subspace.full(5)
+    assert a.basis is b.basis
+    assert a.basis == tuple(tuple(F(int(i == k)) for k in range(5)) for i in range(5))
+    assert a.pivots == tuple(range(5)) and a.is_full()
+
+
 def _dense_rows(ech):
     """The integer rows of ``ech`` with the pivot entries filled in."""
     out = []
