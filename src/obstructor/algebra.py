@@ -93,6 +93,26 @@ def rule_product(rule: Rule, u: Sequence[int], v: Sequence[int],
     return tuple(res)
 
 
+def multiplication_matrix(rule: Rule, x: Sequence[int], width: int, out_len: int,
+                          right: bool = False) -> list[list[int]]:
+    """The ``width`` columns of v -> rule_product(rule, x, v, out_len), read
+    off the rule in one pass with no product: column j is x * b_j. With
+    ``right``, those of v -> rule_product(rule, v, x, out_len), column j
+    being b_j * x, and ``width`` is len(rule)."""
+    cols = [[0] * out_len for _ in range(width)]
+    if right:
+        for col, terms in zip(cols, rule):
+            for j, k, c in terms:
+                if x[j]:
+                    col[k] += x[j] * c
+        return cols
+    for a, terms in zip(x, rule):
+        if a:
+            for j, k, c in terms:
+                cols[j][k] += a * c
+    return cols
+
+
 def _rational_product(rule: Rule, scale: int, u: Vec, v: Vec, out_len: int) -> Vec:
     """The true product of rational vectors under an integer rule of the
     given scale, each factor scaled to integers once; every entry a Fraction."""

@@ -62,7 +62,10 @@ spinning, Parker 1984, over Q) steps it on the left by letters, never
 multiplying two span vectors; with the seeds as letters it serves both
 independent cross-checks, ``stabilized_word_span`` and
 :func:`obstruction.loop_oracle`, and mod :data:`MODULUS`, in ``full_mod_p``
-alone, it certifies that a span is full.
+alone, it certifies that a span is full. There each letter is a fixed
+factor, whose matrix is read off the rule once a spin and packed into the
+target's slots (Kronecker substitution, Harvey 2009), so that a step is one
+multiply-add per column, on all slots at once.
 Let V be the Q-span of a cell's words and L = V ∩ Z_(p)^n. The seeds are
 primitive integer vectors and every rule is an integer rule, so every word
 lies in L. L is a saturated lattice of rank dim V, so its reduction mod p
@@ -80,7 +83,8 @@ from __future__ import annotations
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .algebra import AlgElement, Rule, StructureAlgebra, rule_product
+from .algebra import (AlgElement, Rule, StructureAlgebra, multiplication_matrix,
+                      rule_product)
 from .errors import AlgebraValidationError
 from .linalg import Echelon, EchelonModP, Subspace, Vec, primitive
 
@@ -340,38 +344,51 @@ def spin(cells: Mapping[tuple, int], seeds: Mapping[tuple, Sequence[Vec]],
     the products are reduced mod p and each cell is an :class:`EchelonModP`, so the
     spans are those of the words reduced mod p. A cell full mod p proves
     the words' Q-span full (see the module docstring); a partial one
-    proves nothing.
+    proves nothing. There a letter acts as a fixed matrix, read off the rule
+    by :func:`algebra.multiplication_matrix` once per rule and letter, when
+    a step first has a fresh vector, packed into the target's slots and
+    kept to the end; a product is one :meth:`EchelonModP.combine`, and no
+    ``rule_product`` is formed.
     """
     seeds = {cell: [primitive(v) for v in vs] for cell, vs in seeds.items()}
-    if modulus is None:
-        new, norm = Echelon, primitive
-    else:
-        from array import array  # only the mod-p spin needs it
-
-        def new(ambient):
-            return EchelonModP(ambient, modulus)
-
-        def norm(v):
-            # Four bytes a residue while p < 2^32, where an int object takes
-            # 28 or more; each factor is unpacked to a list once per product.
-            return array("I", [x % modulus for x in v])
     steps = [((a, b), (c, b), rule(a, c, b), primitive(x))
              for a, c, b in _triples(letters, cells) for x in letters[(a, c)]]
-    ech, fresh = {}, {}
+    ech, fresh, packed = {}, {}, {}
     for cell, ambient in cells.items():
-        ech[cell] = target = new(ambient)
-        fresh[cell] = [norm(v) for v in seeds.get(cell, ()) if target.add(v)]
+        vs = seeds.get(cell, ())
+        if modulus is None:
+            ech[cell] = span = Echelon(ambient)
+            fresh[cell] = [v for v in vs if span.add(v)]
+        else:
+            ech[cell] = span = EchelonModP(ambient, modulus)
+            fresh[cell] = [span.residues(w) for w in map(span.pack, vs)
+                           if span.add_packed(w)]
     length = 1
     while length != max_len and any(fresh.values()):
         grown = {cell: [] for cell in cells}
         for target, source, r, x in steps:
-            span = ech[target]
-            for w in fresh[source]:
-                if span.is_full():
-                    break
-                prod = rule_product(r, x, list(w), span.ambient)
-                if span.add(prod):
-                    grown[target].append(norm(prod))
+            span, ws = ech[target], fresh[source]
+            if modulus is None:
+                for w in ws:
+                    if span.is_full():
+                        break
+                    prod = rule_product(r, x, w, span.ambient)
+                    if span.add(prod):
+                        grown[target].append(primitive(prod))
+            elif ws and not span.is_full():
+                # A rule fixes the shapes of its factors and of its product.
+                cols = packed.get((id(r), x))
+                if cols is None:
+                    cols = packed[id(r), x] = multiplication_matrix(
+                        r, x, cells[source], span.ambient)
+                    for j, col in enumerate(cols):  # each list freed as packed
+                        cols[j] = span.pack(col)
+                for w in ws:
+                    prod = span.combine(w, cols)
+                    if span.add_packed(prod):
+                        grown[target].append(span.residues(prod))
+                        if span.is_full():
+                            break
         fresh = grown
         length += 1
     return ech, length

@@ -23,11 +23,13 @@ mod p, from which :mod:`closure` certifies the claim exactly.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left
 from functools import cache
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError
@@ -288,6 +290,11 @@ class EchelonModP:
     x + 2^e - 1 marks the nonzero slots x for ``right`` and ``spread``.
     The width is read from ``p``, so any prime works.
 
+    A :meth:`combine` of n columns would reach n * (p - 1)^2 in a slot,
+    past 2^S when n, a source's dimension, is far above the ambient. So it
+    folds after every ambient + 1 columns, and its slots stay below
+    p + (ambient + 1) * (p - 1)^2 < 2^S however many columns there are.
+
     With ``coordinates``, slot ``ambient + j`` of a row holds its coordinate
     on the j-th vector that grew the span, so that the row is congruent to
     the sum of its coordinates times those vectors, and bit j of
@@ -331,19 +338,34 @@ class EchelonModP:
     def is_full(self) -> bool:
         return len(self.pivots) == self.ambient
 
-    def _reduce(self, v: Sequence[int]) -> tuple[int, bool, int]:
-        """The residual of ``v``, whether it is 0 mod p in every entry slot,
-        and the bits of its coordinate slots that may be nonzero. With
-        ``coordinates`` the residual is marked 1 in the coordinate slot of
-        the next row."""
+    def pack(self, v: Sequence[int]) -> int:
+        """The integer vector ``v`` mod p, packed in the slots of a row."""
         _check_length(v, self.ambient)
         p, nb, zero = self.p, self.nbytes, bytes(self.nbytes)
-        w = int.from_bytes(b"".join([(x % p).to_bytes(nb, "little") if x else zero
-                                     for x in v]), "little")
-        todo = 0
-        for q in self.pivots:
-            if v[q]:
-                todo |= 1 << q
+        return int.from_bytes(b"".join([(x % p).to_bytes(nb, "little") if x else zero
+                                        for x in v]), "little")
+
+    def combine(self, xs: Sequence[int], columns: Sequence[int]) -> int:
+        """sum x_j * columns[j] mod p, packed, for residues ``xs`` and packed
+        ``columns``, folded every ambient + 1 columns so that no slot carries."""
+        step, w = self.ambient + 1, 0
+        for i in range(0, len(columns), step):
+            w = self._fold(w + sum(map(mul, xs[i:i + step], columns[i:i + step])))
+        return w
+
+    def _reduce(self, w: int, v: Optional[Sequence[int]] = None) -> tuple[int, bool, int]:
+        """The residual of the packed ``w``, whether it is 0 mod p in every
+        entry slot, and the bits of its coordinate slots that may be
+        nonzero. With ``coordinates`` the residual is marked 1 in the
+        coordinate slot of the next row. Every pivot is visited, or with
+        ``v``, the vector packed in ``w``, those where ``v`` is nonzero."""
+        todo = self.pivot_bits
+        if v is not None:
+            todo = 0
+            for q in self.pivots:
+                if v[q]:
+                    todo |= 1 << q
+        p, nb = self.p, self.nbytes
         slot, rows, right, spread = 8 * nb, self.rows, self.right, self.spread
         mask, pivot_bits, coords = (1 << slot) - 1, self.pivot_bits, 0
         while todo:
@@ -400,7 +422,15 @@ class EchelonModP:
     def add(self, v: Sequence[int]) -> bool:
         """Insert the integer vector ``v``. Returns True when the dimension
         grew."""
-        w, zero, _ = self._reduce(v)
+        w, zero, _ = self._reduce(self.pack(v), v)
+        if not zero:
+            self._grow(w)
+        return not zero
+
+    def add_packed(self, w: int) -> bool:
+        """:meth:`add` for ``w`` packed with every slot in [0, p), as
+        :meth:`pack` and :meth:`combine` give it."""
+        w, zero, _ = self._reduce(w)
         if not zero:
             self._grow(w)
         return not zero
@@ -409,7 +439,7 @@ class EchelonModP:
         """Insert ``v`` as :meth:`add` does. Returns None when the dimension
         grew, and otherwise the coordinates of ``v`` as :meth:`solve` gives
         them."""
-        w, zero, coords = self._reduce(v)
+        w, zero, coords = self._reduce(self.pack(v), v)
         if zero:
             return self._solution(w, coords)
         self._grow(w)
@@ -420,8 +450,19 @@ class EchelonModP:
         span, in insertion order: v = sum x_j s_j (mod p), each x_j in
         [0, p). None when ``v`` is outside the span mod p. Needs
         ``coordinates``."""
-        w, zero, coords = self._reduce(v)
+        w, zero, coords = self._reduce(self.pack(v), v)
         return self._solution(w, coords) if zero else None
+
+    def residues(self, w: int) -> Sequence[int]:
+        """The entry slots of ``w``, in [0, p), as an ``array('I')``, four
+        bytes each where an int object takes 28 or more: p < 2^32."""
+        from array import array  # only the mod-p spin reads residues
+
+        nb, n = self.nbytes, self.ambient
+        b, out = w.to_bytes(nb * n, "little"), bytearray(4 * n)
+        for i in range(min(nb, 4)):  # a residue fills at most 4 low bytes
+            out[i if sys.byteorder == "little" else 3 - i::4] = b[i::nb]
+        return array("I", out)
 
     def unpacked_rows(self) -> list[tuple[int, list[int]]]:
         """The (pivot, entries) pairs of the rows in insertion order,

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebra import (
@@ -40,6 +41,7 @@ from .algebra import (
     Rule,
     StructureAlgebra,
     matrix_rule,
+    multiplication_matrix,
     rule_product,
 )
 from .closure import fixed_point, full_mod_p, spin
@@ -255,6 +257,9 @@ def corner_detect(e_span: Subspace, rule: Union[Rule, Callable[[], Rule]],
     the products taken on the sub-rule of the terms that land there. Writing
     e = z / m with z integer, the unit checks read ``z * p_t = p_t * z =
     D m p_t``, and the trace ``sum_k (z * (b_k * z))[k] = (D m)^2 dim(e * A * e)``.
+    With L and R the matrices of left and right multiplication by z, that
+    trace is ``sum_{j,k} L[k][j] R[j][k]``; both are read off the rule by
+    :func:`algebra.multiplication_matrix`, with no product.
     """
     if unit is None:
         raise AlgebraValidationError("corner detection needs a unital algebra")
@@ -300,10 +305,10 @@ def corner_detect(e_span: Subspace, rule: Union[Rule, Callable[[], Rule]],
         dv = tuple(dm * x for x in v)
         if rule_product(rule, z, v, n) != dv or rule_product(rule, v, z, n) != dv:
             return _NOT_CORNER
-    trace = 0
-    for k in range(n):
-        bk = tuple(int(t == k) for t in range(n))
-        trace += rule_product(rule, z, rule_product(rule, bk, z, n), n)[k]
+    # Column j of ``left`` is z * b_j and column k of ``right`` is b_k * z.
+    left = multiplication_matrix(rule, z, n, n)
+    right = multiplication_matrix(rule, z, n, n, right=True)
+    trace = sum(sum(map(mul, col, row)) for col, row in zip(left, zip(*right)))
     if trace != d * dm * dm:
         return _NOT_CORNER
     # e = 1 would give the whole algebra, refused above since d < n.

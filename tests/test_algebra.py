@@ -17,6 +17,7 @@ from obstructor.algebra import (
     matrix_algebra,
     matrix_rule,
     matrix_unit,
+    multiplication_matrix,
     quaternion_algebra,
     quaternion_for_prime,
     ramified_places,
@@ -668,6 +669,50 @@ def test_rule_product_matches_the_dict_kernel_seeded():
             want = _dict_rule_product(rule, u, v, out_len, 0)
             assert got == want
             assert [type(x) for x in got] == [type(x) for x in want]
+            terms = {k for i, a in enumerate(u) if a
+                     for j, k, _ in rule[i] if v[j]}
+            cancelled += sum(1 for k in terms if not want[k])
+    assert cancelled >= 20, cancelled
+
+
+def test_multiplication_matrix_matches_rule_product_seeded():
+    # Column j of x's left matrix is x * b_j and of its right matrix b_j * x:
+    # applied to v, they give x * v and v * x.
+    rng = random.Random(85)
+    q = quaternion_for_prime(2)
+    shapes = [(matrix_rule(rationals(), 1, 3, 2), 3, 6, 2),
+              (matrix_rule(rationals(), 3, 1, 2), 3, 2, 6),
+              (matrix_rule(q, 1, 2, 3), 8, 24, 12),
+              (matrix_rule(q, 3, 2, 1), 24, 8, 12),
+              (matrix_rule(q, 2, 2, 2), 16, 16, 16),
+              (split_model(2).rule, 16, 16, 16),
+              # A rule with an empty row, whose terms also cancel.
+              ((((0, 0, 1), (1, 0, -1)), (), ((1, 1, 2), (0, 1, -2))), 3, 2, 2)]
+
+    def draw(length, kind):
+        if kind == "zero":
+            return (0,) * length
+        if kind == "signs":  # +-1 entries, whose sums often cancel
+            return tuple(rng.choice((-1, 1)) for _ in range(length))
+        share = 1.0 if kind == "dense" else 0.2
+        return tuple(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, 200))
+                     if rng.random() < share else 0 for _ in range(length))
+
+    def apply(cols, v):
+        return tuple(sum(c * x for c, x in zip(row, v)) for row in zip(*cols))
+
+    kinds = ("dense", "sparse", "zero", "signs")
+    cancelled = 0
+    for rule, len_u, len_v, out_len in shapes:
+        assert len(rule) == len_u
+        for _ in range(40):
+            u, v = draw(len_u, rng.choice(kinds)), draw(len_v, rng.choice(kinds))
+            want = rule_product(rule, u, v, out_len)
+            left = multiplication_matrix(rule, u, len_v, out_len)
+            right = multiplication_matrix(rule, v, len_u, out_len, right=True)
+            assert [len(c) for c in left] == [out_len] * len_v
+            assert [len(c) for c in right] == [out_len] * len_u
+            assert apply(left, v) == want == apply(right, u)
             terms = {k for i, a in enumerate(u) if a
                      for j, k, _ in rule[i] if v[j]}
             cancelled += sum(1 for k in terms if not want[k])

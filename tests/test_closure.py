@@ -26,7 +26,7 @@ from obstructor.closure import (
     subrng_closure,
 )
 from obstructor.errors import AlgebraValidationError
-from obstructor.linalg import Echelon, Subspace, echelonize, primitive
+from obstructor.linalg import Echelon, EchelonModP, Subspace, echelonize, primitive
 from obstructor.obstruction import ObstructionGraph, loop_oracle, path_span_table
 from obstructor.witness import build_r3_graph, build_r4_graph, shift_witness
 
@@ -776,3 +776,113 @@ def test_a_synced_exact_echelon_decides_without_the_lift(monkeypatch):
     assert cell.add((0, 0, 1, 0))
     assert not cell.add(big)
     assert lifts == [False, False] and cell.synced == 3
+
+
+# -- the packed mod-p spin against one product at a time --------------------------
+
+
+def _reference_spin_mod_p(cells, seeds, letters, rule, p):
+    """The mod-p spin with one rule_product and one EchelonModP.add per
+    product: the reference for the packed letter matrices."""
+    seeds = {cell: [primitive(v) for v in vs] for cell, vs in seeds.items()}
+    steps = [((a, b), (c, b), rule(a, c, b), primitive(x))
+             for a, c, b in closure._triples(letters, cells) for x in letters[(a, c)]]
+    ech = {cell: EchelonModP(ambient, p) for cell, ambient in cells.items()}
+    fresh = {cell: [[x % p for x in v] for v in seeds.get(cell, ()) if ech[cell].add(v)]
+             for cell in cells}
+    length = 1
+    while any(fresh.values()):
+        grown = {cell: [] for cell in cells}
+        for target, source, r, x in steps:
+            span = ech[target]
+            for w in fresh[source]:
+                if span.is_full():
+                    break
+                prod = rule_product(r, x, w, span.ambient)
+                if span.add(prod):
+                    grown[target].append([c % p for c in prod])
+        fresh = grown
+        length += 1
+    return ech, length
+
+
+def _spun_alike(table, p):
+    """Spin ``table`` mod p packed and by the reference, with the seeds as
+    letters, as full_mod_p does; return the cells' fullness once both
+    agree on every cell's pivots, rows and fullness and on the length."""
+    cells, seeds, rule = table
+    got, length = closure.spin(cells, seeds, seeds, rule, modulus=p)
+    want, want_length = _reference_spin_mod_p(cells, seeds, seeds, rule, p)
+    assert length == want_length
+    for cell in cells:
+        assert got[cell].pivots == want[cell].pivots, cell
+        assert got[cell].rows == want[cell].rows, cell
+        assert got[cell].is_full() == want[cell].is_full(), cell
+    return [got[cell].is_full() for cell in cells]
+
+
+def test_packed_mod_p_spin_matches_the_reference_seeded():
+    rng = random.Random(47)
+    D2 = quaternion_for_prime(2)
+    custom = _rescaled(matrix_algebra(rationals(), 2), [F(1, 2), 3, F(2, 5), 1])
+    split = split_model(2)
+    full = []
+    for trial in range(48):
+        base = (D2, rationals(), split, custom)[trial % 4]
+        p = (closure.MODULUS, 5)[trial // 4 % 2]
+        if trial % 3 == 2:  # a one-cell word table
+            alg = base if base.dim == 16 else matrix_algebra(base, 2)
+            x = _sparse_element(alg, rng, rng.randint(1, alg.dim))
+            full += _spun_alike(closure._word_table(alg, [x, x.dagger()]), p)
+            continue
+        # Vertices of sizes 1 and up to 4 (2 over the split base) make
+        # steps from a source cell wider than the target.
+        r = 2 + trial % 2
+        sizes = [1] + [rng.randint(1, 2 if base is split else 4) for _ in range(r - 1)]
+        edges = {(i, j): _random_edge(base, rng, sizes[j - 1], sizes[i - 1],
+                                      trial % 4 != 1)
+                 for i in range(1, r + 1) for j in range(i + 1, r + 1)
+                 if rng.random() < 0.8}
+        graph = ObstructionGraph(base, sizes, edges)
+        column = None if trial % 5 == 0 else rng.randint(1, r)
+        full += _spun_alike(obstruction._table(graph, column), p)
+    # Both outcomes occur: some cells end full, others partial.
+    assert 0 < sum(full) < len(full), (sum(full), len(full))
+
+
+def test_a_step_from_a_wider_source_does_not_carry_between_slots():
+    # The target (0, 1) has ambient 2 and 8-byte slots, which hold
+    # (2 + 1) * p^2 and no more, while the source (2, 1) has 40 columns:
+    # with every residue p - 1, a product slot sums to 40 * (p - 1)^2.
+    p, n = closure.MODULUS, 40
+    rule = (tuple((j, 0, 1) for j in range(n)) + ((0, 1, 1),),)
+    table = ({(0, 1): 2, (2, 1): n, (0, 2): 1}, {(2, 1): [(-1,) * n]},
+             {(0, 2): [(-1,)]}, lambda a, c, b: rule)
+    ech, _ = closure.spin(*table, modulus=p)
+    target = ech[(0, 1)]
+    assert n * (p - 1) ** 2 >= 1 << 8 * target.nbytes
+    # The product is (40, 1), so the row is (1, 1/40) mod p.
+    assert target.rows == {0: 1 + (pow(n, -1, p) << 8 * target.nbytes)}
+    want, _ = _reference_spin_mod_p(*table, p)
+    assert target.rows == want[(0, 1)].rows
+
+
+def test_the_mod_p_spin_forms_no_product_and_the_exact_spin_does(monkeypatch):
+    products = []
+    real_product = closure.rule_product
+
+    def counted_product(*args):
+        products.append(args)
+        return real_product(*args)
+
+    monkeypatch.setattr(closure, "rule_product", counted_product)
+    g = build_r3_graph(2, 2, seed=0)
+    x = g.edges[(1, 2)]
+    end_alg = matrix_algebra(g.base, 2)
+    gens = [end_alg.element(x.coeffs), end_alg.element(x.dagger_transpose().coeffs)]
+    assert closure.full_mod_p(*obstruction._table(g, 1), (1, 1))
+    assert generates_fully(end_alg, gens)
+    assert products == []
+    assert loop_oracle(g, 1, 4).dim and products
+    products.clear()
+    assert stabilized_word_span(end_alg, gens, max_len=2)[0].dim and products

@@ -868,11 +868,13 @@ def test_corner_detect_matches_fraction_kernel_seeded():
 
 def _decide_with_branch(span, alg):
     """corner_detect on ``span`` and the step that decided it. After the
-    pivot solve the checks form full products in a fixed order, a left and
-    a right one per basis vector of the span, then two per basis vector of
-    the algebra for the trace, so their count names the check that failed."""
-    full, solved = [], []
+    pivot solve the unit checks form full products in a fixed order, a left
+    and a right one per basis vector of the span, so their count names the
+    check that failed; the trace, which forms no product, is seen by a spy
+    on the multiplication matrices it reads."""
+    full, solved, traced = [], [], []
     real_product, real_solve = obstruction.rule_product, obstruction.solve_linear
+    real_matrix = obstruction.multiplication_matrix
 
     def product(rule, u, v, out_len):
         full.append(out_len == alg.dim)
@@ -882,16 +884,22 @@ def _decide_with_branch(span, alg):
         solved.append(real_solve(a, b))
         return solved[-1]
 
+    def matrix(*args, **kwargs):
+        traced.append(True)
+        return real_matrix(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(obstruction, "rule_product", product)
         mp.setattr(obstruction, "solve_linear", solve)
+        mp.setattr(obstruction, "multiplication_matrix", matrix)
         rep = corner_detect(span, alg.rule, alg.scale, alg.unit)
     count = sum(full)
     if solved == [None]:
         return rep, "pivot system"
     if rep.is_corner:
         return rep, "corner"
-    if count == 2 * (span.dim + alg.dim):
+    if traced:
+        assert count == 2 * span.dim  # the trace itself forms no product
         return rep, "trace"
     return rep, "left check" if count % 2 else "right check"
 
