@@ -93,19 +93,13 @@ def rule_product(rule: Rule, u: Sequence[int], v: Sequence[int],
     return tuple(res)
 
 
-def multiplication_matrix(rule: Rule, x: Sequence[int], width: int, out_len: int,
-                          right: bool = False) -> list[list[int]]:
+def multiplication_matrix(rule: Rule, x: Sequence[int], width: int,
+                          out_len: int) -> list[list[int]]:
     """The ``width`` columns of v -> rule_product(rule, x, v, out_len), read
-    off the rule in one pass with no product: column j is x * b_j. With
-    ``right``, those of v -> rule_product(rule, v, x, out_len), column j
-    being b_j * x, and ``width`` is len(rule)."""
+    off the rule in one pass with no product: column j is x * b_j. The
+    mod-p ``closure.spin`` packs it for each letter, and
+    ``obstruction.corner_detect`` reads its trace from it."""
     cols = [[0] * out_len for _ in range(width)]
-    if right:
-        for col, terms in zip(cols, rule):
-            for j, k, c in terms:
-                if x[j]:
-                    col[k] += x[j] * c
-        return cols
     for a, terms in zip(x, rule):
         if a:
             for j, k, c in terms:

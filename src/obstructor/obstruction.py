@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from operator import mul
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebra import (
@@ -257,9 +256,11 @@ def corner_detect(e_span: Subspace, rule: Union[Rule, Callable[[], Rule]],
     the products taken on the sub-rule of the terms that land there. Writing
     e = z / m with z integer, the unit checks read ``z * p_t = p_t * z =
     D m p_t``, and the trace ``sum_k (z * (b_k * z))[k] = (D m)^2 dim(e * A * e)``.
-    With L and R the matrices of left and right multiplication by z, that
-    trace is ``sum_{j,k} L[k][j] R[j][k]``; both are read off the rule by
-    :func:`algebra.multiplication_matrix`, with no product.
+    That trace needs no product: with L the matrix of left multiplication
+    by z, read off the rule by :func:`algebra.multiplication_matrix` (column
+    m is z * b_m), it is ``sum_k sum c z_j L[m][k]`` over the terms
+    (j, m, c) of ``rule[k]``, which are the entries of right multiplication
+    by z, read in the same pass and never stored.
     """
     if unit is None:
         raise AlgebraValidationError("corner detection needs a unital algebra")
@@ -305,10 +306,11 @@ def corner_detect(e_span: Subspace, rule: Union[Rule, Callable[[], Rule]],
         dv = tuple(dm * x for x in v)
         if rule_product(rule, z, v, n) != dv or rule_product(rule, v, z, n) != dv:
             return _NOT_CORNER
-    # Column j of ``left`` is z * b_j and column k of ``right`` is b_k * z.
+    # Column m of ``left`` is z * b_m, and b_k * z = sum c z_j b_m over the
+    # terms (j, m, c) of rule[k], so (z * b_k * z)[k] sums c z_j left[m][k].
     left = multiplication_matrix(rule, z, n, n)
-    right = multiplication_matrix(rule, z, n, n, right=True)
-    trace = sum(sum(map(mul, col, row)) for col, row in zip(left, zip(*right)))
+    trace = sum(c * z[j] * left[m][k] for k, terms in enumerate(rule)
+                for j, m, c in terms if z[j])
     if trace != d * dm * dm:
         return _NOT_CORNER
     # e = 1 would give the whole algebra, refused above since d < n.

@@ -965,3 +965,26 @@ def test_corner_detect_matches_the_reference_on_every_branch():
     for want, span, alg in cases:
         rep, branch = _decide_with_branch(span, alg)
         assert (branch, rep) == (want, _reference_corner(span, alg)), (want, span)
+
+
+def test_the_corner_trace_holds_one_multiplication_matrix(monkeypatch):
+    # The trace cases above: z's left matrix is the only one built, and the
+    # entries of its right matrix are read off the rule.
+    from test_golden import _one_edge_graph
+
+    calls, real_matrix = [], obstruction.multiplication_matrix
+
+    def matrix(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return real_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(obstruction, "multiplication_matrix", matrix)
+    cases = [(echelonize([HAMILTON.unit, HAMILTON.basis_vector(1)]), HAMILTON)]
+    for n in (4, 8):
+        graph = graph_from_json(json.loads(_one_edge_graph(n)))
+        cases.append((compute_obstruction(graph, 1), matrix_algebra(D2, n)))
+    for span, alg in cases:
+        calls.clear()
+        rep = corner_detect(span, alg.rule, alg.scale, alg.unit)
+        assert rep == _reference_corner(span, alg) and not rep.is_corner
+        assert calls == [(4, {})], calls
