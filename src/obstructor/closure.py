@@ -16,13 +16,17 @@ reported ``rounds`` (the rounds that grew some cell):
   dimension.
 
 A product into a cell at its final dimension cannot grow it, so skipping it
-changes no decision. The final dimensions are certified lazily: the first
-time a cell has taken more than twice its current dimension in products that
-did not grow it, one ``spin`` from the current spans, stepping on the left by
-the seeds, spans the final table. That is exact because the product rules
-are associative (checked for every algebra at construction, and inherited
-by matrix composition over it): every element of the closure is a sum of
-left-nested words in the seeds. Full tables rarely reach the trigger.
+changes no decision. The final table is found lazily: the first time a cell
+has taken more than twice its current dimension in products that did not
+grow it, or cannot prove a non-growth by its coordinates (see below), the
+current spans are spun, stepping on the left by the seeds. That is exact
+because the product rules are associative (checked for every algebra at
+construction, and inherited by matrix composition over it): every element
+of the closure is a sum of left-nested words in the seeds. The spin runs
+mod :data:`MODULUS`, and its guess is proven in integers with no echelon
+(``_proven_closure``); when reconstruction or the proof fails, an exact
+``spin`` decides. Its dimensions are the caps, and its spans the result.
+Full tables rarely reach the trigger.
 
 The engine runs on primitive integer vectors: seeds are scaled to integers
 and every rule is an algebra's integer rule, whose products are fixed
@@ -40,15 +44,16 @@ decision is proven (see ``_Cell``):
 * a non-growth, by an exact identity: v's coordinates in S mod p, or mod
   p^2, p^3 or p^4 after up to three p-adic lifting steps (Dixon 1982), are
   rationally reconstructed (Wang, Guy and Davenport 1982) to y, and
-  d*v = sum (d*y_j) s_j is checked in integers. When that fails, an exact
-  :class:`Echelon` over S decides, and a growth it finds demotes the cell
-  to exact arithmetic for the rest of the call. The lift is tried only
+  d*v = sum (d*y_j) s_j is checked in integers. When that fails, a cell
+  that the caps find at its final dimension cannot grow; below it, an
+  exact :class:`Echelon` over S decides, and a growth it finds demotes the
+  cell to exact arithmetic for the rest of the call. The lift is tried only
   while that echelon lags S: once it has caught up, its exact residual
   decides directly, until S grows again;
-* the result: a cell full mod p is full over Q, with the identity as its
-  canonical basis, and keeps neither echelon; a partial cell's basis is
-  the RREF of the exact echelon the caps' spin built for it, or else of
-  one exact ``Echelon`` pass over S.
+* the result: the caps' span of a cell when they were found; else a cell
+  full mod p is full over Q, with the identity as its canonical basis, and
+  keeps neither echelon, and a partial cell's basis is the RREF of one
+  exact ``Echelon`` pass over S.
 
 So the decisions, the ``rounds`` and the spans are the exact engine's.
 
@@ -61,11 +66,11 @@ Every closure reads a table as ``(cells, seeds, rule)``. ``spin`` (MeatAxe
 spinning, Parker 1984, over Q) steps it on the left by letters, never
 multiplying two span vectors; with the seeds as letters it serves both
 independent cross-checks, ``stabilized_word_span`` and
-:func:`obstruction.loop_oracle`, and mod :data:`MODULUS`, in ``full_mod_p``
-alone, it certifies that a span is full. There each letter is a fixed
-factor, whose matrix is read off the rule once a spin and packed into the
-target's slots (Kronecker substitution, Harvey 2009), so that a step is one
-multiply-add per column, on all slots at once.
+:func:`obstruction.loop_oracle`; mod :data:`MODULUS` it certifies that a
+span is full, in ``full_mod_p``, and guesses the caps' final table. There
+each letter is a fixed factor, whose matrix is read off the rule once a
+spin and packed into the target's slots (Kronecker substitution, Harvey
+2009), so that a step is one multiply-add per column, on all slots at once.
 Let V be the Q-span of a cell's words and L = V ∩ Z_(p)^n. The seeds are
 primitive integer vectors and every rule is an integer rule, so every word
 lies in L. L is a saturated lattice of rank dim V, so its reduction mod p
@@ -80,8 +85,9 @@ not full proves nothing, and the caller falls back to the exact path:
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (AlgElement, Rule, StructureAlgebra, multiplication_matrix,
                       rule_product)
@@ -111,10 +117,12 @@ def fixed_point(cells: Mapping[tuple, int],
 
     A cell takes no products once at its cap: its ambient dimension, until
     some cell has taken more than twice its current dimension in products
-    that did not grow it. Then one :func:`spin` from the current spans,
-    stepping on the left by the seeds, spans the final table, and its
-    dimensions become the caps. This needs associative rules, so that the
-    closure is spanned by left-nested words in the seeds.
+    that did not grow it, or has a non-growth mod p that its coordinates do
+    not prove. Then the :func:`spin` of the current spans, stepping on the
+    left by the seeds, mod p and proven (``_proven_closure``), or else
+    exact, gives the final table: its dimensions become the caps, and its
+    spans are returned. This needs associative rules, so that the closure
+    is spanned by left-nested words in the seeds.
 
     Each cell decides membership mod :data:`MODULUS` and proves every
     decision (see the module docstring), so each one is the exact one.
@@ -128,7 +136,21 @@ def fixed_point(cells: Mapping[tuple, int],
     letters = {cell: list(vs) for cell, vs in spanning.items()}
     cap = dict(cells)
     misses: Optional[dict[tuple, int]] = dict.fromkeys(cells, 0)
-    final: dict[tuple, Echelon] = {}
+    final: dict[tuple, Subspace] = {}
+
+    def capped(cell: tuple) -> bool:
+        """True when ``cell`` is at its final dimension, the caps found
+        first if they are not yet."""
+        nonlocal cap, misses, final
+        if misses is not None:
+            misses = None
+            final = _proven_closure(cells, spanning, letters, rule)
+            if final is None:
+                final = {k: e.to_subspace() for k, e in
+                         spin(cells, spanning, letters, rule)[0].items()}
+            cap = {k: span.dim for k, span in final.items()}
+        return table[cell].dim == cap[cell]
+
     triples = _triples(cells, cells)
     marks: dict[tuple, tuple[int, int]] = {}
     rounds = 0
@@ -146,19 +168,17 @@ def fixed_point(cells: Mapping[tuple, int],
             target = table[(a, b)]
             if target.dim == cap[(a, b)] or not n1 or not n2:
                 continue
-            r = rule(a, c, b)
+            r, settle = rule(a, c, b), partial(capped, (a, b))
             for x in range(n1):
                 u = us[x]
                 for y in range(m2 if x < m1 else 0, n2):
                     prod = rule_product(r, u, vs[y], target.ambient)
-                    if target.add(prod):
+                    if target.add(prod, settle):
                         changed = True
                     elif misses is not None:
                         misses[(a, b)] += 1
                         if misses[(a, b)] > 2 * target.dim:
-                            final, _ = spin(cells, spanning, letters, rule)
-                            cap = {cell: e.dim for cell, e in final.items()}
-                            misses = None
+                            capped((a, b))
                     if target.dim == cap[(a, b)]:
                         break
                 if target.dim == cap[(a, b)]:
@@ -177,11 +197,12 @@ class _Cell:
     the invariant, and the decision is proven mod p alone. A vector inside
     span_p(S) is only claimed to lie in span_Q(S). The claim stands when
     its coordinates mod p, or else mod p^2, p^3 or p^4 (:meth:`_lift`),
-    combine S to it exactly (:func:`_combines`). Otherwise the exact
-    echelon catches up with S and decides (:meth:`_exact`); if it finds a
-    growth, the prime missed one, and the cell is demoted to its exact
-    echelon for the rest of the call. The lift is skipped while the exact
-    echelon holds all of S, whose residual then decides at once.
+    combine S to it exactly (:func:`_combines`), or when the caller finds
+    the cell at its final dimension. Otherwise the exact echelon catches
+    up with S and decides (:meth:`_exact`); if it finds a growth, the prime
+    missed one, and the cell is demoted to its exact echelon for the rest
+    of the call. The lift is skipped while the exact echelon holds all of
+    S, whose residual then decides at once.
 
     A cell with |S| = ambient is full over Q. It takes no more vectors and
     drops both echelons, which only decided membership.
@@ -200,9 +221,10 @@ class _Cell:
     def dim(self) -> int:
         return len(self.grown)
 
-    def add(self, v: Sequence[int]) -> bool:
+    def add(self, v: Sequence[int], capped: Optional[Callable[[], bool]] = None) -> bool:
         """Insert the integer vector ``v``. Returns True when the span
-        grew."""
+        grew. A claim that the coordinates and the lift leave unproven also
+        stands when ``capped()`` finds the cell at its final dimension."""
         grown = self.grown
         if len(grown) == self.ambient:
             return False
@@ -218,7 +240,8 @@ class _Cell:
                 self.modp = self.exact = None
             return True
         if _combines(s, grown, x, modp.p) or (
-                self.synced < len(grown) and self._lift(s, x)):
+                self.synced < len(grown) and self._lift(s, x)) or (
+                capped is not None and capped()):
             return False
         return self._exact(s)
 
@@ -266,16 +289,16 @@ class _Cell:
             self.exact.add(s)
         self.synced = len(self.grown)
 
-    def span(self, final: Optional[Echelon] = None) -> Subspace:
-        """The canonical span: the identity when full, else the RREF of
-        ``final``, an exact echelon of the same span when the caps' spin
-        has built one, or of the exact echelon over S."""
+    def span(self, final: Optional[Subspace] = None) -> Subspace:
+        """The canonical span: ``final`` when the caps have found the
+        closure, else the identity when full, or the RREF of the exact
+        echelon over S."""
+        if final is not None:
+            return final
         if len(self.grown) == self.ambient:
             return Subspace.full(self.ambient)
-        if final is None:
-            self._catch_up()
-            final = self.exact
-        return final.to_subspace()
+        self._catch_up()
+        return self.exact.to_subspace()
 
 
 def _rational(x: int, m: int, bound: int) -> Optional[tuple[int, int]]:
@@ -311,6 +334,88 @@ def _combines(s: Sequence[int], grown: Sequence[Sequence[int]], x: Sequence[int]
         k = num * (d // den)
         acc = [a - k * b for a, b in zip(acc, grown[j])]
     return not any(acc)
+
+
+def _proven_closure(cells: Mapping[tuple, int], spans: Mapping[tuple, Sequence[Vec]],
+                    letters: Mapping[tuple, Sequence[Vec]],
+                    rule: Callable[..., Rule]) -> Optional[dict]:
+    """The closure's ``{cell: Subspace}``, proven from a guess W, or None.
+
+    The caps' spin runs mod :data:`MODULUS` from the current ``spans`` S,
+    stepping on the left by the ``letters``, the table's primitive seeds. A
+    cell full mod p is full over Q (see the module docstring). The reduced
+    basis of a partial cell is rationally reconstructed (:func:`_guess`)
+    into an exact RREF, whose row space is W there. The guess stands when
+    every letter lies in W and every letter x of cell (a, c) maps every
+    basis row of W(c, b) into W(a, b), both checked in integers. Then W
+    holds every left-nested word in the seeds, so it holds the closure C.
+    The words mod p are reductions of integer words in C, so
+    dim W = rank_p <= rank_Q <= dim C. Hence W = C, with no echelon over Q.
+    """
+    spun, _ = spin(cells, spans, letters, rule, modulus=MODULUS)
+    guess = {}
+    for cell, span in spun.items():
+        if not span.is_full():
+            guess[cell] = rref = _guess(span)
+            if rref is None:
+                return None
+    for cell, rref in guess.items():
+        if any(_outside(x, *rref) for x in letters[cell]):
+            return None
+    for a, c, b in _triples(letters, cells):
+        target, source = guess.get((a, b)), guess.get((c, b))
+        if target is None or source is not None and not source[1]:
+            continue
+        r = rule(a, c, b)
+        for x in letters[(a, c)]:
+            cols = multiplication_matrix(r, x, cells[(c, b)], cells[(a, b)])
+            if any(_outside(v, *target)
+                   for v in (cols if source is None else _images(cols, *source))):
+                return None
+    return {cell: Subspace._from_rref(ambient, *guess[cell]) if cell in guess else
+            Subspace.full(ambient) for cell, ambient in cells.items()}
+
+
+def _guess(span: EchelonModP) -> Optional[tuple[int, list]]:
+    """The exact RREF whose reduction mod p is the reduced basis of
+    ``span``, each nonzero entry rationally reconstructed, as the
+    ``(den, basis)`` of :meth:`Subspace._from_rref`, or None."""
+    p = span.p
+    bound, rows = isqrt(p // 2), []
+    for q, entries in span._reduced_rows():
+        row = []
+        for k, c in entries:
+            y = _rational(c, p, bound)
+            if y is None:
+                return None
+            row.append((k, *y))
+        rows.append((q, row))
+    den = lcm(*(d for _, row in rows for _, _, d in row))
+    return den, [(q, [(k, num * (den // d)) for k, num, d in row])
+                 for q, row in reversed(rows)]
+
+
+def _outside(v: Sequence[int], den: int, basis: list) -> bool:
+    """True when the integer vector ``v`` is outside the span of the RREF
+    ``(den, basis)``: den*v - sum v[q]*(den*R_q) is not 0."""
+    res = [den * x for x in v] if den > 1 else list(v)
+    for q, terms in basis:
+        c = v[q]
+        if c:
+            res[q] -= den * c
+            for k, y in terms:
+                res[k] -= c * y
+    return any(res)
+
+
+def _images(cols: Sequence[Sequence[int]], den: int, basis: list) -> Iterator[list]:
+    """den*x*R_q for each row R_q of the RREF ``(den, basis)``, from the
+    columns x*b_j of :func:`algebra.multiplication_matrix`."""
+    for q, terms in basis:
+        v = [den * t for t in cols[q]] if den > 1 else cols[q]
+        for k, y in terms:
+            v = [s + y * t for s, t in zip(v, cols[k])]
+        yield v
 
 
 def _triples(left: Mapping[tuple, object], cells: Mapping[tuple, int]) -> list:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError
 
@@ -107,6 +107,21 @@ def primitive(v) -> tuple[int, ...]:
 def refuse_assignment(self, name, *_):
     """``__setattr__`` and ``__delattr__`` of the immutable classes."""
     raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+
+def _rref_rows(ambient: int, den: int, basis) -> Mat:
+    """The dense rows of a reduced row-echelon basis, given for each row as
+    its pivot q and (column, integer) pairs: 1 at q, integer / ``den`` at
+    each column, 0 elsewhere."""
+    out = []
+    for q, terms in basis:
+        dense = [_ZERO] * ambient
+        dense[q] = _ONE
+        for k, x in terms:
+            if x:
+                dense[k] = Fraction(x, den)
+        out.append(tuple(dense))
+    return tuple(out)
 
 
 def _check_length(v, ambient: int):
@@ -224,18 +239,13 @@ class Echelon:
 
     def basis_vectors(self) -> Mat:
         """The canonical reduced row-echelon basis: the rows over ``den``."""
-        n, den = self.ambient, self.den
-        out = []
-        for pc, row in zip(self.piv_cols, self.rows):
-            dense = [_ZERO] * n
-            dense[pc] = _ONE
-            for k, x in zip(self.free, row):
-                if x:
-                    dense[k] = Fraction(x, den)
-            out.append(tuple(dense))
-        return tuple(out)
+        free = self.free
+        return _rref_rows(self.ambient, self.den,
+                          [(pc, zip(free, row)) for pc, row in zip(self.piv_cols, self.rows)])
 
     def to_subspace(self) -> "Subspace":
+        if len(self.rows) == self.ambient:
+            return Subspace.full(self.ambient)
         return Subspace._from_echelon(self.ambient, self.basis_vectors(),
                                       tuple(self.piv_cols))
 
@@ -266,12 +276,13 @@ class EchelonModP:
 
     The residual of v is formed without reducing a slot. Pivot columns are
     visited left to right, since a row changes no slot left of its pivot,
-    and only those where a slot of w may be nonzero: where v or an applied
-    row is nonzero. Each row update ``w += (p - c) * row`` is one
-    multiply-add. A slot gains less than p^2 a row, at most once per
-    pivot, so it stays below (ambient + 1) * p^2 < 2^(T + e), where
-    e = bits(p) and T = bits(ambient + 1) + e. A slot is S = T + e bits,
-    rounded up to whole bytes, so no slot carries into the next. Then w is
+    and only those where a slot of w may be nonzero: where v is, as
+    :meth:`_nonzero` reads off its packed slots, or an applied row is. Each
+    row update ``w += (p - c) * row`` is one multiply-add. A slot gains
+    less than p^2 a row, at most once per pivot, so it stays below
+    (ambient + 1) * p^2 < 2^(T + e), where e = bits(p) and
+    T = bits(ambient + 1) + e. A slot is S = T + e bits, rounded up to
+    whole bytes, so no slot carries into the next. Then w is
     0 mod p in every slot exactly when p divides w and every slot of
     w // p is below 2^T: such a quotient times p carries into no slot
     either.
@@ -353,18 +364,13 @@ class EchelonModP:
             w = self._fold(w + sum(map(mul, xs[i:i + step], columns[i:i + step])))
         return w
 
-    def _reduce(self, w: int, v: Optional[Sequence[int]] = None) -> tuple[int, bool, int]:
+    def _reduce(self, w: int) -> tuple[int, bool, int]:
         """The residual of the packed ``w``, whether it is 0 mod p in every
         entry slot, and the bits of its coordinate slots that may be
         nonzero. With ``coordinates`` the residual is marked 1 in the
-        coordinate slot of the next row. Every pivot is visited, or with
-        ``v``, the vector packed in ``w``, those where ``v`` is nonzero."""
-        todo = self.pivot_bits
-        if v is not None:
-            todo = 0
-            for q in self.pivots:
-                if v[q]:
-                    todo |= 1 << q
+        coordinate slot of the next row. The pivots visited first are those
+        where a slot of ``w``, each in [0, p), is nonzero."""
+        todo = self._nonzero(w, self.ambient) & self.pivot_bits if w else 0
         p, nb = self.p, self.nbytes
         slot, rows, right, spread = 8 * nb, self.rows, self.right, self.spread
         mask, pivot_bits, coords = (1 << slot) - 1, self.pivot_bits, 0
@@ -394,17 +400,21 @@ class EchelonModP:
         """Append the residual ``w``, nonzero mod p, as a row."""
         n, nb, p = self.ambient, self.nbytes, self.p
         w = self._fold(w)
-        # Byte 0 of slot k of the marks is 1 when slot k of w is nonzero;
-        # reversed, these bytes are the binary digits of ``nonzero``.
-        width = n + len(self.pivots) + 1 if self.coordinates else n
-        marks = ((w + self.lo & self.tops) >> self.e).to_bytes(nb * width, "little")
-        nonzero = int(marks[::nb].translate(_BINARY)[::-1], 2)
+        nonzero = self._nonzero(w, n + len(self.pivots) + 1 if self.coordinates else n)
         q = (nonzero & -nonzero).bit_length() - 1
         self.pivots.append(q)
         self.pivot_bits |= 1 << q
         self.rows[q] = self._fold(w * pow(w >> 8 * nb * q & (1 << 8 * nb) - 1, -1, p))
         self.right[q] = nonzero & ((1 << n) - 1) & ~(1 << q)
         self.spread[q] = nonzero >> n
+
+    def _nonzero(self, w: int, width: int) -> int:
+        """Bit k set when slot k < ``width`` of ``w``, each in [0, 2^e), is
+        nonzero: byte 0 of slot k of the marks is 1 then, and reversed,
+        these bytes are the binary digits of the bits."""
+        nb = self.nbytes
+        marks = ((w + self.lo & self.tops) >> self.e).to_bytes(nb * width, "little")
+        return int(marks[::nb].translate(_BINARY)[::-1], 2)
 
     def _solution(self, w: int, coords: int) -> list[int]:
         """The coordinates on a residual ``w`` that is 0 mod p, read from
@@ -422,7 +432,7 @@ class EchelonModP:
     def add(self, v: Sequence[int]) -> bool:
         """Insert the integer vector ``v``. Returns True when the dimension
         grew."""
-        w, zero, _ = self._reduce(self.pack(v), v)
+        w, zero, _ = self._reduce(self.pack(v))
         if not zero:
             self._grow(w)
         return not zero
@@ -439,7 +449,7 @@ class EchelonModP:
         """Insert ``v`` as :meth:`add` does. Returns None when the dimension
         grew, and otherwise the coordinates of ``v`` as :meth:`solve` gives
         them."""
-        w, zero, coords = self._reduce(self.pack(v), v)
+        w, zero, coords = self._reduce(self.pack(v))
         if zero:
             return self._solution(w, coords)
         self._grow(w)
@@ -450,19 +460,18 @@ class EchelonModP:
         span, in insertion order: v = sum x_j s_j (mod p), each x_j in
         [0, p). None when ``v`` is outside the span mod p. Needs
         ``coordinates``."""
-        w, zero, coords = self._reduce(self.pack(v), v)
+        w, zero, coords = self._reduce(self.pack(v))
         return self._solution(w, coords) if zero else None
 
     def residues(self, w: int) -> Sequence[int]:
-        """The entry slots of ``w``, in [0, p), as an ``array('I')``, four
-        bytes each where an int object takes 28 or more: p < 2^32."""
-        from array import array  # only the mod-p spin reads residues
-
+        """The entry slots of ``w``, in [0, p), as unsigned ints four bytes
+        each, where an int object takes 28 or more: p < 2^32. A memoryview
+        cast needs no module, where ``array`` loads one in each process."""
         nb, n = self.nbytes, self.ambient
         b, out = w.to_bytes(nb * n, "little"), bytearray(4 * n)
         for i in range(min(nb, 4)):  # a residue fills at most 4 low bytes
             out[i if sys.byteorder == "little" else 3 - i::4] = b[i::nb]
-        return array("I", out)
+        return memoryview(out).cast("I")
 
     def unpacked_rows(self) -> list[tuple[int, list[int]]]:
         """The (pivot, entries) pairs of the rows in insertion order,
@@ -474,6 +483,36 @@ class EchelonModP:
             out.append((q, [int.from_bytes(b[i:i + nb], "little") % p
                             for i in range(0, nb * n, nb)]))
         return out
+
+    def _reduced_rows(self) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+        """The rows of the reduced row-echelon basis, in decreasing pivot
+        order, each as its pivot q and the (column, residue) pairs of its
+        other nonzero entries, made lazily by back-substitution: row q takes
+        (p - c) times the reduced row of each other pivot k where its slot
+        is c, the bits of ``right[q] & pivot_bits``, and is folded; a row
+        with none is already reduced, nonzero at the bits of ``right[q]``. A
+        reduced row is 0 in every other pivot column, so no update changes
+        another pivot slot, and a slot gains less than p^2 an update, as in
+        :meth:`_reduce`. Without ``coordinates``."""
+        n, nb, p, rows = self.ambient, self.nbytes, self.p, self.rows
+        mask, reduced = (1 << 8 * nb) - 1, {}
+        for q in sorted(self.pivots, reverse=True):
+            w, bits = rows[q], self.right[q]
+            todo = bits & self.pivot_bits
+            if todo:  # back-substitute, then read the nonzero slots afresh
+                while todo:
+                    k = (todo & -todo).bit_length() - 1
+                    todo ^= 1 << k
+                    w += (p - (rows[q] >> 8 * nb * k & mask)) * reduced[k]
+                w = self._fold(w)
+                bits = self._nonzero(w, n) ^ 1 << q
+            reduced[q], entries = w, []
+            b = w.to_bytes(nb * n, "little") if bits else b""
+            while bits:
+                k = (bits & -bits).bit_length() - 1
+                bits ^= 1 << k
+                entries.append((k, int.from_bytes(b[nb * k:nb * k + nb], "little")))
+            yield q, entries
 
 
 @cache
@@ -508,6 +547,13 @@ class Subspace:
         out = object.__new__(cls)
         out._put(ambient, basis, pivots)
         return out
+
+    @classmethod
+    def _from_rref(cls, ambient: int, den: int, basis: list) -> "Subspace":
+        """The span of a reduced row-echelon basis known by other means, in
+        the layout of :func:`_rref_rows`, by increasing pivot."""
+        return cls._from_echelon(ambient, _rref_rows(ambient, den, basis),
+                                 tuple(q for q, _ in basis))
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":

@@ -506,6 +506,142 @@ def test_caps_stay_silent_on_full_tables_and_cut_a_block_table(monkeypatch):
     assert path_span_table(graphs["block"]).spans[(1, 1)].dim == 16
 
 
+# -- the caps' final table, guessed mod p and proven, against the exact spin --------
+
+
+def test_the_proven_closure_matches_the_exact_spin_seeded():
+    rng = random.Random(61)
+    D2, split = quaternion_for_prime(2), split_model(2)
+    custom = _rescaled(matrix_algebra(rationals(), 2), [F(1, 2), 3, F(2, 5), 1])
+    proven = fallback = between = 0
+    for trial in range(80):
+        base = (D2, rationals(), split, custom)[trial % 4]
+        r = 2 + trial % 2
+        sizes = [rng.randint(1, 2 if base is split else 3) for _ in range(r)]
+        edges = {(i, j): _random_edge(base, rng, sizes[j - 1], sizes[i - 1],
+                                      trial % 3 == 0)
+                 for i in range(1, r + 1) for j in range(i + 1, r + 1)
+                 if rng.random() < 0.8}
+        cells, seeds, rule = obstruction._table(ObstructionGraph(base, sizes, edges))
+        letters = {k: [primitive(v) for v in seeds.get(k, ())] for k in cells}
+        ech, _ = closure.spin(cells, seeds, letters, rule)
+        want = {k: e.to_subspace() for k, e in ech.items()}
+        # From the seeds, and from spans strictly between them and the closure.
+        start = {k: [*seeds.get(k, ()), *want[k].basis[:rng.randint(1, 3)]]
+                 for k in cells}
+        for spans in (seeds, start):
+            got = closure._proven_closure(cells, spans, letters, rule)
+            if got is None:
+                fallback += 1
+                continue
+            assert got == want, trial
+            proven += 1
+            between += spans is start and any(
+                0 < echelonize(vs, ambient_dim=cells[k]).dim < want[k].dim
+                for k, vs in start.items())
+    # Most guesses are proven; a few have entries beyond one prime's reach.
+    assert proven >= 120 and between >= 15 and fallback >= 1, (proven, between, fallback)
+
+
+def test_every_branch_of_the_proven_closure_keeps_spans_and_rounds(monkeypatch):
+    # Mod 5 only 0 and +-1 reconstruct and the prime misses dimensions, so
+    # every way a guess can fail occurs, and the exact spin decides there.
+    seen = dict.fromkeys(("no reconstruction", "seed outside", "maps out", "full cell",
+                          "proven", "fallback"), 0)
+    letter_ids = set()
+    real_proven, real_guess, real_outside = (closure._proven_closure, closure._guess,
+                                             closure._outside)
+
+    def proven(cells, spans, letters, rule):
+        letter_ids.clear()
+        letter_ids.update(id(x) for xs in letters.values() for x in xs)
+        out = real_proven(cells, spans, letters, rule)
+        seen["fallback" if out is None else "proven"] += 1
+        seen["full cell"] += out is not None and any(s.is_full() for s in out.values())
+        return out
+
+    def guess(span):
+        out = real_guess(span)
+        seen["no reconstruction"] += out is None
+        return out
+
+    def outside(v, den, basis):
+        out = real_outside(v, den, basis)
+        if out:
+            seen["seed outside" if id(v) in letter_ids else "maps out"] += 1
+        return out
+
+    monkeypatch.setattr(closure, "MODULUS", 5)
+    monkeypatch.setattr(closure, "_proven_closure", proven)
+    monkeypatch.setattr(closure, "_guess", guess)
+    monkeypatch.setattr(closure, "_outside", outside)
+    rng = random.Random(67)
+    Q = rationals()
+
+    def congruent_edge(rows, cols):
+        # Entries 4, -4 and 6 are +-1 mod 5: a guess that reconstructs them
+        # as +-1 is wrong, and a seed can fall outside it.
+        return DMatrix.from_entries(Q, [[Q.element((rng.choice((0, 1, 4, -4, 6)),))
+                                         for _ in range(cols)] for _ in range(rows)])
+
+    bases = [quaternion_for_prime(p) for p in (2, 3, 5)] + [Q]
+    for trial in range(80):
+        base = bases[trial % 4]
+        r = 2 + trial % 3
+        sizes = [rng.randint(1, 3 if r < 4 else 2) for _ in range(r)]
+        edges = {(i, j): congruent_edge(sizes[j - 1], sizes[i - 1]) if base is Q else
+                 _random_edge(base, rng, sizes[j - 1], sizes[i - 1], trial % 4 == 0)
+                 for i in range(1, r + 1) for j in range(i + 1, r + 1)
+                 if rng.random() < 0.7}
+        cells, seeds, rule = obstruction._table(ObstructionGraph(base, sizes, edges))
+        ech, rounds = _plain_fixed_point(cells, seeds, rule, [0])
+        spans, got_rounds = closure.fixed_point(cells, seeds, rule)
+        assert got_rounds == rounds, trial
+        assert spans == {k: e.to_subspace() for k, e in ech.items()}, trial
+    assert all(seen.values()), seen
+
+
+def _one_edge_graph(n):
+    """Two size-n vertices over D_2 and one edge, its coefficients from
+    random.Random(0) in -2..2, row by row."""
+    base, rng = quaternion_for_prime(2), random.Random(0)
+    entries = [[base.element(tuple(rng.randint(-2, 2) for _ in range(4)))
+                for _ in range(n)] for _ in range(n)]
+    return ObstructionGraph(base, [n, n], {(1, 2): DMatrix.from_entries(base, entries)})
+
+
+def test_the_caps_prove_block_tables_with_no_exact_echelon(monkeypatch):
+    spins, adds = [], [0]
+    real_spin, real_add = closure.spin, Echelon.add
+
+    def watched_spin(cells, seeds, letters, rule, max_len=None, modulus=None):
+        spins.append(modulus)
+        return real_spin(cells, seeds, letters, rule, max_len, modulus)
+
+    def counted_add(self, w):
+        adds[0] += 1
+        return real_add(self, w)
+
+    monkeypatch.setattr(closure, "spin", watched_spin)
+    monkeypatch.setattr(Echelon, "add", counted_add)
+    for g, size in ((2, 3), (3, 5)):
+        graph = _block_graph(build_r3_graph(g, 2, seed=0), size)
+        spins.clear()
+        adds[0] = 0
+        table = path_span_table(graph)
+        assert table.spans[(1, 1)].dim == 4 * g * g
+        assert spins == [closure.MODULUS] and adds[0] == 0, (g, spins, adds)
+    # The loop span of a one-edge [4, 4] table has RREF entries beyond one
+    # prime's reach: the guess fails, and the exact spin decides.
+    graph = _one_edge_graph(4)
+    ech, rounds = _plain_fixed_point(*obstruction._table(graph), [0])
+    spins.clear()
+    table = path_span_table(graph)
+    assert spins == [closure.MODULUS, None]
+    assert table.rounds == rounds
+    assert table.spans == {k: e.to_subspace() for k, e in ech.items()}
+
+
 # -- the mod-p fullness certificate against the exact path -----------------------
 
 

@@ -474,6 +474,50 @@ def test_echelon_mod_p_rank_matches_echelon_seeded():
             assert not any(row[:q]), trial
 
 
+def _rref_mod_p(rows, n, p):
+    """{pivot: row} of the reduced row-echelon basis of ``rows`` mod p, by
+    plain Gauss-Jordan elimination on lists."""
+    basis = {}
+    for row in rows:
+        r = [x % p for x in row]
+        for q, b in basis.items():
+            if r[q]:
+                r = [(x - r[q] * y) % p for x, y in zip(r, b)]
+        q = next((k for k in range(n) if r[k]), None)
+        if q is not None:
+            inv = pow(r[q], -1, p)
+            r = [x * inv % p for x in r]
+            basis = {k: [(x - b[q] * y) % p for x, y in zip(b, r)] for k, b in basis.items()}
+            basis[q] = r
+    return basis
+
+
+def test_echelon_mod_p_reduced_rows_are_the_rref_mod_p_seeded():
+    rng = random.Random(71)
+    for trial in range(150):
+        p = (5, 7, MODULUS)[trial % 3]
+        n = rng.randint(1, 9)
+        rows = []
+        for _ in range(rng.randint(0, n + 2)):
+            if rows and rng.random() < 0.3:
+                row = tuple(sum(c) for c in zip(*rng.sample(rows, min(2, len(rows)))))
+            else:
+                row = tuple(rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(n))
+            rows.append(row)
+        ech = EchelonModP(n, p)
+        for row in rows:
+            ech.add(row)
+        got = list(ech._reduced_rows())
+        assert [q for q, _ in got] == sorted(ech.pivots, reverse=True), trial
+        dense = {}
+        for q, entries in got:
+            dense[q] = [int(k == q) for k in range(n)]
+            for k, c in entries:
+                assert k != q and 0 < c < p, trial
+                dense[q][k] = c
+        assert dense == _rref_mod_p(rows, n, p), trial
+
+
 def test_echelon_mod_p_rank_drops_on_a_matrix_singular_mod_p():
     rows = [(1, 1, 0), (1, -1, 0), (0, 0, 3)]  # determinant -6
     exact = Echelon(3)
